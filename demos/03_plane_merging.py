@@ -6,10 +6,11 @@ plane into several leaves. Greedy per-voxel merging puts them back
 together into one group while the protrusion leaves are discarded.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from voxplane import ExtractionConfig, determine_plane
-from voxplane.config import with_merging
 from voxplane.pipeline import extract_plane_groups
 
 rng = np.random.default_rng(11)
@@ -27,7 +28,7 @@ decision = determine_plane(points, config.plane_params)
 print(f"root-voxel plane test: is_plane={decision.is_plane} "
       f"({decision.reject_reason.value})")
 
-plain = extract_plane_groups(points, with_merging(config, False)).groups
+plain = extract_plane_groups(points, replace(config, merging_enabled=False)).groups
 print(f"\nwithout merging: {len(plain)} separate patches")
 for g in plain:
     print(f"  depth {g.merged.depth}, {g.merged.cluster.n} points")

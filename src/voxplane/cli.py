@@ -12,12 +12,13 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExtractionConfig, config_to_dict, load_config, with_merging
+from .config import ExtractionConfig, config_to_dict, load_config
 from .errors import CloudFormatError, ConfigError, GenerationError, InputValidationError
 from .evaluation import evaluate, fit_truth_planes
 from .io import (
@@ -64,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the plane-set document here")
     p.add_argument("--colored", help="write a colored ply of extracted planes here")
     p.add_argument("--no-merge", action="store_true", help="skip per-voxel plane merging")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the per-root-voxel stage (default 1)")
     p.add_argument("--print-config", action="store_true",
                    help="print the effective config as JSON and exit")
 
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-stage extraction timing")
     p.add_argument("cloud", help="input cloud file")
     p.add_argument("--repeat", type=int, default=3, help="repetitions; median is reported")
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -132,14 +130,14 @@ def _emit_report(payload: dict, path: str | None) -> None:
 def _cmd_extract(args) -> int:
     config = _load_effective_config(args.config)
     if args.no_merge:
-        config = with_merging(config, False)
+        config = replace(config, merging_enabled=False)
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2))
         return EXIT_OK
     if args.cloud is None:
         raise InputValidationError("missing input cloud (or use --print-config)")
     points, _ = read_cloud(args.cloud)
-    result = extract_plane_groups(points, config, threads=args.threads)
+    result = extract_plane_groups(points, config)
     print(f"{len(result.groups)} plane groups from {points.shape[0]} points "
           f"in {result.timings.total:.3f}s")
     if args.out:
@@ -209,8 +207,7 @@ def _cmd_bench(args) -> int:
     config = _load_effective_config(None)
     rows = []
     for _ in range(max(1, args.repeat)):
-        rows.append(extract_plane_groups(points, config,
-                                         threads=args.threads).timings.as_dict())
+        rows.append(extract_plane_groups(points, config).timings.as_dict())
     medians = {stage: statistics.median(r[stage] for r in rows) for stage in rows[0]}
     print(json.dumps({"points": int(points.shape[0]), "repeat": len(rows),
                       "median_s": medians}, indent=2))

@@ -7,7 +7,7 @@ keeps its default. Unknown keys are rejected rather than silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -41,40 +41,36 @@ class ExtractionConfig:
             raise ConfigError("min_points must be positive")
 
 
-_TOP_FIELDS = {"root_size", "min_voxel_size", "min_points", "merging_enabled"}
-_PLANE_FIELDS = {"flatness_ratio_max", "quarter_ratio_bound", "min_points",
-                 "sigma_shift_multiple"}
-_MERGE_FIELDS = {"normal_angle_max_deg", "separation_angle_tol_deg",
-                 "min_separation"}
+def _sections(cls) -> dict[str, Field]:
+    """Nested parameter blocks of a config dataclass, keyed by their
+    config-file section name (the field name without ``_params``)."""
+    return {f.name.removesuffix("_params"): f for f in fields(cls)
+            if is_dataclass(f.default_factory)}
 
 
-def _sub_params(cls, data: dict, allowed: set[str], section: str):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad '{section}' section: {exc}") from exc
-
-
-def config_from_dict(data: dict) -> ExtractionConfig:
+def _from_dict(cls, data, where: str):
+    """Build ``cls`` from a config-file object. The allowed keys are the
+    dataclass's own fields, with nested blocks under their section names."""
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _TOP_FIELDS - {"plane", "merge"}
+        raise ConfigError(f"{where} must be a JSON object")
+    sections = _sections(cls)
+    plain = {f.name for f in fields(cls)} - {f.name for f in sections.values()}
+    unknown = set(data) - plain - set(sections)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: data[k] for k in _TOP_FIELDS if k in data}
-    if "plane" in data:
-        kwargs["plane_params"] = _sub_params(PlaneTestParams, data["plane"],
-                                             _PLANE_FIELDS, "plane")
-    if "merge" in data:
-        kwargs["merge_params"] = _sub_params(MergeParams, data["merge"],
-                                             _MERGE_FIELDS, "merge")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = {k: v for k, v in data.items() if k in plain}
+    for name, f in sections.items():
+        if name in data:
+            kwargs[f.name] = _from_dict(f.default_factory, data[name],
+                                        f"'{name}' section")
     try:
-        return ExtractionConfig(**kwargs)
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def config_from_dict(data) -> ExtractionConfig:
+    return _from_dict(ExtractionConfig, data, "config root")
 
 
 def load_config(path) -> ExtractionConfig:
@@ -92,24 +88,7 @@ def load_config(path) -> ExtractionConfig:
 
 def config_to_dict(config: ExtractionConfig) -> dict:
     """Plain-dict form of a config, matching the config-file schema."""
-    return {
-        "root_size": config.root_size,
-        "min_voxel_size": config.min_voxel_size,
-        "min_points": config.min_points,
-        "merging_enabled": config.merging_enabled,
-        "plane": {
-            "flatness_ratio_max": config.plane_params.flatness_ratio_max,
-            "quarter_ratio_bound": config.plane_params.quarter_ratio_bound,
-            "min_points": config.plane_params.min_points,
-            "sigma_shift_multiple": config.plane_params.sigma_shift_multiple,
-        },
-        "merge": {
-            "normal_angle_max_deg": config.merge_params.normal_angle_max_deg,
-            "separation_angle_tol_deg": config.merge_params.separation_angle_tol_deg,
-            "min_separation": config.merge_params.min_separation,
-        },
-    }
-
-
-def with_merging(config: ExtractionConfig, enabled: bool) -> ExtractionConfig:
-    return replace(config, merging_enabled=enabled)
+    out = asdict(config)
+    for name, f in _sections(ExtractionConfig).items():
+        out[name] = out.pop(f.name)
+    return out

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import InputValidationError
 from .geometry import PointCluster, as_points
 from .plane_test import determine_plane
 
@@ -84,14 +85,18 @@ def voxel_key(p, root_size: float) -> VoxelKey:
     Uses mathematical floor, so -0.3 lands in cell -1 and cell boundaries
     belong to the higher cell (half-open convention).
     """
-    pt = as_points(p)[0]
-    k = np.floor(pt / root_size).astype(np.int64)
+    k = voxel_keys(as_points(p)[:1], root_size)[0]
     return VoxelKey(int(k[0]), int(k[1]), int(k[2]))
 
 
 def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
-    """Vectorized voxel_key: (N, 3) int64 lattice coordinates."""
-    return np.floor(points / root_size).astype(np.int64)
+    """Vectorized voxel_key: (N, 3) int64 lattice coordinates. Raises
+    InputValidationError where |x / root_size| >= 2^63 has no int64 key."""
+    cells = np.floor(points / root_size)
+    if not (np.abs(cells) < 2.0 ** 63).all():
+        raise InputValidationError("coordinate too large for the voxel lattice: "
+                                   "|x / root_size| must be below 2^63")
+    return cells.astype(np.int64)
 
 
 def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:

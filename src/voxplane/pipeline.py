@@ -1,17 +1,14 @@
 """End-to-end extraction pipeline: root voxelization, per-voxel octree
 subdivision, and per-voxel plane merging.
 
-Root voxels are independent once the root map is built, so the subdivision
-stage can fan out across a thread pool; results are keyed by voxel and
-emitted in sorted lattice order, which keeps the output identical whatever
-the completion order.
+Root voxels are resolved and emitted in sorted lattice order, which keeps
+the output identical from run to run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,8 +46,7 @@ class StageTimings:
     total: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {"voxelize": self.voxelize, "subdivide": self.subdivide,
-                "merge": self.merge, "total": self.total}
+        return asdict(self)
 
 
 @dataclass
@@ -59,38 +55,27 @@ class ExtractionResult:
     timings: StageTimings
 
 
-def build_voxel_forest(points, config: ExtractionConfig,
-                       threads: int = 1) -> dict[VoxelKey, OctreeNode]:
+def _grow_forest(pts: np.ndarray, root_map: dict[VoxelKey, np.ndarray],
+                 config: ExtractionConfig) -> dict[VoxelKey, OctreeNode]:
+    return {key: subdivide(make_root_node(key, config.root_size, idx), pts, config, key)
+            for key, idx in root_map.items()}
+
+
+def build_voxel_forest(points, config: ExtractionConfig) -> dict[VoxelKey, OctreeNode]:
     """Voxelize and subdivide, returning the resolved octree per root voxel
     in sorted lattice-key order."""
     pts = as_points(points)
-    root_map = build_root_map(pts, config.root_size)
-    items = list(root_map.items())
-
-    def resolve(item):
-        key, idx = item
-        return subdivide(make_root_node(key, config.root_size, idx), pts, config, key)
-
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            roots = list(pool.map(resolve, items))
-    else:
-        roots = [resolve(item) for item in items]
-    return {item[0]: root for item, root in zip(items, roots)}
+    return _grow_forest(pts, build_root_map(pts, config.root_size), config)
 
 
 def collect_patches(forest: dict[VoxelKey, OctreeNode]) -> dict[VoxelKey, list[PlanePatch]]:
     """Plane-leaf patches per root voxel, in octree traversal order."""
-    out: dict[VoxelKey, list[PlanePatch]] = {}
-    for key, root in forest.items():
-        patches = [leaf.patch for leaf in iter_leaves(root)
-                   if leaf.state is NodeState.PLANE_LEAF]
-        out[key] = [p for p in patches if p is not None]
-    return out
+    return {key: [leaf.patch for leaf in iter_leaves(root)
+                  if leaf.state is NodeState.PLANE_LEAF and leaf.patch is not None]
+            for key, root in forest.items()}
 
 
-def extract_plane_groups(points, config: ExtractionConfig | None = None,
-                         threads: int = 1) -> ExtractionResult:
+def extract_plane_groups(points, config: ExtractionConfig | None = None) -> ExtractionResult:
     """Full pipeline with per-stage timings.
 
     With merging enabled the groups are the per-voxel merge results;
@@ -107,25 +92,13 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None,
     root_map = build_root_map(pts, config.root_size)
     timings.voxelize = time.perf_counter() - t0
 
-    items = list(root_map.items())
-
-    def resolve(item):
-        key, idx = item
-        return subdivide(make_root_node(key, config.root_size, idx), pts, config, key)
-
     t0 = time.perf_counter()
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            roots = list(pool.map(resolve, items))
-    else:
-        roots = [resolve(item) for item in items]
+    forest = _grow_forest(pts, root_map, config)
     timings.subdivide = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     groups: list[PlaneGroup] = []
-    for (key, _), root in zip(items, roots):
-        patches = [leaf.patch for leaf in iter_leaves(root)
-                   if leaf.state is NodeState.PLANE_LEAF and leaf.patch is not None]
+    for patches in collect_patches(forest).values():
         if config.merging_enabled:
             groups.extend(greedy_merge(patches, config.merge_params))
         else:
@@ -136,8 +109,7 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None,
     return ExtractionResult(groups=groups, timings=timings)
 
 
-def extract_planes(points, config: ExtractionConfig | None = None,
-                   threads: int = 1) -> list[PlanePatch]:
+def extract_planes(points, config: ExtractionConfig | None = None) -> list[PlanePatch]:
     """Extracted planes, one representative patch per group, grouped by
     root voxel in sorted lattice order."""
-    return [g.merged for g in extract_plane_groups(points, config, threads).groups]
+    return [g.merged for g in extract_plane_groups(points, config).groups]

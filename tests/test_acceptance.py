@@ -6,6 +6,7 @@ criteria execute.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from voxplane import (
     split_center,
 )
 from voxplane.cli import cli_main
-from voxplane.config import with_merging
 from voxplane.evaluation import evaluate, match_planes
 from voxplane.io import write_planes
 from voxplane.octree import iter_leaves
@@ -147,7 +147,7 @@ def test_criterion_4_merging_effectiveness():
         angle = math.acos(min(1.0, abs(float(group.merged.normal @ Z))))
         assert angle < 1e-6
 
-        unmerged = extract_plane_groups(pts, with_merging(CFG, False)).groups
+        unmerged = extract_plane_groups(pts, replace(CFG, merging_enabled=False)).groups
         assert len(unmerged) >= 2
 
     _announce("C4", "merging-effectiveness", body)
@@ -261,15 +261,13 @@ def test_criterion_7_throughput():
         scene = gen_multi_room(target_points=1_000_000, seed=0)
         assert scene.points.shape[0] >= 990_000
 
-        merged_total = min(
-            extract_plane_groups(scene.points, CFG).timings.total for _ in range(2))
-        plain_total = min(
-            extract_plane_groups(scene.points, with_merging(CFG, False)).timings.total
-            for _ in range(2))
-        print(f"\n  1e6-point extraction: merged {merged_total:.2f}s, "
-              f"no-merge {plain_total:.2f}s")
-        assert merged_total < 5.0
-        assert merged_total <= 1.15 * plain_total
+        # Both sides of the merge-cost bound come from one run's stage
+        # timers, so noise between separate runs cannot decide it.
+        t = min((extract_plane_groups(scene.points, CFG).timings for _ in range(2)),
+                key=lambda timings: timings.total)
+        print(f"\n  1e6-point extraction: {t.total:.2f}s, merge {t.merge:.2f}s")
+        assert t.total < 5.0
+        assert t.total <= 1.15 * (t.total - t.merge)
 
     _announce("C7", "throughput", body)
 

@@ -24,6 +24,7 @@ def test_subcommand_help(capsys):
 
 def test_unknown_flag_rejected(capsys):
     assert run("extract", "cloud.xyz", "--frobnicate") == 2
+    assert run("extract", "--print-config", "--threads", "2") == 2
     capsys.readouterr()
 
 
@@ -86,17 +87,6 @@ def test_extract_no_merge_and_colored(tmp_path, capsys):
     assert colored.read_text().startswith("ply")
 
 
-def test_extract_threads_match_single(tmp_path, capsys):
-    cloud = tmp_path / "c.vxc"
-    out1 = tmp_path / "t1.txt"
-    out4 = tmp_path / "t4.txt"
-    assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
-    assert run("extract", str(cloud), "--out", str(out1), "--threads", "1") == EXIT_OK
-    assert run("extract", str(cloud), "--out", str(out4), "--threads", "4") == EXIT_OK
-    capsys.readouterr()
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"min_points": 40, "plane": {"min_points": 40}}))
@@ -110,6 +100,9 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"min_pts": 40}))
+    assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"plane": 5}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     cfg.write_text("{not json")

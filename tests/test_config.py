@@ -60,6 +60,10 @@ def test_unknown_keys_rejected():
         config_from_dict({"plane": {"tau": 0.1}})
     with pytest.raises(ConfigError):
         config_from_dict({"merge": {"angle": 5}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"plane": 5})
+    with pytest.raises(ConfigError):
+        config_from_dict({"merge": None})
 
 
 def test_dict_round_trip():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from voxplane import (
     extract_plane_groups,
     greedy_merge,
 )
-from voxplane.config import with_merging
 from voxplane.merging import merge_patches
 
 from oracles import two_pass_covariance
@@ -192,5 +192,5 @@ def test_no_cross_root_groups_and_disable_increases_count(rng):
     merged = extract_plane_groups(pts, cfg).groups
     for g in merged:
         assert len({m.root_key for m in g.members}) == 1
-    unmerged = extract_plane_groups(pts, with_merging(cfg, False)).groups
+    unmerged = extract_plane_groups(pts, replace(cfg, merging_enabled=False)).groups
     assert len(unmerged) >= len(merged)

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from voxplane import (
     ExtractionConfig,
+    InputValidationError,
     NodeState,
+    RansacParams,
     VoxelKey,
     accumulate,
     build_root_map,
@@ -17,6 +19,7 @@ from voxplane import (
     extract_planes,
     flatness_test,
     gen_plane,
+    ransac_extract_all,
     voxel_key,
 )
 from voxplane.octree import iter_leaves, make_root_node, subdivide
@@ -73,6 +76,21 @@ def test_build_root_map_partitions_input(rng):
     # keys come out in sorted lattice order
     keys = list(out.keys())
     assert keys == sorted(keys)
+
+
+def test_lattice_overflow_rejected():
+    # 1e19, -1e19 and 2e19 would all cast to the key INT64_MIN
+    for x in (1e19, -1e19, 2e19):
+        pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        with pytest.raises(InputValidationError):
+            build_root_map(pts, 1.0)
+        with pytest.raises(InputValidationError):
+            voxel_key(pts[0], 1.0)
+        with pytest.raises(InputValidationError):
+            ransac_extract_all(pts, CFG, RansacParams(seed=0))
+    # the quotient, not the coordinate, must fit
+    with pytest.raises(InputValidationError):
+        build_root_map(np.array([[1e10, 0.0, 0.0]]), 1e-10)
 
 
 # ---------------------------------------------------------------------------
