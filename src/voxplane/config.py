@@ -41,6 +41,13 @@ class ExtractionConfig:
             raise ConfigError("min_points must be positive")
 
 
+# JSON value types each plain field type takes (field types are strings,
+# as the config modules postpone annotations), and their name in errors.
+# A JSON boolean is never taken as a number.
+_JSON_TYPES = {"bool": (bool, "boolean"), "int": (int, "integer"),
+               "float": ((int, float), "number")}
+
+
 def _sections(cls) -> dict[str, Field]:
     """Nested parameter blocks of a config dataclass, keyed by their
     config-file section name (the field name without ``_params``)."""
@@ -59,14 +66,18 @@ def _from_dict(cls, data, where: str):
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     kwargs = {k: v for k, v in data.items() if k in plain}
+    for f in fields(cls):
+        if f.name in kwargs:
+            value = kwargs[f.name]
+            accepted, noun = _JSON_TYPES[f.type]
+            if isinstance(value, bool) is not (f.type == "bool") or not isinstance(value, accepted):
+                raise ConfigError(f"'{f.name}' in {where} must be a JSON {noun}, "
+                                  f"got {value!r}")
     for name, f in sections.items():
         if name in data:
             kwargs[f.name] = _from_dict(f.default_factory, data[name],
                                         f"'{name}' section")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data) -> ExtractionConfig:

@@ -94,16 +94,14 @@ def point_metrics(groups: list[PlaneGroup], truth: GroundTruthCloud,
 def geometry_error(group: PlaneGroup, truth_plane: TruthPlane) -> tuple[float, float]:
     """(normal angle error in degrees, plane offset error in meters).
 
-    Both are computed with sign-aligned normals, so flipping either
-    normal's sign leaves the result unchanged.
+    The offset error is the distance from the group's centroid to the
+    truth plane, so a small tilt far from the origin does not read as a
+    large offset. Flipping either normal's sign leaves both unchanged.
     """
-    n_ext = group.merged.normal
     n_gt = truth_plane.normal
-    dot = float(np.dot(n_ext, n_gt))
+    dot = float(np.dot(group.merged.normal, n_gt))
     angle = math.degrees(math.acos(min(1.0, abs(dot))))
-    d_ext = float(np.dot(n_ext, group.merged.centroid))
-    sign = 1.0 if dot >= 0.0 else -1.0
-    offset = abs(d_ext - sign * truth_plane.offset)
+    offset = abs(float(np.dot(n_gt, group.merged.centroid)) - truth_plane.offset)
     return angle, offset
 
 

@@ -10,7 +10,7 @@ results do not depend on processing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,11 +146,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
     if params is None:
         params = RansacParams()
     min_inliers = params.min_inliers if params.min_inliers is not None else config.min_points
-    eff = RansacParams(dist_threshold=params.dist_threshold,
-                       max_iterations=params.max_iterations,
-                       min_inliers=min_inliers,
-                       success_probability=params.success_probability,
-                       seed=params.seed)
+    eff = replace(params, min_inliers=min_inliers)
 
     pts = as_points(points)
     patches: list[PlanePatch] = []

@@ -105,6 +105,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"plane": 5}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"merging_enabled": "no"}))
+    assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
+    assert "must be a JSON boolean" in capsys.readouterr().err
     cfg.write_text("{not json")
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     capsys.readouterr()

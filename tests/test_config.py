@@ -64,6 +64,18 @@ def test_unknown_keys_rejected():
         config_from_dict({"plane": 5})
     with pytest.raises(ConfigError):
         config_from_dict({"merge": None})
+    bad_values = [
+        {"merging_enabled": "no"}, {"merging_enabled": 0},
+        {"min_points": 20.5}, {"min_points": True}, {"min_points": "20"},
+        {"root_size": False}, {"root_size": "1.0"}, {"root_size": None},
+        {"plane": {"min_points": 20.0}}, {"merge": {"normal_angle_max_deg": [8]}},
+    ]
+    for data in bad_values:
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+    cfg = config_from_dict({"root_size": 2, "merging_enabled": False,
+                            "merge": {"min_separation": 0}})
+    assert cfg.root_size == 2 and cfg.merging_enabled is False
 
 
 def test_dict_round_trip():

@@ -5,6 +5,7 @@ from voxplane import (
     GroundTruthCloud,
     PlaneGroup,
     PlanePatch,
+    TruthPlane,
     VoxelKey,
     accumulate,
     covariance,
@@ -139,6 +140,26 @@ def test_geometry_error_sign_symmetric(corner_cloud):
                                root_key=g.merged.root_key, depth=0)
     b = geometry_error(PlaneGroup([flipped_patch], flipped_patch), plane)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_geometry_error_offset_is_centroid_distance(rng):
+    # A patch tilted 4 degrees about the y axis, 12.4 m out along x, whose
+    # centroid sits 4 cm above the truth plane z = 0. Measured from the
+    # origin, n_ext . c would put the plane about 0.83 m off.
+    tilt = np.radians(4.0)
+    uv = rng.uniform(-0.4, 0.4, (200, 2))
+    points = np.column_stack([12.4 + uv[:, 0] * np.cos(tilt), uv[:, 1],
+                              0.04 + uv[:, 0] * np.sin(tilt)])
+    group = group_from_indices(points, np.arange(200))
+    for sign in (1.0, -1.0):
+        plane = TruthPlane(normal=np.array([0.0, 0.0, sign]), offset=0.0,
+                           center=np.zeros(3), axis_u=np.array([1.0, 0.0, 0.0]),
+                           axis_v=np.array([0.0, 1.0, 0.0]), half_u=20.0,
+                           half_v=20.0, noise_sigma=0.0)
+        angle, offset = geometry_error(group, plane)
+        assert angle == pytest.approx(4.0, abs=1e-9)
+        assert offset == pytest.approx(abs(group.merged.centroid[2]), abs=1e-12)
+        assert offset == pytest.approx(0.04, abs=0.01)
 
 
 def test_fit_truth_planes_recovers_geometry(corner_cloud):

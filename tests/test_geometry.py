@@ -180,8 +180,8 @@ def test_eigen_rotation_equivariance(rng):
 
 
 def test_eigen_degenerate_spectra():
-    # repeated eigenvalues take the Jacobi fallback and must still satisfy
-    # the invariants
+    # repeated and nearly repeated eigenvalues must still give an
+    # orthonormal basis of eigenvectors
     cases = [
         np.diag([2.0, 1.0, 1.0]),
         np.diag([1.0, 1.0, 1.0 - 1e-9]),
@@ -196,6 +196,23 @@ def test_eigen_degenerate_spectra():
             assert np.linalg.norm(resid) <= 1e-9 * max(1.0, np.linalg.norm(m))
     assert np.allclose(eigen_symmetric3(np.full((3, 3), 1.0)).eigenvalues,
                        [3.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_eigen_any_scale(rng):
+    # Magnitudes whose squares or cubes overflow or underflow a double.
+    for s in (1e-200, 1e200):
+        lam = eigen_symmetric3(np.full((3, 3), s)).eigenvalues
+        assert np.abs(lam - [3 * s, 0.0, 0.0]).max() <= 1e-12 * 3 * s
+    # Exact up to the rounding of LAPACK's internal rescaling, which leaves
+    # each eigenvalue one ulp low; the smallest is right relative to itself.
+    lam = eigen_symmetric3(np.diag([1e300, 1e300, 1.0])).eigenvalues
+    np.testing.assert_allclose(lam, [1e300, 1e300, 1.0], rtol=4e-16, atol=0)
+    for _ in range(200):
+        m = random_symmetric(rng)
+        ref = eigen_symmetric3(m).eigenvalues
+        for s in (1e-290, 1e-150, 1e150, 1e290):
+            lam = eigen_symmetric3(m * s).eigenvalues
+            assert np.abs(lam - s * ref).max() <= 1e-12 * s * np.abs(ref).max()
 
 
 def test_eigen_deterministic(rng):
