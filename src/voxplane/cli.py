@@ -1,4 +1,4 @@
-"""Command-line surface: extract / synth / eval / compare / bench.
+"""Command-line surface: extract / synth / eval / compare.
 
 Exit codes: 0 success, 2 input errors (missing or malformed files, bad
 values), 3 configuration errors, 4 output I/O errors. Unknown flags are
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -85,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: ours, ransac")
     p.add_argument("--seed", type=int, default=0, help="seed when target is a scene")
     p.add_argument("--report", help="write the JSON report here (default stdout)")
-
-    p = sub.add_parser("bench", help="per-stage extraction timing")
-    p.add_argument("cloud", help="input cloud file")
-    p.add_argument("--repeat", type=int, default=3, help="repetitions; median is reported")
     return parser
 
 
@@ -202,24 +197,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    points, _ = read_cloud(args.cloud)
-    config = _load_effective_config(None)
-    rows = []
-    for _ in range(max(1, args.repeat)):
-        rows.append(extract_plane_groups(points, config).timings.as_dict())
-    medians = {stage: statistics.median(r[stage] for r in rows) for stage in rows[0]}
-    print(json.dumps({"points": int(points.shape[0]), "repeat": len(rows),
-                      "median_s": medians}, indent=2))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "extract": _cmd_extract,
     "synth": _cmd_synth,
     "eval": _cmd_eval,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
 }
 
 

@@ -1,10 +1,12 @@
 """File formats: point clouds (binary labeled, xyz, ascii ply), plane-set
 documents, colored clouds, and evaluation reports.
 
-All writers are deterministic byte for byte for identical input: floats
-are serialized with shortest round-trip repr, field order is fixed, and
-nothing timing-dependent is written except the explicit timing section of
-reports.
+One writer per format, each formatting whole arrays: one ``tolist()`` per
+array, floats in shortest round-trip ``repr``. Output is byte-stable for
+identical input: field order is fixed, and nothing timing-dependent is
+written except the explicit timing section of reports. Plane sets always
+carry each group's member point indices (the point association); the
+readers reject malformed or out-of-range content with line numbers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import colorsys
 import json
 import logging
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +33,6 @@ __all__ = [
     "read_cloud",
     "write_cloud",
     "PlaneRecord",
-    "group_records",
     "records_to_groups",
     "write_planes",
     "read_planes",
@@ -239,24 +241,37 @@ def write_cloud(path, points, labels=None, fmt: str = "labeled") -> None:
         path.write_bytes(blob)
         return
     if fmt == "xyz":
-        out = [" ".join(repr(float(v)) for v in row) for row in pts]
-        path.write_text("\n".join(out) + ("\n" if out else ""), encoding="utf-8")
+        rows = _text_rows(pts)
+        path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
         return
     if fmt == "ply_ascii":
-        header = ["ply", "format ascii 1.0", f"element vertex {pts.shape[0]}",
-                  "property double x", "property double y", "property double z"]
-        if labels is not None:
-            header.append("property int label")
-        header.append("end_header")
-        body = []
-        for i, row in enumerate(pts):
-            fields = [repr(float(v)) for v in row]
-            if labels is not None:
-                fields.append(str(int(labels[i])))
-            body.append(" ".join(fields))
-        path.write_text("\n".join(header + body) + "\n", encoding="utf-8")
+        if labels is None:
+            _write_ply(path, pts)
+        else:
+            _write_ply(path, pts, ("int label",),
+                       np.asarray(labels, dtype=np.int64).reshape(-1, 1))
         return
     raise CloudFormatError(f"unknown format {fmt!r}", path)
+
+
+def _text_rows(points: np.ndarray, ints: np.ndarray | None = None) -> list[str]:
+    """One text row per point: x y z in shortest round-trip repr, then the
+    matching row of the (n, k) integer array ``ints``, if given."""
+    cols = [map(repr, points[:, k].tolist()) for k in range(3)]
+    if ints is not None:
+        cols += [map(str, ints[:, k].tolist()) for k in range(ints.shape[1])]
+    return list(map(" ".join, zip(*cols)))
+
+
+def _write_ply(path, points: np.ndarray, int_properties: tuple[str, ...] = (),
+               ints: np.ndarray | None = None) -> None:
+    """ASCII ply with double x, y, z and one integer property per column of
+    ``ints``, each declared as "<type> <name>" in ``int_properties``."""
+    header = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+              "property double x", "property double y", "property double z",
+              *(f"property {prop}" for prop in int_properties), "end_header"]
+    Path(path).write_text("\n".join(header + _text_rows(points, ints)) + "\n",
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -277,39 +292,24 @@ class PlaneRecord:
     indices: tuple[int, ...] | None = None
 
 
-def group_records(groups: list[PlaneGroup],
-                  include_indices: bool = True) -> list[PlaneRecord]:
-    records = []
-    for g in groups:
-        hist: dict[int, int] = {}
-        for m in g.members:
-            hist[m.depth] = hist.get(m.depth, 0) + 1
-        records.append(PlaneRecord(
-            root_key=tuple(int(v) for v in g.merged.root_key),
-            count=int(g.merged.cluster.n),
-            centroid=tuple(float(v) for v in g.merged.centroid),
-            normal=tuple(float(v) for v in g.merged.normal),
-            eigenvalues=tuple(float(v) for v in g.merged.eigenvalues),
-            depth_histogram=tuple(sorted(hist.items())),
-            indices=(tuple(int(i) for i in g.merged.point_indices)
-                     if include_indices else None),
-        ))
-    return records
-
-
 def records_to_groups(records: list[PlaneRecord], points: np.ndarray) -> list[PlaneGroup]:
     """Rebuild evaluable groups from records plus the original points.
 
-    Every record must carry member indices; the cluster is re-accumulated
-    from them while centroid/normal/eigenvalues keep the stored values.
+    Every record must carry member indices, each in [0, len(points)); the
+    cluster is re-accumulated from them while centroid/normal/eigenvalues
+    keep the stored values.
     """
     groups = []
     for rec in records:
         if rec.indices is None:
             raise InputValidationError(
-                "plane record lacks member indices; re-export the plane set "
-                "with indices enabled")
+                "plane record lacks member indices, which every plane set "
+                "written by voxplane carries")
         idx = np.asarray(rec.indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(points)):
+            raise InputValidationError(
+                f"plane record indices must lie in [0, {len(points)}), "
+                f"got {idx.min()}..{idx.max()}")
         patch = PlanePatch(
             cluster=_accumulate_checked(points[idx]),
             centroid=np.array(rec.centroid),
@@ -323,33 +323,41 @@ def records_to_groups(records: list[PlaneRecord], points: np.ndarray) -> list[Pl
     return groups
 
 
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _floats(values: np.ndarray) -> str:
+    return " ".join(map(repr, values.tolist()))
 
 
-def write_planes(groups_or_records, path, include_indices: bool = True) -> None:
-    """Write a plane-set document; field order is fixed and floats use
-    shortest round-trip repr, so output is byte-stable across runs."""
-    if groups_or_records and isinstance(groups_or_records[0], PlaneGroup):
-        records = group_records(groups_or_records, include_indices)
-    else:
-        records = list(groups_or_records)
-    lines = [f"voxplane-planeset {_VERSION}", f"groups {len(records)}"]
-    for i, rec in enumerate(records):
-        lines.append(f"group {i}")
-        lines.append("root " + " ".join(str(v) for v in rec.root_key))
-        lines.append(f"count {rec.count}")
-        lines.append("centroid " + _fmt_floats(rec.centroid))
-        lines.append("normal " + _fmt_floats(rec.normal))
-        lines.append("eigenvalues " + _fmt_floats(rec.eigenvalues))
-        lines.append("depths " + " ".join(f"{d}:{c}" for d, c in rec.depth_histogram))
-        if rec.indices is not None:
-            lines.append("indices " + " ".join(str(v) for v in rec.indices))
-        lines.append("end")
+def write_planes(groups: list[PlaneGroup], path) -> None:
+    """Write a plane-set document: for each group its root voxel, point
+    count, centroid, normal, eigenvalues, member-depth histogram and member
+    point indices. Field order is fixed and floats use shortest round-trip
+    repr, so output is byte-stable across runs."""
+    lines = [f"voxplane-planeset {_VERSION}", f"groups {len(groups)}"]
+    for i, g in enumerate(groups):
+        m = g.merged
+        depths = sorted(Counter(p.depth for p in g.members).items())
+        lines += [
+            f"group {i}",
+            "root " + " ".join(map(str, m.root_key)),
+            f"count {int(m.cluster.n)}",
+            "centroid " + _floats(m.centroid),
+            "normal " + _floats(m.normal),
+            "eigenvalues " + _floats(m.eigenvalues),
+            "depths " + " ".join(f"{d}:{c}" for d, c in depths),
+            "indices " + " ".join(map(str, m.point_indices.tolist())),
+            "end",
+        ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _depth_pair(pair: str) -> tuple[int, int]:
+    depth, count = pair.split(":")
+    return int(depth), int(count)
+
+
 def read_planes(path) -> list[PlaneRecord]:
+    """Parse a plane-set document. Malformed content raises
+    CloudFormatError, with the line number where one applies."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -359,13 +367,26 @@ def read_planes(path) -> list[PlaneRecord]:
     def fail(msg, lineno=None):
         raise CloudFormatError(msg, path, lineno)
 
-    if not lines or not lines[0].startswith("voxplane-planeset "):
-        fail("not a plane-set document", 1)
-    if int(lines[0].split()[1]) != _VERSION:
-        fail(f"unsupported version {lines[0].split()[1]}", 1)
-    if len(lines) < 2 or not lines[1].startswith("groups "):
-        fail("missing group count", 2)
-    expected = int(lines[1].split()[1])
+    def values(lineno, text, cast, n=None):
+        try:
+            vals = tuple(cast(v) for v in text.split())
+        except ValueError as exc:
+            fail(f"bad value: {exc}", lineno)
+        if n is not None and len(vals) != n:
+            fail(f"expected {n} values, got {len(vals)}", lineno)
+        return vals
+
+    def header(lineno, key, missing):
+        line = lines[lineno - 1] if len(lines) >= lineno else ""
+        name, _, rest = line.partition(" ")
+        if name != key:
+            fail(missing, lineno)
+        return values(lineno, rest, int, 1)[0]
+
+    version = header(1, "voxplane-planeset", "not a plane-set document")
+    if version != _VERSION:
+        fail(f"unsupported version {version}", 1)
+    expected = header(2, "groups", "missing group count")
 
     records = []
     i = 2
@@ -375,33 +396,31 @@ def read_planes(path) -> list[PlaneRecord]:
             continue
         if not lines[i].startswith("group "):
             fail(f"expected 'group', got {lines[i]!r}", i + 1)
-        fields: dict[str, str] = {}
+        start = i + 1
+        fields: dict[str, tuple[int, str]] = {}  # key -> (line number, values)
         i += 1
         while i < len(lines) and lines[i] != "end":
             key, _, rest = lines[i].partition(" ")
-            fields[key] = rest
+            fields[key] = (i + 1, rest)
             i += 1
         if i >= len(lines):
-            fail("group without 'end'")
+            fail("group without 'end'", start)
         i += 1
-        try:
-            depths = tuple(
-                (int(d), int(c))
-                for d, c in (pair.split(":") for pair in fields["depths"].split()))
-            indices = None
-            if "indices" in fields:
-                indices = tuple(int(v) for v in fields["indices"].split())
-            records.append(PlaneRecord(
-                root_key=tuple(int(v) for v in fields["root"].split()),
-                count=int(fields["count"]),
-                centroid=tuple(float(v) for v in fields["centroid"].split()),
-                normal=tuple(float(v) for v in fields["normal"].split()),
-                eigenvalues=tuple(float(v) for v in fields["eigenvalues"].split()),
-                depth_histogram=depths,
-                indices=indices,
-            ))
-        except (KeyError, ValueError) as exc:
-            fail(f"bad group block: {exc}")
+
+        def field(key, cast, n=None):
+            if key not in fields:
+                fail(f"group block lacks {key!r}", start)
+            return values(*fields[key], cast, n)
+
+        records.append(PlaneRecord(
+            root_key=field("root", int, 3),
+            count=field("count", int, 1)[0],
+            centroid=field("centroid", float, 3),
+            normal=field("normal", float, 3),
+            eigenvalues=field("eigenvalues", float, 3),
+            depth_histogram=field("depths", _depth_pair),
+            indices=field("indices", int) if "indices" in fields else None,
+        ))
     if len(records) != expected:
         fail(f"document promises {expected} groups, found {len(records)}")
     return records
@@ -426,15 +445,11 @@ def write_colored_cloud(points, assignment, path) -> None:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     assign = np.asarray(assignment, dtype=np.int64).reshape(-1)
     keep = np.flatnonzero(assign >= 0)
-    header = ["ply", "format ascii 1.0", f"element vertex {keep.shape[0]}",
-              "property double x", "property double y", "property double z",
-              "property uchar red", "property uchar green", "property uchar blue",
-              "end_header"]
-    body = []
-    for i in keep:
-        r, g, b = group_color(int(assign[i]))
-        body.append(" ".join(repr(float(v)) for v in pts[i]) + f" {r} {g} {b}")
-    Path(path).write_text("\n".join(header + body) + "\n", encoding="utf-8")
+    groups, member_of = np.unique(assign[keep], return_inverse=True)
+    palette = np.array([group_color(g) for g in groups.tolist()],
+                       dtype=np.int64).reshape(-1, 3)
+    _write_ply(path, pts[keep], ("uchar red", "uchar green", "uchar blue"),
+               palette[member_of])
 
 
 def report_to_dict(report: EvalReport) -> dict:

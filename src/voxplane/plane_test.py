@@ -71,7 +71,6 @@ class RejectReason(enum.Enum):
     FLATNESS_FAILED = "flatness_failed"
     QUARTER_RATIO_FAILED = "quarter_ratio_failed"
     TOO_FEW_POINTS = "too_few_points"
-    EMPTY_QUARTER_POLICY = "empty_quarter_policy"
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_subcommand_help(capsys):
-    for cmd in ("extract", "synth", "eval", "compare", "bench"):
+    for cmd in ("extract", "synth", "eval", "compare"):
         assert run(cmd, "--help") == 0
         capsys.readouterr()
 
@@ -26,6 +26,8 @@ def test_unknown_flag_rejected(capsys):
     assert run("extract", "cloud.xyz", "--frobnicate") == 2
     assert run("extract", "--print-config", "--threads", "2") == 2
     capsys.readouterr()
+    assert run("bench", "x.vxc") == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_missing_file_input_error(tmp_path, capsys):
@@ -113,6 +115,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_hostile_planeset(tmp_path, capsys):
+    cloud = tmp_path / "c.vxc"
+    planes = tmp_path / "planes.txt"
+    assert run("synth", "plane", "--out", str(cloud)) == EXIT_OK
+    for text in ("voxplane-planeset \ngroups 0\n",
+                 "voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 1\n"
+                 "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
+                 "depths 0:1\nindices 99999999\nend\n"):
+        planes.write_text(text)
+        assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+
 def test_eval_requires_labels(tmp_path, capsys):
     xyz = tmp_path / "plain.xyz"
     xyz.write_text("0 0 0\n1 0 0\n0 1 0\n")
@@ -142,13 +157,3 @@ def test_compare_unknown_method(capsys):
 def test_compare_bad_target(capsys):
     assert run("compare", "no-such-thing") == EXIT_INPUT
     capsys.readouterr()
-
-
-def test_bench(tmp_path, capsys):
-    cloud = tmp_path / "c.vxc"
-    assert run("synth", "plane", "--out", str(cloud)) == EXIT_OK
-    capsys.readouterr()
-    assert run("bench", str(cloud), "--repeat", "2") == EXIT_OK
-    data = json.loads(capsys.readouterr().out)
-    assert set(data["median_s"]) == {"voxelize", "subdivide", "merge", "total"}
-    assert data["repeat"] == 2

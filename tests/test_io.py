@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from voxplane import (
 )
 from voxplane.evaluation import evaluate
 from voxplane.io import (
-    PlaneRecord,
-    group_records,
     read_cloud,
     read_planes,
     records_to_groups,
@@ -145,6 +144,26 @@ def test_auto_sniffing(tmp_path, rng):
         assert np.array_equal(back, pts)
 
 
+def test_text_writers_exact_bytes(tmp_path):
+    pts = np.array([[0.1, -0.0, 1e-300],
+                    [123456789.125, 0.1, -0.0],
+                    [-1e-300, 123456789.125, -0.1]])
+    rows = ["0.1 -0.0 1e-300", "123456789.125 0.1 -0.0", "-1e-300 123456789.125 -0.1"]
+    xyz, ply, colored = tmp_path / "a.xyz", tmp_path / "a.ply", tmp_path / "c.ply"
+    write_cloud(xyz, pts, fmt="xyz")
+    write_cloud(ply, pts, np.array([3, -1, 0], dtype=np.int32), fmt="ply_ascii")
+    write_colored_cloud(pts, np.array([0, -1, 2]), colored)
+    head = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\n"
+            "property double y\nproperty double z\n")
+    assert xyz.read_text() == "\n".join(rows) + "\n"
+    assert ply.read_text() == (head.format(3) + "property int label\nend_header\n"
+                               f"{rows[0]} 3\n{rows[1]} -1\n{rows[2]} 0\n")
+    assert colored.read_text() == (
+        head.format(2) + "property uchar red\nproperty uchar green\n"
+        "property uchar blue\nend_header\n"
+        f"{rows[0]} 242 36 36\n{rows[2]} 156 242 36\n")
+
+
 # ---------------------------------------------------------------------------
 # plane sets
 
@@ -166,11 +185,17 @@ def test_planeset_roundtrip(tmp_path, rng):
     path = tmp_path / "planes.txt"
     write_planes(groups, path)
     records = read_planes(path)
-    assert records == group_records(groups)
-    # a second write of the parsed records is byte-identical
-    path2 = tmp_path / "planes2.txt"
-    write_planes(records, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert len(records) == len(groups)
+    for rec, g in zip(records, groups):
+        m = g.merged
+        depths = Counter(p.depth for p in g.members)
+        assert rec.root_key == tuple(m.root_key)
+        assert rec.count == m.cluster.n
+        assert rec.centroid == tuple(m.centroid)
+        assert rec.normal == tuple(m.normal)
+        assert rec.eigenvalues == tuple(m.eigenvalues)
+        assert rec.depth_histogram == tuple(sorted(depths.items()))
+        assert rec.indices == tuple(m.point_indices)
 
 
 def test_planeset_deterministic_bytes(tmp_path, rng):
@@ -181,10 +206,14 @@ def test_planeset_deterministic_bytes(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_planeset_without_indices(tmp_path, rng):
-    _, groups = _extract_groups(rng)
+_ONE_GROUP = ("voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 2\n"
+              "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
+              "depths 0:1\nindices 3 4\nend\n")
+
+
+def test_planeset_without_indices(tmp_path):
     path = tmp_path / "short.txt"
-    write_planes(groups, path, include_indices=False)
+    path.write_text(_ONE_GROUP.replace("indices 3 4\n", ""))
     records = read_planes(path)
     assert all(r.indices is None for r in records)
     with pytest.raises(ValueError):
@@ -215,6 +244,27 @@ def test_planeset_count_mismatch(tmp_path):
                     "eigenvalues 1.0 1.0 0.0\ndepths 0:1\nend\n")
     with pytest.raises(CloudFormatError):
         read_planes(path)
+
+
+@pytest.mark.parametrize("good, bad, error, line", [
+    ("voxplane-planeset 1", "voxplane-planeset x", CloudFormatError, 1),
+    ("voxplane-planeset 1", "voxplane-planeset ", CloudFormatError, 1),
+    ("groups 1", "groups many", CloudFormatError, 2),
+    ("root 0 0 0", "root 0 0", CloudFormatError, 4),
+    ("centroid 0.0 0.0 0.0", "centroid 0.0 0.0", CloudFormatError, 6),
+    ("normal 0.0 0.0 1.0", "normal 0.0 0.0 1.0 0.0", CloudFormatError, 7),
+    ("eigenvalues 1.0 1.0 0.0", "eigenvalues 1.0", CloudFormatError, 8),
+    ("indices 3 4", "indices 3 99", InputValidationError, None),
+    ("indices 3 4", "indices -1 5", InputValidationError, None),
+], ids=["bad-version", "no-version", "bad-group-count", "short-root", "short-centroid",
+        "long-normal", "short-eigenvalues", "index-past-end", "negative-index"])
+def test_planeset_hostile_documents(tmp_path, good, bad, error, line):
+    path = tmp_path / "hostile.txt"
+    path.write_text(_ONE_GROUP.replace(good, bad))
+    with pytest.raises(error) as err:
+        records_to_groups(read_planes(path), np.zeros((10, 3)))
+    if line is not None:
+        assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------
