@@ -23,7 +23,6 @@ from .evaluation import evaluate, fit_truth_planes
 from .io import (
     read_cloud,
     read_planes,
-    records_to_groups,
     report_to_dict,
     write_cloud,
     write_colored_cloud,
@@ -162,9 +161,7 @@ def _truth_from_file(path) -> tuple[np.ndarray, GroundTruthCloud]:
 
 def _cmd_eval(args) -> int:
     points, truth = _truth_from_file(args.truth)
-    records = read_planes(args.planes)
-    groups = records_to_groups(records, points)
-    report = evaluate(groups, truth)
+    report = evaluate(read_planes(args.planes, points), truth)
     _emit_report(report_to_dict(report), args.report)
     return EXIT_OK
 

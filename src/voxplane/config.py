@@ -24,12 +24,13 @@ class ExtractionConfig:
     root_size: edge length of root voxels (meters).
     min_voxel_size: octants at or below this edge length are never split
         further; one that fails the plane test is discarded.
-    min_points: octant population below which a node is discarded.
+
+    Nodes with fewer than ``plane_params.min_points`` points are discarded
+    without a plane test.
     """
 
     root_size: float = 1.0
     min_voxel_size: float = 0.25
-    min_points: int = 20
     plane_params: PlaneTestParams = field(default_factory=PlaneTestParams)
     merge_params: MergeParams = field(default_factory=MergeParams)
     merging_enabled: bool = True
@@ -37,8 +38,6 @@ class ExtractionConfig:
     def __post_init__(self):
         if not self.root_size > self.min_voxel_size > 0:
             raise ConfigError("require root_size > min_voxel_size > 0")
-        if self.min_points < 1:
-            raise ConfigError("min_points must be positive")
 
 
 # JSON value types each plain field type takes (field types are strings,

@@ -5,8 +5,13 @@ One writer per format, each formatting whole arrays: one ``tolist()`` per
 array, floats in shortest round-trip ``repr``. Output is byte-stable for
 identical input: field order is fixed, and nothing timing-dependent is
 written except the explicit timing section of reports. Plane sets always
-carry each group's member point indices (the point association); the
-readers reject malformed or out-of-range content with line numbers.
+carry each group's member point indices (the point association).
+
+One reader per format, each parsing straight into the library's types:
+``read_cloud`` tells the cloud formats apart by content and returns
+arrays (xyz and ply rows share one row parser), and ``read_planes``
+returns ``PlaneGroup``s over the cloud. The readers reject malformed or
+out-of-range content with line numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import json
 import logging
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +36,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "read_cloud",
     "write_cloud",
-    "PlaneRecord",
-    "records_to_groups",
     "write_planes",
     "read_planes",
     "write_colored_cloud",
@@ -46,65 +48,72 @@ _MAGIC = b"VXPC"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQB")  # magic, version, point count, has_labels
 
-_FORMATS = ("auto", "labeled", "xyz", "ply_ascii")
-
 
 # ---------------------------------------------------------------------------
 # point clouds
 
 
-def read_cloud(path, fmt: str = "auto") -> tuple[np.ndarray, np.ndarray | None]:
+def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a point cloud, returning (points, labels-or-None).
 
-    Malformed content is a hard error carrying the line number where one
-    applies; nothing is silently skipped. Non-finite coordinates are
-    rejected.
+    The format comes from the content: the labeled-cloud magic, else a
+    first line of ``ply``, else xyz. Malformed content is a hard error
+    carrying the line number where one applies; nothing is silently
+    skipped. Non-finite coordinates are rejected.
     """
-    if fmt not in _FORMATS:
-        raise CloudFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}", path)
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise CloudFormatError(f"cannot read file: {exc}", path) from exc
-    if fmt == "auto":
-        fmt = _sniff_format(raw, path)
-    if fmt == "labeled":
-        return _read_labeled(raw, path)
-    text = _decode_text(raw, path)
-    if fmt == "ply_ascii":
-        return _read_ply(text, path)
-    return _read_xyz(text, path)
-
-
-def _sniff_format(raw: bytes, path) -> str:
     if raw.startswith(_MAGIC):
-        return "labeled"
-    if raw[:3] == b"ply":
-        return "ply_ascii"
-    return "xyz"
-
-
-def _decode_text(raw: bytes, path) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CloudFormatError(f"not a recognized cloud file (binary content, "
-                               f"bad magic): {exc}", path) from exc
-
-
-def _check_finite(pts: np.ndarray, path) -> np.ndarray:
-    if pts.size and not np.isfinite(pts).all():
+        pts, labels = _read_labeled(raw, path)
+    else:
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise CloudFormatError(f"not a recognized cloud file (binary content, "
+                                   f"bad magic): {exc}", path) from exc
+        if lines and lines[0].strip() == "ply":
+            pts, labels = _read_ply(lines, path)
+        else:
+            rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+                    if line.strip() and not line.lstrip().startswith("#")]
+            pts, labels = _parse_rows(rows, ["x", "y", "z"], path)
+    if pts.shape[0] == 0:
+        logger.warning("%s: empty cloud", path)
+    if not np.isfinite(pts).all():
         raise InputValidationError(f"{path}: cloud contains non-finite coordinates")
-    return pts
+    return pts, labels
+
+
+def _parse_rows(rows: list[tuple[int, str]], columns: list[str],
+                path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse (line number, text) rows of whitespace-separated fields named
+    by ``columns``: x, y and z as floats, ``label`` (if a column) as an
+    int32, any other column skipped."""
+    xyz = [columns.index(axis) for axis in ("x", "y", "z")]
+    label = columns.index("label") if "label" in columns else None
+    pts = np.empty((len(rows), 3))
+    labels = None if label is None else np.empty(len(rows), dtype=np.int32)
+    for i, (lineno, line) in enumerate(rows):
+        fields = line.split()
+        if len(fields) != len(columns):
+            raise CloudFormatError(f"expected {len(columns)} fields, got "
+                                   f"{len(fields)}", path, lineno)
+        try:
+            pts[i] = [float(fields[k]) for k in xyz]
+            if labels is not None:
+                labels[i] = int(fields[label])
+        except (ValueError, OverflowError) as exc:
+            raise CloudFormatError(f"bad number: {exc}", path, lineno) from exc
+    return pts, labels
 
 
 def _read_labeled(raw: bytes, path) -> tuple[np.ndarray, np.ndarray | None]:
     if len(raw) < _HEADER.size:
         raise CloudFormatError("truncated header", path)
-    magic, version, count, has_labels = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise CloudFormatError("bad magic; not a labeled-cloud file", path)
+    _, version, count, has_labels = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise CloudFormatError(f"unsupported labeled-cloud version {version}", path)
     need = _HEADER.size + count * 24 + (count * 4 if has_labels else 0)
@@ -117,45 +126,18 @@ def _read_labeled(raw: bytes, path) -> tuple[np.ndarray, np.ndarray | None]:
     if has_labels:
         labels = np.frombuffer(raw, dtype="<i4", count=count,
                                offset=_HEADER.size + count * 24).astype(np.int32)
-    if count == 0:
-        logger.warning("%s: empty cloud", path)
-        pts = pts.reshape(0, 3)
-    return _check_finite(pts, path), labels
+    return pts, labels
 
 
-def _read_xyz(text: str, path) -> tuple[np.ndarray, None]:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if len(fields) != 3:
-            raise CloudFormatError(f"expected 3 fields, got {len(fields)}",
-                                   path, lineno)
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise CloudFormatError(f"bad number: {exc}", path, lineno) from exc
-    if not rows:
-        logger.warning("%s: empty cloud", path)
-        return np.zeros((0, 3)), None
-    return _check_finite(np.array(rows, dtype=np.float64), path), None
-
-
-_PLY_XYZ_TYPES = {"float", "float32", "double", "float64"}
-
-
-def _read_ply(text: str, path) -> tuple[np.ndarray, np.ndarray | None]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise CloudFormatError("missing 'ply' magic line", path, 1)
+def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
+    """ASCII ply whose first line is ``ply``: a header with one vertex
+    element of scalar properties, then one row per vertex."""
     vertex_count = None
     properties: list[str] = []
     in_vertex = False
     data_start = None
     for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.strip().split()
+        tokens = line.split()
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
@@ -163,19 +145,24 @@ def _read_ply(text: str, path) -> tuple[np.ndarray, np.ndarray | None]:
                 raise CloudFormatError(f"unsupported ply format {' '.join(tokens[1:])!r}; "
                                        "only ascii is handled", path, lineno)
         elif tokens[0] == "element":
-            if tokens[1] == "vertex":
-                vertex_count = int(tokens[2])
-                in_vertex = True
-            else:
-                if int(tokens[2]) != 0:
-                    raise CloudFormatError(f"unsupported non-empty element "
-                                           f"{tokens[1]!r}", path, lineno)
-                in_vertex = False
-        elif tokens[0] == "property":
+            if len(tokens) != 3 or not tokens[2].isdecimal():
+                raise CloudFormatError("expected 'element <name> <count>' with a "
+                                       "non-negative integer count", path, lineno)
+            in_vertex = tokens[1] == "vertex"
             if in_vertex:
-                if tokens[1] == "list":
+                vertex_count = int(tokens[2])
+            elif int(tokens[2]) != 0:
+                raise CloudFormatError(f"unsupported non-empty element "
+                                       f"{tokens[1]!r}", path, lineno)
+        elif tokens[0] == "property":
+            if tokens[1:2] == ["list"]:
+                if in_vertex:
                     raise CloudFormatError("list properties are not supported",
                                            path, lineno)
+            elif len(tokens) != 3:
+                raise CloudFormatError("expected 'property <type> <name>'",
+                                       path, lineno)
+            elif in_vertex:
                 properties.append(tokens[2])
         elif tokens[0] == "end_header":
             data_start = lineno
@@ -188,40 +175,13 @@ def _read_ply(text: str, path) -> tuple[np.ndarray, np.ndarray | None]:
     for axis in ("x", "y", "z"):
         if axis not in properties:
             raise CloudFormatError(f"vertex element lacks property {axis!r}", path)
-    col = {name: i for i, name in enumerate(properties)}
-    has_label = "label" in col
-
-    data_lines = lines[data_start:]
-    rows = np.zeros((vertex_count, 3))
-    labels = np.zeros(vertex_count, dtype=np.int32) if has_label else None
-    seen = 0
-    for offset, line in enumerate(data_lines):
-        lineno = data_start + 1 + offset
-        stripped = line.strip()
-        if not stripped:
-            if seen < vertex_count:
-                raise CloudFormatError("blank line inside vertex data", path, lineno)
-            continue
-        if seen >= vertex_count:
+    rows = list(enumerate(lines[data_start:], start=data_start + 1))
+    if len(rows) < vertex_count:
+        raise CloudFormatError(f"truncated: {len(rows)} of {vertex_count} vertices", path)
+    for lineno, line in rows[vertex_count:]:
+        if line.strip():
             raise CloudFormatError("more data rows than declared vertices", path, lineno)
-        fields = stripped.split()
-        if len(fields) != len(properties):
-            raise CloudFormatError(f"expected {len(properties)} fields, got "
-                                   f"{len(fields)}", path, lineno)
-        try:
-            rows[seen, 0] = float(fields[col["x"]])
-            rows[seen, 1] = float(fields[col["y"]])
-            rows[seen, 2] = float(fields[col["z"]])
-            if has_label:
-                labels[seen] = int(fields[col["label"]])
-        except ValueError as exc:
-            raise CloudFormatError(f"bad number: {exc}", path, lineno) from exc
-        seen += 1
-    if seen != vertex_count:
-        raise CloudFormatError(f"truncated: {seen} of {vertex_count} vertices", path)
-    if vertex_count == 0:
-        logger.warning("%s: empty cloud", path)
-    return _check_finite(rows, path), labels
+    return _parse_rows(rows[:vertex_count], properties, path)
 
 
 def write_cloud(path, points, labels=None, fmt: str = "labeled") -> None:
@@ -278,51 +238,6 @@ def _write_ply(path, points: np.ndarray, int_properties: tuple[str, ...] = (),
 # plane-set documents
 
 
-@dataclass(frozen=True)
-class PlaneRecord:
-    """Serialized form of one plane group: plain tuples so equality is
-    structural and round-trips through text exactly."""
-
-    root_key: tuple[int, int, int]
-    count: int
-    centroid: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    eigenvalues: tuple[float, float, float]
-    depth_histogram: tuple[tuple[int, int], ...]  # (depth, member count), depth ascending
-    indices: tuple[int, ...] | None = None
-
-
-def records_to_groups(records: list[PlaneRecord], points: np.ndarray) -> list[PlaneGroup]:
-    """Rebuild evaluable groups from records plus the original points.
-
-    Every record must carry member indices, each in [0, len(points)); the
-    cluster is re-accumulated from them while centroid/normal/eigenvalues
-    keep the stored values.
-    """
-    groups = []
-    for rec in records:
-        if rec.indices is None:
-            raise InputValidationError(
-                "plane record lacks member indices, which every plane set "
-                "written by voxplane carries")
-        idx = np.asarray(rec.indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= len(points)):
-            raise InputValidationError(
-                f"plane record indices must lie in [0, {len(points)}), "
-                f"got {idx.min()}..{idx.max()}")
-        patch = PlanePatch(
-            cluster=_accumulate_checked(points[idx]),
-            centroid=np.array(rec.centroid),
-            normal=np.array(rec.normal),
-            eigenvalues=np.array(rec.eigenvalues),
-            point_indices=idx,
-            root_key=VoxelKey(*rec.root_key),
-            depth=rec.depth_histogram[0][0] if rec.depth_histogram else 0,
-        )
-        groups.append(PlaneGroup(members=[patch], merged=patch))
-    return groups
-
-
 def _floats(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
@@ -355,9 +270,16 @@ def _depth_pair(pair: str) -> tuple[int, int]:
     return int(depth), int(count)
 
 
-def read_planes(path) -> list[PlaneRecord]:
-    """Parse a plane-set document. Malformed content raises
-    CloudFormatError, with the line number where one applies."""
+def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
+    """Read a plane-set document back as groups over ``points``, the cloud
+    it was extracted from: one single-member group per block.
+
+    Centroid, normal and eigenvalues are used as stored; the cluster is
+    re-accumulated from the member points, and the depth is the smallest
+    one in the depth histogram. Malformed content, including member
+    indices that are not ``count`` distinct values in [0, len(points)),
+    raises CloudFormatError with the line number where one applies.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -388,7 +310,7 @@ def read_planes(path) -> list[PlaneRecord]:
         fail(f"unsupported version {version}", 1)
     expected = header(2, "groups", "missing group count")
 
-    records = []
+    groups = []
     i = 2
     while i < len(lines):
         if not lines[i].strip():
@@ -412,18 +334,31 @@ def read_planes(path) -> list[PlaneRecord]:
                 fail(f"group block lacks {key!r}", start)
             return values(*fields[key], cast, n)
 
-        records.append(PlaneRecord(
-            root_key=field("root", int, 3),
-            count=field("count", int, 1)[0],
-            centroid=field("centroid", float, 3),
-            normal=field("normal", float, 3),
-            eigenvalues=field("eigenvalues", float, 3),
-            depth_histogram=field("depths", _depth_pair),
-            indices=field("indices", int) if "indices" in fields else None,
-        ))
-    if len(records) != expected:
-        fail(f"document promises {expected} groups, found {len(records)}")
-    return records
+        root = field("root", int, 3)
+        count = field("count", int, 1)[0]
+        centroid = field("centroid", float, 3)
+        normal = field("normal", float, 3)
+        eigenvalues = field("eigenvalues", float, 3)
+        depths = field("depths", _depth_pair)
+        idx = field("indices", int)
+        if (len(idx) != count or len(set(idx)) != count
+                or (idx and (min(idx) < 0 or max(idx) >= len(points)))):
+            fail(f"indices must be {count} distinct values in [0, {len(points)})",
+                 fields["indices"][0])
+        idx = np.array(idx, dtype=np.int64)
+        patch = PlanePatch(
+            cluster=_accumulate_checked(points[idx]),
+            centroid=np.array(centroid),
+            normal=np.array(normal),
+            eigenvalues=np.array(eigenvalues),
+            point_indices=idx,
+            root_key=VoxelKey(*root),
+            depth=min((d for d, _ in depths), default=0),
+        )
+        groups.append(PlaneGroup(members=[patch], merged=patch))
+    if len(groups) != expected:
+        fail(f"document promises {expected} groups, found {len(groups)}")
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     non-empty octant recurses.
     """
     idx = node.point_indices
-    if idx.shape[0] < config.min_points:
+    if idx.shape[0] < config.plane_params.min_points:
         node.state = NodeState.DISCARDED
         return node
 

@@ -46,7 +46,8 @@ class PlaneTestParams:
         flatness gate.
     quarter_ratio_bound: each populated quarter's smallest eigenvalue must
         be within this factor of the pooled one (both directions); > 1.
-    min_points: below this count a set is never a plane.
+    min_points: below this count a set is never a plane; an octree node
+        with fewer points is discarded without running the test.
     sigma_shift_multiple: how many standard deviations (sqrt of the
         smallest eigenvalue) the split center is moved along the normal.
     """

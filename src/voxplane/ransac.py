@@ -28,8 +28,8 @@ _U64 = (1 << 64) - 1
 @dataclass(frozen=True)
 class RansacParams:
     """dist_threshold is the inlier band (meters). min_inliers of None
-    means "use the pipeline's min_points" when running under a config, or
-    3 when calling ransac_plane standalone."""
+    means "use the plane test's min_points" when running under a config,
+    or 3 when calling ransac_plane standalone."""
 
     dist_threshold: float = 0.03
     max_iterations: int = 500
@@ -145,7 +145,8 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
         config = ExtractionConfig()
     if params is None:
         params = RansacParams()
-    min_inliers = params.min_inliers if params.min_inliers is not None else config.min_points
+    min_inliers = (params.min_inliers if params.min_inliers is not None
+                   else config.plane_params.min_points)
     eff = replace(params, min_inliers=min_inliers)
 
     pts = as_points(points)

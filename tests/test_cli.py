@@ -40,7 +40,8 @@ def test_print_config(capsys):
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["root_size"] == 1.0
     assert cfg["min_voxel_size"] == 0.25
-    assert cfg["min_points"] == 20
+    assert "min_points" not in cfg
+    assert cfg["plane"]["min_points"] == 20
     assert cfg["plane"]["flatness_ratio_max"] == 0.0625
     assert cfg["plane"]["quarter_ratio_bound"] == 3.0
     assert cfg["merge"]["normal_angle_max_deg"] == 8.0
@@ -85,18 +86,19 @@ def test_extract_no_merge_and_colored(tmp_path, capsys):
                "--colored", str(colored)) == EXIT_OK
     assert run("extract", str(cloud), "--no-merge", "--out", str(plain)) == EXIT_OK
     capsys.readouterr()
-    assert len(read_planes(plain)) >= len(read_planes(merged))
+    points, _ = read_cloud(cloud)
+    assert len(read_planes(plain, points)) >= len(read_planes(merged, points))
     assert colored.read_text().startswith("ply")
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"min_points": 40, "plane": {"min_points": 40}}))
+    cfg.write_text(json.dumps({"plane": {"min_points": 40}}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["min_points"] == 40
+    assert json.loads(capsys.readouterr().out)["plane"]["min_points"] == 40
     monkeypatch.setenv("VOXPLANE_CONFIG", str(cfg))
     assert run("extract", "--print-config") == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["min_points"] == 40
+    assert json.loads(capsys.readouterr().out)["plane"]["min_points"] == 40
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -11,7 +11,7 @@ def test_defaults_carry_shipped_values():
     cfg = ExtractionConfig()
     assert cfg.root_size == 1.0
     assert cfg.min_voxel_size == 0.25
-    assert cfg.min_points == 20
+    assert cfg.plane_params.min_points == 20
     assert cfg.plane_params.flatness_ratio_max == 0.0625
     assert cfg.plane_params.quarter_ratio_bound == 3.0
     assert cfg.plane_params.sigma_shift_multiple == 5.0
@@ -66,7 +66,8 @@ def test_unknown_keys_rejected():
         config_from_dict({"merge": None})
     bad_values = [
         {"merging_enabled": "no"}, {"merging_enabled": 0},
-        {"min_points": 20.5}, {"min_points": True}, {"min_points": "20"},
+        {"plane": {"min_points": 20.5}}, {"plane": {"min_points": True}},
+        {"plane": {"min_points": "20"}}, {"min_points": 20},
         {"root_size": False}, {"root_size": "1.0"}, {"root_size": None},
         {"plane": {"min_points": 20.0}}, {"merge": {"normal_angle_max_deg": [8]}},
     ]
@@ -79,7 +80,8 @@ def test_unknown_keys_rejected():
 
 
 def test_dict_round_trip():
-    cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5, min_points=30)
+    cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5,
+                           plane_params=PlaneTestParams(min_points=30))
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
 

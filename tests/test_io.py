@@ -1,9 +1,10 @@
 import json
 import logging
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voxplane import (
     CloudFormatError,
@@ -11,11 +12,11 @@ from voxplane import (
     extract_plane_groups,
     gen_plane,
 )
+from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate
 from voxplane.io import (
     read_cloud,
     read_planes,
-    records_to_groups,
     report_to_dict,
     write_cloud,
     write_colored_cloud,
@@ -91,13 +92,6 @@ def test_non_finite_rejected(tmp_path):
         read_cloud(path)
 
 
-def test_unknown_format_name(tmp_path):
-    path = tmp_path / "a.xyz"
-    path.write_text("0 0 0\n")
-    with pytest.raises(CloudFormatError):
-        read_cloud(path, fmt="pcd")
-
-
 def test_truncated_labeled_file(tmp_path, rng):
     path = tmp_path / "trunc.vxc"
     write_cloud(path, rng.uniform(0, 1, (50, 3)))
@@ -126,6 +120,34 @@ def test_ply_rejects_binary_format(tmp_path):
         read_cloud(path)
 
 
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+             "property double y\nproperty double z\nproperty int label\nend_header\n")
+
+
+@pytest.mark.parametrize("good, bad, line", [
+    ("element vertex 1", "element vertex x", 3),
+    ("element vertex 1", "element vertex", 3),
+    ("element vertex 1", "element vertex -1", 3),
+    ("element vertex 1", "element", 3),
+    ("property double y", "property double", 5),
+    ("end_header\n", "end_header\n0 0 0 4294967296\n", 9),
+], ids=["count-not-a-number", "count-missing", "count-negative", "element-bare",
+        "property-no-name", "label-past-int32"])
+def test_ply_hostile_input(tmp_path, good, bad, line):
+    path = tmp_path / "hostile.ply"
+    path.write_text(_PLY_HEAD.replace(good, bad))
+    with pytest.raises(CloudFormatError) as err:
+        read_cloud(path)
+    assert err.value.line == line
+
+
+def test_ply_hostile_header_exit_code(tmp_path, capsys):
+    path = tmp_path / "hostile.ply"
+    path.write_text(_PLY_HEAD.replace("element vertex 1", "element vertex"))
+    assert cli_main(["extract", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_ply_truncated_data(tmp_path):
     path = tmp_path / "short.ply"
     path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
@@ -142,6 +164,31 @@ def test_auto_sniffing(tmp_path, rng):
         write_cloud(path, pts, fmt=fmt)
         back, _ = read_cloud(path)  # format sniffed from content
         assert np.array_equal(back, pts)
+
+
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                 1e308, -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pts=arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from(_EDGE_DOUBLES)),
+       data=st.data())
+def test_read_back_bit_exact(tmp_path, pts, data):
+    labels = data.draw(arrays(np.int32, pts.shape[0],
+                              elements=st.integers(-2**31, 2**31 - 1)))
+    for fmt in ("labeled", "xyz", "ply_ascii"):
+        path = tmp_path / f"cloud.{fmt}"
+        write_cloud(path, pts, labels, fmt=fmt)
+        back, lab = read_cloud(path)
+        assert back.dtype == np.float64 and back.shape == pts.shape
+        assert np.array_equal(back.view(np.int64), pts.view(np.int64))
+        if fmt == "xyz":
+            assert lab is None
+        else:
+            assert lab.dtype == np.int32 and np.array_equal(lab, labels)
 
 
 def test_text_writers_exact_bytes(tmp_path):
@@ -177,25 +224,25 @@ def _extract_groups(rng):
 def test_planeset_empty_document(tmp_path):
     path = tmp_path / "empty.planes"
     write_planes([], path)
-    assert read_planes(path) == []
+    assert read_planes(path, np.zeros((0, 3))) == []
 
 
 def test_planeset_roundtrip(tmp_path, rng):
-    _, groups = _extract_groups(rng)
+    cloud, groups = _extract_groups(rng)
     path = tmp_path / "planes.txt"
     write_planes(groups, path)
-    records = read_planes(path)
-    assert len(records) == len(groups)
-    for rec, g in zip(records, groups):
-        m = g.merged
-        depths = Counter(p.depth for p in g.members)
-        assert rec.root_key == tuple(m.root_key)
-        assert rec.count == m.cluster.n
-        assert rec.centroid == tuple(m.centroid)
-        assert rec.normal == tuple(m.normal)
-        assert rec.eigenvalues == tuple(m.eigenvalues)
-        assert rec.depth_histogram == tuple(sorted(depths.items()))
-        assert rec.indices == tuple(m.point_indices)
+    back = read_planes(path, cloud.points)
+    assert len(back) == len(groups)
+    for rg, g in zip(back, groups):
+        m, r = g.merged, rg.merged
+        assert len(rg.members) == 1 and rg.members[0] is r
+        assert r.root_key == m.root_key
+        assert r.cluster.n == m.cluster.n
+        assert np.array_equal(r.centroid, m.centroid)
+        assert np.array_equal(r.normal, m.normal)
+        assert np.array_equal(r.eigenvalues, m.eigenvalues)
+        assert r.depth == min(p.depth for p in g.members)
+        assert np.array_equal(r.point_indices, m.point_indices)
 
 
 def test_planeset_deterministic_bytes(tmp_path, rng):
@@ -214,18 +261,16 @@ _ONE_GROUP = ("voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 2\n"
 def test_planeset_without_indices(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text(_ONE_GROUP.replace("indices 3 4\n", ""))
-    records = read_planes(path)
-    assert all(r.indices is None for r in records)
-    with pytest.raises(ValueError):
-        records_to_groups(records, np.zeros((10, 3)))
+    with pytest.raises(CloudFormatError, match="lacks 'indices'") as err:
+        read_planes(path, np.zeros((10, 3)))
+    assert err.value.line == 3
 
 
-def test_records_to_groups_evaluates(tmp_path, rng):
+def test_read_planes_evaluates(tmp_path, rng):
     cloud, groups = _extract_groups(rng)
     path = tmp_path / "planes.txt"
     write_planes(groups, path)
-    rebuilt = records_to_groups(read_planes(path), cloud.points)
-    report = evaluate(rebuilt, cloud)
+    report = evaluate(read_planes(path, cloud.points), cloud)
     assert report.precision == 1.0
     assert report.recall > 0.9
 
@@ -234,37 +279,40 @@ def test_planeset_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.txt"
     path.write_text("not a plane set\n")
     with pytest.raises(CloudFormatError):
-        read_planes(path)
+        read_planes(path, np.zeros((10, 3)))
 
 
 def test_planeset_count_mismatch(tmp_path):
     path = tmp_path / "miscount.txt"
     path.write_text("voxplane-planeset 1\ngroups 2\ngroup 0\nroot 0 0 0\ncount 1\n"
                     "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\n"
-                    "eigenvalues 1.0 1.0 0.0\ndepths 0:1\nend\n")
+                    "eigenvalues 1.0 1.0 0.0\ndepths 0:1\nindices 0\nend\n")
     with pytest.raises(CloudFormatError):
-        read_planes(path)
+        read_planes(path, np.zeros((10, 3)))
 
 
-@pytest.mark.parametrize("good, bad, error, line", [
-    ("voxplane-planeset 1", "voxplane-planeset x", CloudFormatError, 1),
-    ("voxplane-planeset 1", "voxplane-planeset ", CloudFormatError, 1),
-    ("groups 1", "groups many", CloudFormatError, 2),
-    ("root 0 0 0", "root 0 0", CloudFormatError, 4),
-    ("centroid 0.0 0.0 0.0", "centroid 0.0 0.0", CloudFormatError, 6),
-    ("normal 0.0 0.0 1.0", "normal 0.0 0.0 1.0 0.0", CloudFormatError, 7),
-    ("eigenvalues 1.0 1.0 0.0", "eigenvalues 1.0", CloudFormatError, 8),
-    ("indices 3 4", "indices 3 99", InputValidationError, None),
-    ("indices 3 4", "indices -1 5", InputValidationError, None),
+@pytest.mark.parametrize("good, bad, line", [
+    ("voxplane-planeset 1", "voxplane-planeset x", 1),
+    ("voxplane-planeset 1", "voxplane-planeset ", 1),
+    ("groups 1", "groups many", 2),
+    ("root 0 0 0", "root 0 0", 4),
+    ("centroid 0.0 0.0 0.0", "centroid 0.0 0.0", 6),
+    ("normal 0.0 0.0 1.0", "normal 0.0 0.0 1.0 0.0", 7),
+    ("eigenvalues 1.0 1.0 0.0", "eigenvalues 1.0", 8),
+    ("depths 0:1", "depths 0:x", 9),
+    ("indices 3 4", "indices 3 99", 10),
+    ("indices 3 4", "indices -1 5", 10),
+    ("count 2", "count 7", 10),
+    ("indices 3 4", "indices 3 3", 10),
 ], ids=["bad-version", "no-version", "bad-group-count", "short-root", "short-centroid",
-        "long-normal", "short-eigenvalues", "index-past-end", "negative-index"])
-def test_planeset_hostile_documents(tmp_path, good, bad, error, line):
+        "long-normal", "short-eigenvalues", "bad-depth", "index-past-end",
+        "negative-index", "count-above-indices", "duplicate-index"])
+def test_planeset_hostile_documents(tmp_path, good, bad, line):
     path = tmp_path / "hostile.txt"
     path.write_text(_ONE_GROUP.replace(good, bad))
-    with pytest.raises(error) as err:
-        records_to_groups(read_planes(path), np.zeros((10, 3)))
-    if line is not None:
-        assert err.value.line == line
+    with pytest.raises(CloudFormatError) as err:
+        read_planes(path, np.zeros((10, 3)))
+    assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_extract_respects_min_points(rng):
     cloud = gen_plane(np.array([0.0, 0.0, 1.0]), 0.5, (3.0, 3.0), 800.0, 0.003,
                       seed=5, center=np.array([0.0, 0.0, 0.5]))
     for p in extract_planes(cloud.points, CFG):
-        assert p.cluster.n >= CFG.min_points
+        assert p.cluster.n >= CFG.plane_params.min_points
 
 
 @settings(max_examples=30, deadline=None)
