@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from voxplane import ExtractionConfig, NodeState, build_voxel_forest, gen_corner
+from voxplane import ExtractionConfig, NodeState, gen_corner, octree_leaves
 from voxplane.io import write_colored_cloud
-from voxplane.octree import iter_leaves
 from voxplane.pipeline import extract_plane_groups
 
 cloud = gen_corner(seed=0)
@@ -20,13 +19,13 @@ config = ExtractionConfig()
 print(f"corner scene: {cloud.points.shape[0]} points, "
       f"{len(cloud.planes)} ground-truth planes")
 
-forest = build_voxel_forest(cloud.points, config)
-print(f"non-empty root voxels: {len(forest)}")
+leaves = octree_leaves(cloud.points, config)
+print(f"non-empty root voxels: {len(leaves)}")
 
 states = Counter()
 depths = Counter()
-for root in forest.values():
-    for leaf in iter_leaves(root):
+for voxel in leaves.values():
+    for leaf in voxel:
         states[leaf.state.value] += 1
         if leaf.state is NodeState.PLANE_LEAF:
             depths[leaf.depth] += 1

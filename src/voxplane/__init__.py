@@ -37,13 +37,7 @@ from .octree import (
     subdivide,
     voxel_key,
 )
-from .pipeline import (
-    ExtractionResult,
-    StageTimings,
-    build_voxel_forest,
-    extract_plane_groups,
-    extract_planes,
-)
+from .pipeline import ExtractionResult, StageTimings, extract_plane_groups, octree_leaves
 from .plane_test import (
     PlaneDecision,
     PlaneTestParams,
@@ -76,8 +70,7 @@ __all__ = [
     "VoxelKey", "NodeState", "OctreeNode", "PlanePatch", "voxel_key",
     "build_root_map", "subdivide",
     "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",
-    "StageTimings", "ExtractionResult", "build_voxel_forest",
-    "extract_plane_groups", "extract_planes",
+    "StageTimings", "ExtractionResult", "octree_leaves", "extract_plane_groups",
     "RansacParams", "RansacPlane", "ransac_plane", "ransac_extract_all",
     "GroundTruthCloud", "TruthPlane", "gen_plane", "gen_corner",
     "gen_false_positive_slab", "gen_slab_with_object", "gen_multi_room",

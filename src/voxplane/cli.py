@@ -27,7 +27,6 @@ from .io import (
     write_cloud,
     write_colored_cloud,
     write_planes,
-    write_report,
 )
 from .merging import PlaneGroup
 from .pipeline import extract_plane_groups
@@ -50,6 +49,13 @@ CONFIG_ENV_VAR = "VOXPLANE_CONFIG"
 _SCENES = ("plane", "corner", "fp-slab", "slab-object")
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxplane",
@@ -68,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic scene")
     p.add_argument("scene", choices=_SCENES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--sigma", type=float, default=0.005, help="noise sigma in meters")
     p.add_argument("--out", help="output file (default <scene>.vxc)")
 
@@ -81,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help=f"labeled cloud file or scene name {_SCENES}")
     p.add_argument("--methods", default="ours,ransac",
                    help="comma-separated subset of: ours, ransac")
-    p.add_argument("--seed", type=int, default=0, help="seed when target is a scene")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="seed when target is a scene")
     p.add_argument("--report", help="write the JSON report here (default stdout)")
     return parser
 

@@ -1,5 +1,5 @@
 """File formats: point clouds (binary labeled, xyz, ascii ply), plane-set
-documents, colored clouds, and evaluation reports.
+documents, colored clouds, and the JSON form of evaluation reports.
 
 One writer per format, each formatting whole arrays: one ``tolist()`` per
 array, floats in shortest round-trip ``repr``. Output is byte-stable for
@@ -17,7 +17,6 @@ out-of-range content with line numbers.
 from __future__ import annotations
 
 import colorsys
-import json
 import logging
 import struct
 from collections import Counter
@@ -41,7 +40,6 @@ __all__ = [
     "write_colored_cloud",
     "group_color",
     "report_to_dict",
-    "write_report",
 ]
 
 _MAGIC = b"VXPC"
@@ -276,9 +274,10 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
 
     Centroid, normal and eigenvalues are used as stored; the cluster is
     re-accumulated from the member points, and the depth is the smallest
-    one in the depth histogram. Malformed content, including member
-    indices that are not ``count`` distinct values in [0, len(points)),
-    raises CloudFormatError with the line number where one applies.
+    one in the depth histogram. Malformed content, including a ``count``
+    below 1 or member indices that are not ``count`` distinct values in
+    [0, len(points)), raises CloudFormatError with the line number where
+    one applies.
     """
     path = Path(path)
     try:
@@ -336,6 +335,8 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
 
         root = field("root", int, 3)
         count = field("count", int, 1)[0]
+        if count < 1:
+            fail(f"group count must be at least 1, got {count}", fields["count"][0])
         centroid = field("centroid", float, 3)
         normal = field("normal", float, 3)
         eigenvalues = field("eigenvalues", float, 3)
@@ -402,7 +403,3 @@ def report_to_dict(report: EvalReport) -> dict:
         "wall_time_s": report.wall_time.as_dict() if report.wall_time else None,
     }
 
-
-def write_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
-                          encoding="utf-8")

@@ -5,13 +5,17 @@ non-empty voxels are kept, in a hash map keyed by lattice coordinates.
 Each root voxel is then subdivided: a node whose points pass the plane
 test becomes a plane leaf, a node that is too small or too sparse is
 discarded, and anything else splits into eight octants.
+
+The tree itself is not kept. Each root voxel resolves to a flat list of
+its leaves (plane leaves and discarded nodes), depth first with octant
+index ascending; merging is first-fit, so that order fixes the output.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -30,9 +34,7 @@ __all__ = [
     "voxel_key",
     "voxel_keys",
     "build_root_map",
-    "make_root_node",
     "subdivide",
-    "iter_leaves",
 ]
 
 
@@ -67,15 +69,14 @@ class PlanePatch:
 
 @dataclass
 class OctreeNode:
-    """Octant of a root voxel. ``children`` holds eight slots (None where
-    the octant is empty) so traversal order is the octant index order."""
+    """Octant of a root voxel. Internal nodes keep no children: only the
+    terminal nodes (leaves) are collected, by ``subdivide``."""
 
     center: np.ndarray
     half_extent: float
     depth: int
     point_indices: np.ndarray
     state: NodeState | None = None
-    children: list["OctreeNode | None"] | None = None
     patch: PlanePatch | None = None
 
 
@@ -121,13 +122,6 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     return out
 
 
-def make_root_node(key: VoxelKey, root_size: float,
-                   point_indices: np.ndarray) -> OctreeNode:
-    center = (np.asarray(key, dtype=np.float64) + 0.5) * root_size
-    return OctreeNode(center=center, half_extent=root_size / 2.0, depth=0,
-                      point_indices=np.asarray(point_indices))
-
-
 # Octant index bit layout: bit0 = x >= center, bit1 = y >= center,
 # bit2 = z >= center. Points exactly on a splitting plane go to the >= side.
 _OCTANT_SIGNS = np.array(
@@ -136,69 +130,48 @@ _OCTANT_SIGNS = np.array(
 
 
 def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
-              root_key: VoxelKey) -> OctreeNode:
-    """Resolve a node and its subtree in place.
+              root_key: VoxelKey, leaves: list[OctreeNode]) -> OctreeNode:
+    """Resolve a node and its subtree, appending every terminal node to
+    ``leaves`` depth first, octant index ascending.
 
     Terminal conditions: too few points (discard), plane test passed
     (plane leaf, reusing the statistics computed by the test), or node
-    edge already at the minimum voxel size (discard). Otherwise the points
-    split into eight octants by sign against the node center and each
-    non-empty octant recurses.
+    edge already at the minimum voxel size (discard). Otherwise the node
+    is internal: its points split into eight octants by sign against the
+    node center and each non-empty octant recurses.
     """
     idx = node.point_indices
-    if idx.shape[0] < config.plane_params.min_points:
-        node.state = NodeState.DISCARDED
+    node.state = NodeState.DISCARDED
+    if idx.shape[0] >= config.plane_params.min_points:
+        sub = points[idx]
+        decision = determine_plane(sub, config.plane_params)
+        if decision.is_plane:
+            node.state = NodeState.PLANE_LEAF
+            node.patch = PlanePatch(
+                cluster=decision.cluster,
+                centroid=decision.centroid,
+                normal=decision.eig.eigenvectors[:, 2].copy(),
+                eigenvalues=decision.eig.eigenvalues.copy(),
+                point_indices=idx,
+                root_key=root_key,
+                depth=node.depth,
+            )
+        elif node.half_extent * 2.0 > config.min_voxel_size * (1.0 + 1e-12):
+            node.state = NodeState.INTERNAL
+    if node.state is not NodeState.INTERNAL:
+        leaves.append(node)
         return node
 
-    decision = determine_plane(points[idx], config.plane_params)
-    if decision.is_plane:
-        node.state = NodeState.PLANE_LEAF
-        node.patch = PlanePatch(
-            cluster=decision.cluster,
-            centroid=decision.centroid,
-            normal=decision.eig.eigenvectors[:, 2].copy(),
-            eigenvalues=decision.eig.eigenvalues.copy(),
-            point_indices=idx,
-            root_key=root_key,
-            depth=node.depth,
-        )
-        return node
-
-    edge = node.half_extent * 2.0
-    if edge <= config.min_voxel_size * (1.0 + 1e-12):
-        node.state = NodeState.DISCARDED
-        return node
-
-    sub = points[idx]
     ge = sub >= node.center
     code = (ge[:, 0].astype(np.int8)
             + (ge[:, 1].astype(np.int8) << 1)
             + (ge[:, 2].astype(np.int8) << 2))
     child_he = node.half_extent / 2.0
-    children: list[OctreeNode | None] = [None] * 8
     for k in range(8):
         mask = code == k
-        if not mask.any():
-            continue
-        child = OctreeNode(
-            center=node.center + _OCTANT_SIGNS[k] * child_he,
-            half_extent=child_he,
-            depth=node.depth + 1,
-            point_indices=idx[mask],
-        )
-        subdivide(child, points, config, root_key)
-        children[k] = child
-    node.children = children
-    node.state = NodeState.INTERNAL
+        if mask.any():
+            subdivide(OctreeNode(center=node.center + _OCTANT_SIGNS[k] * child_he,
+                                 half_extent=child_he, depth=node.depth + 1,
+                                 point_indices=idx[mask]),
+                      points, config, root_key, leaves)
     return node
-
-
-def iter_leaves(node: OctreeNode) -> Iterator[OctreeNode]:
-    """Depth-first leaf traversal, octant index ascending."""
-    if node.state is NodeState.INTERNAL:
-        assert node.children is not None
-        for child in node.children:
-            if child is not None:
-                yield from iter_leaves(child)
-    else:
-        yield node

@@ -1,8 +1,11 @@
 """End-to-end extraction pipeline: root voxelization, per-voxel octree
 subdivision, and per-voxel plane merging.
 
-Root voxels are resolved and emitted in sorted lattice order, which keeps
-the output identical from run to run.
+Each root voxel resolves to a flat list of its octree leaves, depth first
+with octant index ascending; the plane leaves' patches are merged within
+the voxel. Root voxels are resolved and emitted in sorted lattice order,
+which keeps the output identical from run to run. ``octree_leaves``
+returns the leaf lists themselves, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -14,25 +17,14 @@ import numpy as np
 
 from .config import ExtractionConfig
 from .merging import PlaneGroup, greedy_merge
-from .octree import (
-    NodeState,
-    OctreeNode,
-    PlanePatch,
-    VoxelKey,
-    build_root_map,
-    iter_leaves,
-    make_root_node,
-    subdivide,
-)
+from .octree import OctreeNode, VoxelKey, build_root_map, subdivide
 from .geometry import as_points
 
 __all__ = [
     "StageTimings",
     "ExtractionResult",
-    "build_voxel_forest",
-    "collect_patches",
+    "octree_leaves",
     "extract_plane_groups",
-    "extract_planes",
 ]
 
 
@@ -55,24 +47,22 @@ class ExtractionResult:
     timings: StageTimings
 
 
-def _grow_forest(pts: np.ndarray, root_map: dict[VoxelKey, np.ndarray],
-                 config: ExtractionConfig) -> dict[VoxelKey, OctreeNode]:
-    return {key: subdivide(make_root_node(key, config.root_size, idx), pts, config, key)
-            for key, idx in root_map.items()}
+def _root_leaves(key: VoxelKey, idx: np.ndarray, pts: np.ndarray,
+                 config: ExtractionConfig) -> list[OctreeNode]:
+    leaves: list[OctreeNode] = []
+    root = OctreeNode(center=(np.asarray(key, dtype=np.float64) + 0.5) * config.root_size,
+                      half_extent=config.root_size / 2.0, depth=0, point_indices=idx)
+    subdivide(root, pts, config, key, leaves)
+    return leaves
 
 
-def build_voxel_forest(points, config: ExtractionConfig) -> dict[VoxelKey, OctreeNode]:
-    """Voxelize and subdivide, returning the resolved octree per root voxel
-    in sorted lattice-key order."""
+def octree_leaves(points, config: ExtractionConfig) -> dict[VoxelKey, list[OctreeNode]]:
+    """Voxelize and subdivide, returning each root voxel's leaves (plane
+    leaves and discarded nodes, depth first, octant index ascending) in
+    sorted lattice-key order."""
     pts = as_points(points)
-    return _grow_forest(pts, build_root_map(pts, config.root_size), config)
-
-
-def collect_patches(forest: dict[VoxelKey, OctreeNode]) -> dict[VoxelKey, list[PlanePatch]]:
-    """Plane-leaf patches per root voxel, in octree traversal order."""
-    return {key: [leaf.patch for leaf in iter_leaves(root)
-                  if leaf.state is NodeState.PLANE_LEAF and leaf.patch is not None]
-            for key, root in forest.items()}
+    return {key: _root_leaves(key, idx, pts, config)
+            for key, idx in build_root_map(pts, config.root_size).items()}
 
 
 def extract_plane_groups(points, config: ExtractionConfig | None = None) -> ExtractionResult:
@@ -93,12 +83,13 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None) -> Extr
     timings.voxelize = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    forest = _grow_forest(pts, root_map, config)
+    leaves = [_root_leaves(key, idx, pts, config) for key, idx in root_map.items()]
     timings.subdivide = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     groups: list[PlaneGroup] = []
-    for patches in collect_patches(forest).values():
+    for voxel_leaves in leaves:
+        patches = [leaf.patch for leaf in voxel_leaves if leaf.patch is not None]
         if config.merging_enabled:
             groups.extend(greedy_merge(patches, config.merge_params))
         else:
@@ -108,8 +99,3 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None) -> Extr
     timings.total = time.perf_counter() - t_start
     return ExtractionResult(groups=groups, timings=timings)
 
-
-def extract_planes(points, config: ExtractionConfig | None = None) -> list[PlanePatch]:
-    """Extracted planes, one representative patch per group, grouped by
-    root voxel in sorted lattice order."""
-    return [g.merged for g in extract_plane_groups(points, config).groups]

@@ -101,8 +101,11 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     n = np.asarray(normal, dtype=np.float64)
     if abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
         raise InputValidationError("normal must be unit length")
-    if density < 0:
-        raise InputValidationError("density must be non-negative")
+    if not (np.isfinite(density) and density >= 0):
+        raise InputValidationError(f"density must be finite and non-negative, got {density}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InputValidationError(
+            f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     w, h = float(extent[0]), float(extent[1])
     if center is None:
         center = offset * n

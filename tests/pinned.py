@@ -27,3 +27,12 @@ CORNER_EVAL = {
     "groups": 27,
     "matched": 27,
 }
+
+# gen_multi_room(target_points=30_000, seed=0) at the default config:
+# points, root voxels, and octree leaves by (depth, state)
+ROOM_30K_LEAVES = {
+    "points": 30205,
+    "roots": 514,
+    "leaves": {(0, "discarded"): 4, (0, "plane_leaf"): 242, (1, "discarded"): 1021,
+               (1, "plane_leaf"): 2, (2, "discarded"): 1267},
+}

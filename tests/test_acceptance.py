@@ -19,7 +19,6 @@ from voxplane import (
     RansacParams,
     RejectReason,
     accumulate,
-    build_voxel_forest,
     covariance,
     determine_plane,
     eigen_symmetric3,
@@ -30,6 +29,7 @@ from voxplane import (
     gen_multi_room,
     gen_plane,
     gen_slab_with_object,
+    octree_leaves,
     quarter_split,
     ransac_extract_all,
     split_center,
@@ -37,8 +37,6 @@ from voxplane import (
 from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate, match_planes
 from voxplane.io import write_planes
-from voxplane.octree import iter_leaves
-from voxplane.pipeline import collect_patches
 
 import pinned
 from oracles import jacobi_eigenvalues, random_symmetric
@@ -223,8 +221,7 @@ def test_criterion_6_structural_invariants():
                                      rng.normal(0.0, 0.002, n - 30)]),
                     rng.uniform(-1, 1, (30, 3)),
                 ])
-            forest = build_voxel_forest(pts, CFG)
-            leaves = [leaf for root in forest.values() for leaf in iter_leaves(root)]
+            leaves = [leaf for voxel in octree_leaves(pts, CFG).values() for leaf in voxel]
             idx_all = np.concatenate([l.point_indices for l in leaves])
             assert np.array_equal(np.sort(idx_all), np.arange(pts.shape[0]))
             for leaf in leaves:
@@ -236,7 +233,7 @@ def test_criterion_6_structural_invariants():
             groups = extract_plane_groups(pts, CFG).groups
             patch_ids = [id(mm) for g in groups for mm in g.members]
             assert len(patch_ids) == len(set(patch_ids))
-            n_patches = sum(len(p) for p in collect_patches(forest).values())
+            n_patches = sum(leaf.patch is not None for leaf in leaves)
             assert len(groups) <= n_patches or n_patches == 0
             for g in groups:
                 assert len({mm.root_key for mm in g.members}) == 1

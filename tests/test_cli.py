@@ -76,6 +76,19 @@ def test_synth_rejects_unknown_scene(capsys):
     capsys.readouterr()
 
 
+def test_hostile_seed_and_sigma_exit_two(tmp_path, capsys):
+    out = str(tmp_path / "x.vxc")
+    assert run("synth", "corner", "--seed", "-1", "--out", out) == EXIT_INPUT
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert run("compare", "corner", "--seed", "-1") == EXIT_INPUT
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    for sigma in ("-0.1", "nan", "inf"):
+        for scene in ("plane", "corner", "fp-slab", "slab-object"):
+            assert run("synth", scene, "--sigma", sigma, "--out", out) == EXIT_INPUT
+            assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "x.vxc").exists()
+
+
 def test_extract_no_merge_and_colored(tmp_path, capsys):
     cloud = tmp_path / "c.vxc"
     assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
@@ -124,7 +137,10 @@ def test_eval_hostile_planeset(tmp_path, capsys):
     for text in ("voxplane-planeset \ngroups 0\n",
                  "voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 1\n"
                  "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
-                 "depths 0:1\nindices 99999999\nend\n"):
+                 "depths 0:1\nindices 99999999\nend\n",
+                 "voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 0\n"
+                 "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
+                 "depths 0:0\nindices\nend\n"):
         planes.write_text(text)
         assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from voxplane.io import (
     write_cloud,
     write_colored_cloud,
     write_planes,
-    write_report,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -304,12 +303,16 @@ def test_planeset_count_mismatch(tmp_path):
     ("indices 3 4", "indices -1 5", 10),
     ("count 2", "count 7", 10),
     ("indices 3 4", "indices 3 3", 10),
+    ("count 2", "count 0", 5),
 ], ids=["bad-version", "no-version", "bad-group-count", "short-root", "short-centroid",
         "long-normal", "short-eigenvalues", "bad-depth", "index-past-end",
-        "negative-index", "count-above-indices", "duplicate-index"])
+        "negative-index", "count-above-indices", "duplicate-index", "count-zero"])
 def test_planeset_hostile_documents(tmp_path, good, bad, line):
     path = tmp_path / "hostile.txt"
-    path.write_text(_ONE_GROUP.replace(good, bad))
+    text = _ONE_GROUP.replace(good, bad)
+    if bad == "count 0":  # an empty group: no indices either
+        text = text.replace("indices 3 4", "indices")
+    path.write_text(text)
     with pytest.raises(CloudFormatError) as err:
         read_planes(path, np.zeros((10, 3)))
     assert err.value.line == line
@@ -347,13 +350,11 @@ def test_colored_cloud_empty(tmp_path):
     assert "element vertex 0" in path.read_text()
 
 
-def test_report_json(tmp_path, rng):
+def test_report_json(rng):
     cloud, groups = _extract_groups(rng)
     result = extract_plane_groups(cloud.points)
     report = evaluate(result.groups, cloud, result.timings)
-    path = tmp_path / "report.json"
-    write_report(report, path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(report_to_dict(report)))
     assert set(data) == {"precision", "recall", "extracted_count",
                          "ground_truth_count", "matched_planes", "wall_time_s"}
     assert data["precision"] == report.precision

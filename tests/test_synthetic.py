@@ -3,6 +3,7 @@ import pytest
 
 from voxplane import (
     GenerationError,
+    InputValidationError,
     PlaneTestParams,
     RejectReason,
     accumulate,
@@ -29,6 +30,15 @@ Z = np.array([0.0, 0.0, 1.0])
 def test_zero_noise_points_on_plane():
     cloud = gen_plane(Z, 0.25, (1.0, 1.0), 500.0, 0.0, seed=4)
     assert np.abs(cloud.points @ Z - 0.25).max() <= 1e-12
+
+
+@pytest.mark.parametrize("density, sigma", [
+    (500.0, -0.1), (500.0, float("nan")), (500.0, float("inf")),
+    (float("nan"), 0.005), (float("inf"), 0.005), (-1.0, 0.005),
+])
+def test_gen_plane_rejects_bad_density_or_sigma(density, sigma):
+    with pytest.raises(InputValidationError):
+        gen_plane(Z, 0.0, (1.0, 1.0), density, sigma, seed=0)
 
 
 def test_counts_match_pinned_fixture():
