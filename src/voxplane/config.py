@@ -7,6 +7,7 @@ keeps its default. Unknown keys are rejected rather than silently ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -23,7 +24,9 @@ class ExtractionConfig:
 
     root_size: edge length of root voxels (meters).
     min_voxel_size: octants at or below this edge length are never split
-        further; one that fails the plane test is discarded.
+        further; one that fails the plane test is discarded. Both sizes
+        are finite, and root_size / min_voxel_size is at most 2^52: past
+        52 octree levels, child centres no longer differ in float64.
 
     Nodes with fewer than ``plane_params.min_points`` points are discarded
     without a plane test.
@@ -36,8 +39,11 @@ class ExtractionConfig:
     merging_enabled: bool = True
 
     def __post_init__(self):
-        if not self.root_size > self.min_voxel_size > 0:
-            raise ConfigError("require root_size > min_voxel_size > 0")
+        if not (math.isfinite(self.root_size) and self.root_size > self.min_voxel_size > 0):
+            raise ConfigError("require finite root_size > min_voxel_size > 0")
+        if self.root_size / self.min_voxel_size > 2.0 ** 52:
+            raise ConfigError("root_size / min_voxel_size must be at most 2^52 "
+                              "(52 octree levels)")
 
 
 # JSON value types each plain field type takes (field types are strings,

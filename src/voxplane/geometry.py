@@ -7,6 +7,15 @@ to avoid re-touching raw points. The eigensolver is one LAPACK call
 (``np.linalg.eigh``) plus a sign rule that makes its eigenvectors
 deterministic.
 
+Summation order: the moments are summed along the contiguous rows of a
+(3, n) coordinate array, one reduction for the three first moments and one
+for the six distinct second moments. numpy reduces each contiguous row
+pairwise in the same blocks as it reduces the strided column ``pts[:, j]``
+of the (n, 3) array, so the sums equal the per-column sums bit for bit,
+whatever the input's memory layout. A row that is not contiguous in memory
+(an (n, 3) array's transpose that was not copied, or ``cols[:, idx]``) is
+summed in another order and changes the last bits.
+
 All functions are pure and all returned objects are treated as immutable.
 """
 
@@ -29,6 +38,11 @@ __all__ = [
 ]
 
 _COLUMNS = np.arange(3)
+# Rows of the six distinct second-moment products (xx, yy, zz, xy, xz, yz),
+# and where each lands in the symmetric 3x3 sum.
+_PAIR_I = np.array([0, 1, 2, 0, 0, 1])
+_PAIR_J = np.array([0, 1, 2, 1, 2, 2])
+_SYMMETRIC = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 def as_points(points) -> np.ndarray:
@@ -71,27 +85,20 @@ def accumulate(points) -> PointCluster:
 
 
 def _accumulate_checked(pts: np.ndarray) -> PointCluster:
-    """Moment sums over an already-validated (N, 3) array.
+    """Moment sums over an already-validated (N, 3) array, summed along the
+    rows of its C-contiguous transpose (see the module docstring)."""
+    return _accumulate_rows(np.ascontiguousarray(pts.T))
 
-    Componentwise multiply+sum is used instead of a matrix product so the
-    summation order is fixed (pairwise reduction), keeping results
-    reproducible run to run.
+
+def _accumulate_rows(cols: np.ndarray) -> PointCluster:
+    """Moment sums over a C-contiguous (3, N) array of coordinate rows.
+
+    Each sum is one contiguous row's pairwise reduction, which equals the
+    per-column sum of the (N, 3) points bit for bit. Gather a subset with
+    ``cols.take(idx, axis=1)``, which keeps the rows contiguous.
     """
-    n = pts.shape[0]
-    if n == 0:
-        return PointCluster.empty()
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = pts[:, 2]
-    s = np.array([x.sum(), y.sum(), z.sum()])
-    xx = np.multiply(x, x).sum()
-    yy = np.multiply(y, y).sum()
-    zz = np.multiply(z, z).sum()
-    xy = np.multiply(x, y).sum()
-    xz = np.multiply(x, z).sum()
-    yz = np.multiply(y, z).sum()
-    sq = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-    return PointCluster(n, s, sq)
+    second = (cols[_PAIR_I] * cols[_PAIR_J]).sum(axis=1)
+    return PointCluster(cols.shape[1], cols.sum(axis=1), second[_SYMMETRIC])
 
 
 def merge(a: PointCluster, b: PointCluster) -> PointCluster:
@@ -114,7 +121,7 @@ def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     if c.n == 0:
         raise EmptyClusterError("covariance of an empty cluster")
     centroid = c.sum / c.n
-    cov = c.sq_sum / c.n - np.outer(centroid, centroid)
+    cov = c.sq_sum / c.n - centroid[:, None] * centroid
     cov = (cov + cov.T) * 0.5
     return cov, centroid
 
@@ -148,6 +155,7 @@ def eigen_symmetric3(m) -> EigenDecomposition:
     if not np.isfinite(a).all():
         raise InputValidationError("matrix contains NaN or infinite entries")
     vals, vecs = np.linalg.eigh(a)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), _COLUMNS]
-    return EigenDecomposition(vals.copy(), vecs * np.where(lead < 0.0, -1.0, 1.0))
+    vecs = vecs[:, ::-1]
+    lead = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
+    np.negative(vecs, out=vecs, where=lead < 0.0)
+    return EigenDecomposition(vals[::-1].copy(), vecs)

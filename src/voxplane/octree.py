@@ -127,6 +127,7 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
 _OCTANT_SIGNS = np.array(
     [[(k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1] for k in range(8)],
     dtype=np.float64) * 2.0 - 1.0
+_OCTANT_BITS = np.array([1, 2, 4])
 
 
 def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
@@ -143,7 +144,7 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     idx = node.point_indices
     node.state = NodeState.DISCARDED
     if idx.shape[0] >= config.plane_params.min_points:
-        sub = points[idx]
+        sub = points.take(idx, axis=0)
         decision = determine_plane(sub, config.plane_params)
         if decision.is_plane:
             node.state = NodeState.PLANE_LEAF
@@ -162,16 +163,18 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
         leaves.append(node)
         return node
 
-    ge = sub >= node.center
-    code = (ge[:, 0].astype(np.int8)
-            + (ge[:, 1].astype(np.int8) << 1)
-            + (ge[:, 2].astype(np.int8) << 2))
+    # One stable sort by octant code keeps each octant's indices in their
+    # current order; the octants are then consecutive slices.
+    code = (sub >= node.center) @ _OCTANT_BITS
+    by_octant = idx[code.argsort(kind="stable")]
     child_he = node.half_extent / 2.0
-    for k in range(8):
-        mask = code == k
-        if mask.any():
-            subdivide(OctreeNode(center=node.center + _OCTANT_SIGNS[k] * child_he,
-                                 half_extent=child_he, depth=node.depth + 1,
-                                 point_indices=idx[mask]),
+    centers = node.center + _OCTANT_SIGNS * child_he
+    stop = 0
+    for k, count in enumerate(np.bincount(code, minlength=8).tolist()):
+        if count:
+            start, stop = stop, stop + count
+            subdivide(OctreeNode(center=centers[k], half_extent=child_he,
+                                 depth=node.depth + 1,
+                                 point_indices=by_octant[start:stop]),
                       points, config, root_key, leaves)
     return node

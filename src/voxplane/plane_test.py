@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .geometry import (
     EigenDecomposition,
     PointCluster,
-    _accumulate_checked,
+    _accumulate_rows,
     as_points,
     covariance,
     eigen_symmetric3,
@@ -127,18 +127,18 @@ def quarter_split(points, eig: EigenDecomposition,
     offsets from ``center`` along the two dominant eigenvectors.
 
     Points exactly on a dividing plane go to the non-negative side. Returns
-    four disjoint int arrays of indices into ``points`` whose union is the
-    full index range.
+    four disjoint int arrays of indices into ``points``, each ascending,
+    whose union is the full index range.
     """
     pts = as_points(points)
-    rel = pts - center
-    u0 = eig.eigenvectors[:, 0]
-    u1 = eig.eigenvectors[:, 1]
-    d0 = rel[:, 0] * u0[0] + rel[:, 1] * u0[1] + rel[:, 2] * u0[2]
-    d1 = rel[:, 0] * u1[0] + rel[:, 1] * u1[1] + rel[:, 2] * u1[2]
-    code = (d0 >= 0.0).astype(np.int8) * 2 + (d1 >= 0.0).astype(np.int8)
-    idx = np.arange(pts.shape[0])
-    return tuple(idx[code == k] for k in range(4))
+    rel = (pts - center).T
+    u = eig.eigenvectors
+    d0 = rel[0] * u[0, 0] + rel[1] * u[1, 0] + rel[2] * u[2, 0]
+    d1 = rel[0] * u[0, 1] + rel[1] * u[1, 1] + rel[2] * u[2, 1]
+    code = (d0 >= 0.0) * 2 + (d1 >= 0.0)
+    order = code.argsort(kind="stable")
+    a, b, c = np.bincount(code, minlength=4)[:3].cumsum().tolist()
+    return order[:a], order[a:b], order[b:c], order[c:]
 
 
 def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
@@ -168,7 +168,8 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     """
     pts = as_points(points)
     n = pts.shape[0]
-    cluster = _accumulate_checked(pts)
+    cols = np.ascontiguousarray(pts.T)
+    cluster = _accumulate_rows(cols)
 
     if n < params.min_points:
         eig = EigenDecomposition(np.zeros(3), np.eye(3))
@@ -198,7 +199,7 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
             quarter_l3.append(None)
             skipped += 1
             continue
-        q_cov, _ = covariance(_accumulate_checked(pts[q_idx]))
+        q_cov, _ = covariance(_accumulate_rows(cols.take(q_idx, axis=1)))
         q_eig = eigen_symmetric3(q_cov)
         q_l3 = _effective_min_eigenvalue(q_eig)
         quarter_l3.append(q_l3)

@@ -74,6 +74,21 @@ def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The random stream's root. The seed is a non-negative integer, a
+    sequence of them, or a SeedSequence (the child streams the scene
+    generators hand to gen_plane). A SeedSequence is copied, so spawning
+    from it never advances the caller's object."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputValidationError(
+            f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from exc
+
+
 def _rectangle_points(plane: TruthPlane, count: int,
                       rng: np.random.Generator) -> np.ndarray:
     a = rng.uniform(-plane.half_u, plane.half_u, count)
@@ -114,7 +129,7 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     plane = TruthPlane(normal=n, offset=float(offset), center=center,
                        axis_u=u, axis_v=v, half_u=w / 2.0, half_v=h / 2.0,
                        noise_sigma=float(noise_sigma))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     count = int(rng.poisson(density * w * h))
     pts = _rectangle_points(plane, count, rng)
     return GroundTruthCloud(points=pts,
@@ -157,7 +172,7 @@ def gen_corner(size: float = 2.0, density: float = 1000.0,
     perpendicular to x, y, z respectively.
     """
     c = np.asarray(corner, dtype=np.float64)
-    seeds = np.random.SeedSequence(seed).spawn(3)
+    seeds = _seed_sequence(seed).spawn(3)
     parts = []
     for axis in range(3):
         normal = np.zeros(3)
@@ -185,7 +200,7 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
         params = PlaneTestParams()
     base = gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0),
                      plane_density, noise_sigma, seed)
-    blob_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    blob_rng = np.random.default_rng(_seed_sequence(seed).spawn(1)[0])
     footprint = np.array([[0.15, 0.35], [0.15, 0.35]])  # one (+,+) quadrant corner
 
     for height in (0.15, 0.12, 0.10, 0.08, 0.18, 0.20, 0.06, 0.25):
@@ -227,7 +242,7 @@ def gen_slab_with_object(seed=0, ground_size: float = 2.0,
     box_height = 0.3
     box_top = box_bottom + box_height
 
-    seeds = np.random.SeedSequence(seed).spawn(6)
+    seeds = _seed_sequence(seed).spawn(6)
     parts = [gen_plane(np.array([0.0, 0.0, 1.0]), ground_z,
                        (ground_size, ground_size), ground_density,
                        noise_sigma, seeds[0],
@@ -282,7 +297,7 @@ def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
 
     total_area = sum(w * h for _, _, (w, h), _ in specs)
     density = target_points / total_area
-    seeds = np.random.SeedSequence(seed).spawn(len(specs))
+    seeds = _seed_sequence(seed).spawn(len(specs))
     parts = [gen_plane(n, d, extent, density, noise_sigma, s, center=c)
              for (n, d, extent, c), s in zip(specs, seeds)]
     return _combine(parts)

@@ -36,3 +36,9 @@ ROOM_30K_LEAVES = {
     "leaves": {(0, "discarded"): 4, (0, "plane_leaf"): 242, (1, "discarded"): 1021,
                (1, "plane_leaf"): 2, (2, "discarded"): 1267},
 }
+
+# sha256 over extract_plane_groups(gen_multi_room(target_points=30_000,
+# seed=0).points) at the default config: for each group in output order, its
+# merged patch's root key and member indices (int64), then its centroid,
+# normal and eigenvalues (float64), as raw bytes
+ROOM_30K_GROUPS_SHA256 = "6d015e4a7eccf159d523ca9d25abf12235606396dbdf72114a2071fe64a4993c"

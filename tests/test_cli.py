@@ -130,6 +130,18 @@ def test_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
+    # these once recursed until RecursionError on NaN octant centres
+    cloud = tmp_path / "c.vxc"
+    assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
+    cfg = tmp_path / "bad.json"
+    for text in ('{"root_size": Infinity}',
+                 '{"root_size": 1e300, "min_voxel_size": 1e-300}'):
+        cfg.write_text(text)
+        assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
 def test_eval_hostile_planeset(tmp_path, capsys):
     cloud = tmp_path / "c.vxc"
     planes = tmp_path / "planes.txt"

@@ -26,6 +26,14 @@ def test_invariant_violations_raise():
         ExtractionConfig(root_size=0.2, min_voxel_size=0.25)
     with pytest.raises(ConfigError):
         ExtractionConfig(min_voxel_size=0.0)
+    # non-finite sizes, and more than 52 octree levels
+    for sizes in ({"root_size": float("inf")}, {"root_size": float("nan")},
+                  {"root_size": float("inf"), "min_voxel_size": float("inf")},
+                  {"root_size": 1e300, "min_voxel_size": 1e-300},
+                  {"root_size": 1.0, "min_voxel_size": 2.0 ** -53}):
+        with pytest.raises(ConfigError):
+            ExtractionConfig(**sizes)
+    assert ExtractionConfig(root_size=1.0, min_voxel_size=2.0 ** -52).min_voxel_size > 0
     with pytest.raises(ConfigError):
         PlaneTestParams(flatness_ratio_max=0.0)
     with pytest.raises(ConfigError):
@@ -77,6 +85,16 @@ def test_unknown_keys_rejected():
     cfg = config_from_dict({"root_size": 2, "merging_enabled": False,
                             "merge": {"min_separation": 0}})
     assert cfg.root_size == 2 and cfg.merging_enabled is False
+
+
+def test_hostile_sizes_in_config_file(tmp_path):
+    # Python's json reads Infinity; neither document may reach the octree
+    path = tmp_path / "cfg.json"
+    for text in ('{"root_size": Infinity}',
+                 '{"root_size": 1e300, "min_voxel_size": 1e-300}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_dict_round_trip():

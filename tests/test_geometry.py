@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxplane import (
     EmptyClusterError,
@@ -50,6 +51,34 @@ def test_accumulate_rejects_non_finite():
         accumulate([(0.0, 0.0, np.nan)])
     with pytest.raises(InputValidationError):
         accumulate([(np.inf, 0.0, 0.0)])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), layout=st.sampled_from(["C", "F", "strided", "gathered"]),
+       offset=st.sampled_from([0.0, 1e3, 4e6]), seed=st.integers(0, 2**31 - 1))
+def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
+    # The moments must be exactly the per-column pairwise sums, whatever
+    # the memory layout of the input: the plane decisions and the output
+    # bytes depend on the last bit.
+    gen = np.random.default_rng(seed)
+    base = gen.uniform(-5.0, 5.0, (2 * n, 6)) + offset
+    if layout == "C":
+        pts = np.ascontiguousarray(base[:n, :3])
+    elif layout == "F":
+        pts = np.asfortranarray(base[:n, :3])
+    elif layout == "strided":
+        pts = base[::2, ::2]
+    else:
+        pts = base[gen.choice(2 * n, n, replace=False), 1:4]
+    c = accumulate(pts)
+    assert c.n == n
+    assert _bits(c.sum) == _bits([pts[:, j].sum() for j in range(3)])
+    assert _bits(c.sq_sum) == _bits([[(pts[:, i] * pts[:, j]).sum() for j in range(3)]
+                                     for i in range(3)])
 
 
 def test_merge_identity():
@@ -229,6 +258,30 @@ def test_eigen_sign_convention(rng):
         for k in range(3):
             i = np.argmax(np.abs(u[:, k]))
             assert u[i, k] > 0
+
+
+@pytest.mark.parametrize("m, vals, vecs", [
+    # LAPACK returns 0.7071067811865475 twice in the top eigenvector: the
+    # first of the tied components decides the sign, and the zero entry of
+    # the flipped bottom eigenvector keeps its negative sign.
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], [2.0, 0.0, 0.0],
+     [[0.7071067811865475, 0.0, 0.7071067811865475],
+      [0.7071067811865475, 0.0, -0.7071067811865475],
+      [0.0, 1.0, -0.0]]),
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [3.9999999999999987, 1.0, 0.9999999999999993],
+     [[0.5773502691896261, 0.0, 0.8164965809277258],
+      [0.5773502691896253, -0.7071067811865475, -0.408248290463863],
+      [0.5773502691896255, 0.7071067811865476, -0.4082482904638632]]),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 5]], [5.0, 1.0, -1.0],
+     [[0.0, 0.7071067811865475, 0.7071067811865475],
+      [0.0, 0.7071067811865475, -0.7071067811865475],
+      [1.0, 0.0, -0.0]]),
+])
+def test_eigen_sign_rule_on_tied_components(m, vals, vecs):
+    e = eigen_symmetric3(np.array(m, dtype=np.float64))
+    assert _bits(e.eigenvalues) == _bits(vals)
+    assert _bits(e.eigenvectors) == _bits(vecs)
+    assert np.array_equal(np.signbit(e.eigenvectors), np.signbit(vecs))
 
 
 def test_eigen_rejects_bad_input():

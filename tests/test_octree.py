@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -210,6 +211,19 @@ def test_room_leaf_histogram_pinned(room_30k):
     hist = Counter((leaf.depth, leaf.state.value)
                    for voxel in leaves.values() for leaf in voxel)
     assert dict(hist) == pin["leaves"]
+
+
+def test_room_groups_byte_identical(room_30k):
+    # the output bytes of the per-node regime, pinned: any change to the
+    # summation order of a kernel shows here first
+    h = hashlib.sha256()
+    for group in extract_plane_groups(room_30k[0], CFG).groups:
+        patch = group.merged
+        h.update(np.asarray(patch.root_key, dtype=np.int64).tobytes())
+        h.update(np.asarray(patch.point_indices, dtype=np.int64).tobytes())
+        for arr in (patch.centroid, patch.normal, patch.eigenvalues):
+            h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    assert h.hexdigest() == pinned.ROOM_30K_GROUPS_SHA256
 
 
 def test_leaf_octant_paths_strictly_increase(room_30k, rng):

@@ -41,6 +41,29 @@ def test_gen_plane_rejects_bad_density_or_sigma(density, sigma):
         gen_plane(Z, 0.0, (1.0, 1.0), density, sigma, seed=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: gen_plane(Z, 0.0, (1.0, 1.0), 100.0, 0.005, seed=seed),
+    lambda seed: gen_corner(seed=seed),
+    lambda seed: gen_multi_room(target_points=1000, seed=seed),
+    lambda seed: gen_slab_with_object(seed=seed),
+    lambda seed: gen_false_positive_slab(seed=seed),
+])
+@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "7"])
+def test_generators_reject_bad_seeds(make, seed):
+    with pytest.raises(InputValidationError):
+        make(seed)
+
+
+def test_seed_sequence_seeds_are_not_advanced():
+    # gen_plane takes the child streams the scene generators spawn; a
+    # SeedSequence seed gives the same scene as its integer, every time
+    seq = np.random.SeedSequence(3)
+    for _ in range(2):
+        assert np.array_equal(gen_corner(seed=seq).points, gen_corner(seed=3).points)
+        assert np.array_equal(gen_plane(Z, 0.0, (1.0, 1.0), 100.0, 0.005, seed=seq).points,
+                              gen_plane(Z, 0.0, (1.0, 1.0), 100.0, 0.005, seed=3).points)
+
+
 def test_counts_match_pinned_fixture():
     for seed, expected in pinned.GEN_PLANE_COUNTS.items():
         cloud = gen_plane(Z, 0.0, (2.0, 2.0), 1000.0, 0.005, seed)
