@@ -3,18 +3,20 @@
 A point cluster stores (count, sum of points, sum of outer products), which
 is enough to get the covariance of any point set in O(1) and to merge two
 sets in O(1). The octree subdivision and plane-merging stages lean on this
-to avoid re-touching raw points. The eigensolver is one LAPACK call
-(``np.linalg.eigh``) plus a sign rule that makes its eigenvectors
-deterministic.
+to avoid re-touching raw points. The eigensolver is one call of the LAPACK
+kernel behind ``np.linalg.eigh`` plus a sign rule that makes its
+eigenvectors deterministic.
 
 Summation order: the moments are summed along the contiguous rows of a
-(3, n) coordinate array, one reduction for the three first moments and one
-for the six distinct second moments. numpy reduces each contiguous row
-pairwise in the same blocks as it reduces the strided column ``pts[:, j]``
-of the (n, 3) array, so the sums equal the per-column sums bit for bit,
-whatever the input's memory layout. A row that is not contiguous in memory
-(an (n, 3) array's transpose that was not copied, or ``cols[:, idx]``) is
-summed in another order and changes the last bits.
+(3, n) coordinate array, the first moments in one reduction and the second
+in one reduction over the last axis of the (3, 3, n) product ``cols[:,
+None] * cols``. numpy reduces each contiguous row pairwise in the same
+blocks as the strided column ``pts[:, j]`` of the (n, 3) array, so the
+sums equal the per-column sums bit for bit, whatever the input's layout.
+A slice ``[..., a:b]`` of a wider product has contiguous rows too, so it
+sums exactly like a copy of that run of points. A row that is not
+contiguous (an uncopied transpose, ``cols[:, idx]``) or ``np.add.reduceat``,
+which is not pairwise, sums in another order and changes the last bits.
 
 All functions are pure and all returned objects are treated as immutable.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EmptyClusterError, InputValidationError
 
@@ -38,11 +41,9 @@ __all__ = [
 ]
 
 _COLUMNS = np.arange(3)
-# Rows of the six distinct second-moment products (xx, yy, zz, xy, xz, yz),
-# and where each lands in the symmetric 3x3 sum.
-_PAIR_I = np.array([0, 1, 2, 0, 0, 1])
-_PAIR_J = np.array([0, 1, 2, 1, 2, 2])
-_SYMMETRIC = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+# The gufunc ``np.linalg.eigh`` dispatches to for the lower triangle, called
+# directly to skip its per-call wrapper.
+_eigh_lo = _umath_linalg.eigh_lo
 
 
 def as_points(points) -> np.ndarray:
@@ -97,8 +98,7 @@ def _accumulate_rows(cols: np.ndarray) -> PointCluster:
     per-column sum of the (N, 3) points bit for bit. Gather a subset with
     ``cols.take(idx, axis=1)``, which keeps the rows contiguous.
     """
-    second = (cols[_PAIR_I] * cols[_PAIR_J]).sum(axis=1)
-    return PointCluster(cols.shape[1], cols.sum(axis=1), second[_SYMMETRIC])
+    return PointCluster(cols.shape[1], cols.sum(axis=1), (cols[:, None] * cols).sum(axis=2))
 
 
 def merge(a: PointCluster, b: PointCluster) -> PointCluster:
@@ -109,7 +109,10 @@ def merge(a: PointCluster, b: PointCluster) -> PointCluster:
 def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     """Covariance matrix and centroid of a cluster.
 
-    cov = sq_sum/n - centroid centroid^T, symmetrized. The subtraction
+    cov = sq_sum/n - centroid centroid^T. It is not symmetrized: every
+    ``sq_sum`` built here is exactly symmetric (x_i x_j == x_j x_i, and
+    ``merge`` adds symmetric sums), so cov is too, and averaging it with its
+    transpose would return the same bits. The subtraction
     cancels catastrophically far from the origin, with an error of about
     eps * |centroid|^2: 3.5e-3 m^2 at 4e6 m (a UTM northing), against the
     2.5e-5 m^2 normal variance of a plane with 5 mm noise. Plane decisions
@@ -121,9 +124,7 @@ def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     if c.n == 0:
         raise EmptyClusterError("covariance of an empty cluster")
     centroid = c.sum / c.n
-    cov = c.sq_sum / c.n - centroid[:, None] * centroid
-    cov = (cov + cov.T) * 0.5
-    return cov, centroid
+    return c.sq_sum / c.n - centroid[:, None] * centroid, centroid
 
 
 @dataclass(frozen=True)
@@ -141,21 +142,25 @@ class EigenDecomposition:
 def eigen_symmetric3(m) -> EigenDecomposition:
     """Eigendecomposition of a symmetric 3x3 matrix.
 
-    LAPACK (``np.linalg.eigh``) computes it; only the lower triangle is
-    read. LAPACK scales the matrix internally, so the result is accurate
-    at any magnitude, and it handles repeated eigenvalues without a special
-    case. Eigenvalues are returned in descending order, and each
+    LAPACK computes it, through one direct call of the gufunc that
+    ``np.linalg.eigh`` dispatches to, so the bits are eigh's; only the
+    lower triangle is read. LAPACK scales the matrix internally, so the
+    result is accurate at any magnitude, and it handles repeated
+    eigenvalues without a special case. A non-finite eigenvalue means
+    LAPACK did not converge and raises ``np.linalg.LinAlgError``, as eigh
+    would. Eigenvalues are returned in descending order, and each
     eigenvector column is flipped so its largest-magnitude component is
-    positive (the first such component when several tie). Output is
-    deterministic for identical input.
+    positive (the first such component when several tie; a flipped zero
+    becomes -0.0). Output is deterministic for identical input.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.shape != (3, 3):
         raise InputValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputValidationError("matrix contains NaN or infinite entries")
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = _eigh_lo(a, signature="d->dd")
+    if not np.isfinite(vals).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     vecs = vecs[:, ::-1]
     lead = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
-    np.negative(vecs, out=vecs, where=lead < 0.0)
-    return EigenDecomposition(vals[::-1].copy(), vecs)
+    return EigenDecomposition(vals[::-1], vecs * np.copysign(1.0, lead))

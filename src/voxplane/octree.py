@@ -110,16 +110,15 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     pts = as_points(points)
     if pts.shape[0] == 0:
         return {}
-    keys = voxel_keys(pts, root_size)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    change = np.flatnonzero((sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)) + 1
-    starts = np.concatenate(([0], change, [pts.shape[0]]))
-    out: dict[VoxelKey, np.ndarray] = {}
-    for a, b in zip(starts[:-1], starts[1:]):
-        k = sorted_keys[a]
-        out[VoxelKey(int(k[0]), int(k[1]), int(k[2]))] = order[a:b]
-    return out
+    # Key rows, so the sort keys and the gather read contiguous rows.
+    keys = np.ascontiguousarray(voxel_keys(pts, root_size).T)
+    order = np.lexsort(keys[::-1])
+    sorted_keys = keys.take(order, axis=1)
+    change = np.flatnonzero((sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)) + 1
+    starts = np.concatenate(([0], change)).tolist()
+    firsts = sorted_keys.take(starts, axis=1).T.tolist()
+    return {VoxelKey(*k): order[a:b]
+            for k, a, b in zip(firsts, starts, starts[1:] + [pts.shape[0]])}
 
 
 # Octant index bit layout: bit0 = x >= center, bit1 = y >= center,

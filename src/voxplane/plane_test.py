@@ -191,40 +191,32 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     pooled = _effective_min_eigenvalue(eig)
     bound = params.quarter_ratio_bound
 
-    quarter_l3: list[float | None] = []
-    skipped = 0
+    # The rows in quarter order and their products, once: each quarter's
+    # moment sums are then contiguous slices, bit-equal to summing a copy.
+    q_cols = cols.take(np.concatenate(quarters), axis=1)
+    q_prod = q_cols[:, None] * q_cols
+    quarter_l3: list[float] = []
     failed = False
+    stop = 0
     for q_idx in quarters:
-        if q_idx.shape[0] < quarter_min:
-            quarter_l3.append(None)
-            skipped += 1
+        start, stop = stop, stop + q_idx.shape[0]
+        if stop - start < quarter_min:
             continue
-        q_cov, _ = covariance(_accumulate_rows(cols.take(q_idx, axis=1)))
-        q_eig = eigen_symmetric3(q_cov)
-        q_l3 = _effective_min_eigenvalue(q_eig)
+        q_cov, _ = covariance(PointCluster(stop - start, q_cols[:, start:stop].sum(axis=1),
+                                           q_prod[..., start:stop].sum(axis=2)))
+        q_l3 = _effective_min_eigenvalue(eigen_symmetric3(q_cov))
         quarter_l3.append(q_l3)
         # Zero thickness on either side means exact coplanarity somewhere;
         # that can never disqualify a plane.
-        if pooled == 0.0 or q_l3 == 0.0:
-            continue
-        ratio = pooled / q_l3
-        if not (1.0 / bound < ratio < bound):
+        if pooled != 0.0 and q_l3 != 0.0 and not (1.0 / bound < pooled / q_l3 < bound):
             failed = True
 
-    all_populated = skipped == 0
-    q_values = (np.array(quarter_l3, dtype=np.float64) if all_populated else None)
-
-    if skipped >= 3:
-        # Too little quarter evidence either way; the flatness gate already
-        # passed, so accept and mark the fallback.
-        return PlaneDecision(True, eig, centroid, cluster,
-                             quarter_min_eigenvalues=q_values,
-                             sparse_quarter_fallback=True)
-
-    if failed:
-        return PlaneDecision(False, eig, centroid, cluster,
-                             quarter_min_eigenvalues=q_values,
-                             reject_reason=RejectReason.QUARTER_RATIO_FAILED)
-
-    return PlaneDecision(True, eig, centroid, cluster,
-                         quarter_min_eigenvalues=q_values)
+    # With three or more quarters skipped there is too little quarter
+    # evidence either way; the flatness gate already passed, so accept and
+    # mark the fallback.
+    fallback = len(quarter_l3) <= 1
+    rejected = failed and not fallback
+    q_values = np.array(quarter_l3) if len(quarter_l3) == 4 else None
+    return PlaneDecision(not rejected, eig, centroid, cluster, quarter_min_eigenvalues=q_values,
+                         reject_reason=RejectReason.QUARTER_RATIO_FAILED if rejected else None,
+                         sparse_quarter_fallback=fallback)

@@ -42,3 +42,9 @@ ROOM_30K_LEAVES = {
 # merged patch's root key and member indices (int64), then its centroid,
 # normal and eigenvalues (float64), as raw bytes
 ROOM_30K_GROUPS_SHA256 = "6d015e4a7eccf159d523ca9d25abf12235606396dbdf72114a2071fe64a4993c"
+
+# The same digest over extract_plane_groups(gen_corner(seed=0).points +
+# (5e5, 4e6, 100)) at the default config: the corner scene at UTM-like
+# coordinates, where moment cancellation makes plane decisions sensitive to
+# the last bit of every kernel
+CORNER_UTM_GROUPS_SHA256 = "65102e801fe875153e6c91a2a0ab69a12f39269ba75b9bbe8b2ea0d705da7596"

@@ -9,6 +9,7 @@ from voxplane import (
     accumulate,
     covariance,
     eigen_symmetric3,
+    geometry,
     merge_clusters,
 )
 
@@ -134,9 +135,15 @@ def test_covariance_positive_semidefinite(rng):
     for _ in range(50):
         n = int(rng.integers(1, 200))
         pts = rng.uniform(-100, 100, (n, 3))
-        cov, _ = covariance(accumulate(pts))
-        lam = np.linalg.eigvalsh(cov)
-        assert lam.min() >= -1e-12 * max(np.trace(cov), 1e-30)
+        cluster = accumulate(pts)
+        # a merged cluster too: covariance does not symmetrize, so merging
+        # must keep the second moments exactly symmetric
+        far = accumulate(rng.uniform(-100, 100, (int(rng.integers(1, 200)), 3)) + 4e6)
+        for c in (cluster, merge_clusters(cluster, far)):
+            cov, _ = covariance(c)
+            assert _bits(cov) == _bits(cov.T)
+            lam = np.linalg.eigvalsh(cov)
+            assert lam.min() >= -1e-12 * max(np.trace(cov), 1e-30)
 
 
 def test_covariance_empty_cluster_raises():
@@ -282,6 +289,50 @@ def test_eigen_sign_rule_on_tied_components(m, vals, vecs):
     assert _bits(e.eigenvalues) == _bits(vals)
     assert _bits(e.eigenvectors) == _bits(vecs)
     assert np.array_equal(np.signbit(e.eigenvectors), np.signbit(vecs))
+
+
+def _eigh_reference(m):
+    """np.linalg.eigh, reversed to descending order, with the sign rule
+    written out the long way: the first largest-magnitude component of each
+    eigenvector is made positive by np.negative(where=)."""
+    vals, vecs = np.linalg.eigh(m)
+    vecs = vecs[:, ::-1].copy()
+    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(3)]
+    np.negative(vecs, out=vecs, where=lead < 0.0)
+    return vals[::-1], vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["random", "zero", "double", "triple"]),
+       exponent=st.floats(-200.0, 200.0), seed=st.integers(0, 2**31 - 1))
+def test_eigen_equals_numpy_eigh_bitwise(kind, exponent, seed):
+    # eigen_symmetric3 calls the gufunc behind np.linalg.eigh directly; a
+    # numpy release that changes that gufunc or its wrapper fails here
+    # instead of drifting the output
+    gen = np.random.default_rng(seed)
+    if kind == "zero":
+        m = np.zeros((3, 3))
+    elif kind == "random":
+        m = random_symmetric(gen) * 10.0 ** exponent
+    else:
+        a, b = gen.uniform(-10.0, 10.0, 2)
+        lam = np.array([a, b, b] if kind == "double" else [a, a, a])
+        r = random_rotation(gen)
+        m = (r * lam) @ r.T
+        m = (m + m.T) * (0.5 * 10.0 ** exponent)
+    vals, vecs = _eigh_reference(m)
+    e = eigen_symmetric3(m)
+    assert _bits(e.eigenvalues) == _bits(vals)
+    assert _bits(e.eigenvectors) == _bits(vecs)
+
+
+def test_eigen_nonconvergence_raises(monkeypatch):
+    # LAPACK's failure shows as NaN output from the gufunc; np.linalg.eigh
+    # raised LinAlgError for it, and so must the direct call
+    nan = (np.full(3, np.nan), np.full((3, 3), np.nan))
+    monkeypatch.setattr(geometry, "_eigh_lo", lambda a, signature: nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigen_symmetric3(np.eye(3))
 
 
 def test_eigen_rejects_bad_input():

@@ -20,6 +20,7 @@ from voxplane import (
     eigen_symmetric3,
     extract_plane_groups,
     flatness_test,
+    gen_corner,
     gen_multi_room,
     gen_plane,
     octree_leaves,
@@ -213,17 +214,31 @@ def test_room_leaf_histogram_pinned(room_30k):
     assert dict(hist) == pin["leaves"]
 
 
-def test_room_groups_byte_identical(room_30k):
-    # the output bytes of the per-node regime, pinned: any change to the
-    # summation order of a kernel shows here first
+def _groups_sha256(points):
+    """sha256 over each output group's merged patch, in output order: root
+    key and member indices (int64), then centroid, normal and eigenvalues
+    (float64), as raw bytes."""
     h = hashlib.sha256()
-    for group in extract_plane_groups(room_30k[0], CFG).groups:
+    for group in extract_plane_groups(points, CFG).groups:
         patch = group.merged
         h.update(np.asarray(patch.root_key, dtype=np.int64).tobytes())
         h.update(np.asarray(patch.point_indices, dtype=np.int64).tobytes())
         for arr in (patch.centroid, patch.normal, patch.eigenvalues):
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
-    assert h.hexdigest() == pinned.ROOM_30K_GROUPS_SHA256
+    return h.hexdigest()
+
+
+def test_room_groups_byte_identical(room_30k):
+    # the output bytes of the per-node regime, pinned: any change to the
+    # summation order of a kernel shows here first
+    assert _groups_sha256(room_30k[0]) == pinned.ROOM_30K_GROUPS_SHA256
+
+
+def test_corner_utm_groups_byte_identical():
+    # at UTM coordinates the moments cancel, so a last-bit change in a
+    # kernel flips plane decisions here most easily
+    points = gen_corner(seed=0).points + np.array([5e5, 4e6, 100.0])
+    assert _groups_sha256(points) == pinned.CORNER_UTM_GROUPS_SHA256
 
 
 def test_leaf_octant_paths_strictly_increase(room_30k, rng):
