@@ -7,7 +7,7 @@ adaptive-voxel pipeline drops the ambiguous region instead.
 """
 
 from voxplane import ExtractionConfig, PlaneGroup, RansacParams, ransac_extract_all
-from voxplane.evaluation import evaluate, match_planes
+from voxplane.evaluation import evaluate
 from voxplane.pipeline import extract_plane_groups
 from voxplane.synthetic import gen_slab_with_object
 
@@ -18,7 +18,7 @@ print(f"scene: {cloud.points.shape[0]} points; label 0 = ground, 1..5 = box face
 
 def box_points_claimed_as_ground(groups):
     claimed = 0
-    for m in match_planes(groups, cloud):
+    for m in evaluate(groups, cloud).matched_planes:
         if m.plane_id == 0:
             labels = cloud.labels[groups[m.group_index].merged.point_indices]
             claimed += int((labels >= 1).sum())

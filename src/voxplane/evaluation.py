@@ -4,6 +4,12 @@ Each extracted group is matched to the ground-truth plane holding the
 plurality of its members' labels; point precision/recall and per-plane
 geometric errors follow from that matching. Matching is plurality-greedy
 (not globally optimal), which is deterministic and cheap at desk scale.
+
+``evaluate`` scores every group in one pass: a vote table with a row per
+group and a column per label (-1 first, then the plane ids), filled by one
+``np.bincount`` over all groups' members. A group's plurality is its row's
+first maximum, so ties go to the smallest label, with -1 (outlier
+structure) ahead of every plane. Labels must lie in ``[-1, len(planes))``.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import _accumulate_checked, covariance, eigen_symmetric3
+from .geometry import accumulate, covariance, eigen_symmetric3
 from .merging import PlaneGroup
 from .pipeline import StageTimings
 from .synthetic import GroundTruthCloud, TruthPlane
 
-__all__ = ["PlaneMatch", "EvalReport", "match_planes", "point_metrics",
-           "geometry_error", "evaluate", "fit_truth_planes"]
+__all__ = ["PlaneMatch", "EvalReport", "geometry_error", "evaluate", "fit_truth_planes"]
 
 
 @dataclass(frozen=True)
@@ -41,56 +46,6 @@ class EvalReport:
     wall_time: StageTimings | None = None
 
 
-def _plurality_label(labels: np.ndarray, n_planes: int) -> int:
-    """Most frequent label among a group's points; ties resolve to the
-    smallest label (with -1 ordered first)."""
-    counts = np.bincount(labels + 1, minlength=n_planes + 1)
-    return int(np.argmax(counts)) - 1
-
-
-def match_planes(groups: list[PlaneGroup], truth: GroundTruthCloud) -> list[PlaneMatch]:
-    """Plurality matching of extracted groups onto ground-truth planes.
-
-    Groups whose plurality label is -1 (outlier structure) stay unmatched.
-    Several groups may legitimately map to one plane (one per root voxel).
-    """
-    matches = []
-    for gi, group in enumerate(groups):
-        labels = truth.labels[group.merged.point_indices]
-        plane_id = _plurality_label(labels, len(truth.planes))
-        if plane_id < 0:
-            continue
-        angle, offset = geometry_error(group, truth.planes[plane_id])
-        matches.append(PlaneMatch(gi, plane_id, angle, offset))
-    return matches
-
-
-def point_metrics(groups: list[PlaneGroup], truth: GroundTruthCloud,
-                  matches: list[PlaneMatch] | None = None
-                  ) -> tuple[float | None, float | None]:
-    """Point-assignment precision and recall.
-
-    precision: fraction of points inside extracted groups whose label is
-    the group's matched plane. recall: the same correct points over all
-    labeled ground-truth points. Either is None when its denominator is
-    empty (no extracted points / no labeled points).
-    """
-    if matches is None:
-        matches = match_planes(groups, truth)
-    matched = {m.group_index: m.plane_id for m in matches}
-    correct = 0
-    extracted_total = 0
-    for gi, group in enumerate(groups):
-        labels = truth.labels[group.merged.point_indices]
-        extracted_total += labels.shape[0]
-        if gi in matched:
-            correct += int((labels == matched[gi]).sum())
-    labeled_total = int((truth.labels >= 0).sum())
-    precision = correct / extracted_total if extracted_total else None
-    recall = correct / labeled_total if labeled_total else None
-    return precision, recall
-
-
 def geometry_error(group: PlaneGroup, truth_plane: TruthPlane) -> tuple[float, float]:
     """(normal angle error in degrees, plane offset error in meters).
 
@@ -107,11 +62,41 @@ def geometry_error(group: PlaneGroup, truth_plane: TruthPlane) -> tuple[float, f
 
 def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
              timings: StageTimings | None = None) -> EvalReport:
-    matches = match_planes(groups, truth)
-    precision, recall = point_metrics(groups, truth, matches)
-    return EvalReport(precision=precision, recall=recall,
+    """Plurality-match each group to a truth plane and score the matching.
+
+    Groups whose plurality label is -1 stay unmatched; several groups may
+    match one plane (one per root voxel). precision: the fraction of points
+    inside groups whose label is their group's matched plane. recall: the
+    same correct points over all labeled points. Either is None when its
+    denominator is empty. A point in several groups votes in each.
+
+    Raises InputValidationError unless every label is in
+    ``[-1, len(truth.planes))``.
+    """
+    labels = truth.labels
+    n_planes = len(truth.planes)
+    if labels.size and (labels.min() < -1 or labels.max() >= n_planes):
+        raise InputValidationError(
+            f"labels must lie in [-1, {n_planes}) for {n_planes} truth planes, "
+            f"got {labels.min()} to {labels.max()}")
+    width = n_planes + 1  # column 0 counts label -1
+    sizes = [g.merged.point_indices.shape[0] for g in groups]
+    idx = np.concatenate([np.empty(0, dtype=np.intp)]
+                         + [g.merged.point_indices for g in groups])
+    gid = np.repeat(np.arange(len(groups)), sizes)
+    votes = np.bincount(gid * width + labels[idx] + 1,
+                        minlength=len(groups) * width).reshape(len(groups), width)
+    plane = votes.argmax(axis=1) - 1
+    matched = np.flatnonzero(plane >= 0)
+    matches = [PlaneMatch(int(gi), int(plane[gi]),
+                          *geometry_error(groups[gi], truth.planes[plane[gi]]))
+               for gi in matched]
+    correct = int(votes[matched, plane[matched] + 1].sum())
+    labeled_total = int((labels >= 0).sum())
+    return EvalReport(precision=correct / idx.shape[0] if idx.shape[0] else None,
+                      recall=correct / labeled_total if labeled_total else None,
                       matched_planes=matches, extracted_count=len(groups),
-                      ground_truth_count=len(truth.planes), wall_time=timings)
+                      ground_truth_count=n_planes, wall_time=timings)
 
 
 def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane, ...]:
@@ -128,7 +113,7 @@ def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane
         if member.shape[0] < 3:
             raise InputValidationError(
                 f"ground-truth plane {plane_id} has fewer than 3 points")
-        cov, centroid = covariance(_accumulate_checked(member))
+        cov, centroid = covariance(accumulate(member))
         eig = eigen_symmetric3(cov)
         normal = eig.eigenvectors[:, 2].copy()
         axis_u = eig.eigenvectors[:, 0].copy()

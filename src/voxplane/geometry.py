@@ -81,14 +81,10 @@ class PointCluster:
 
 
 def accumulate(points) -> PointCluster:
-    """Build a PointCluster from raw points, validating finiteness."""
-    return _accumulate_checked(as_points(points))
-
-
-def _accumulate_checked(pts: np.ndarray) -> PointCluster:
-    """Moment sums over an already-validated (N, 3) array, summed along the
-    rows of its C-contiguous transpose (see the module docstring)."""
-    return _accumulate_rows(np.ascontiguousarray(pts.T))
+    """Build a PointCluster from raw points, validating finiteness. The
+    sums run along the rows of the points' C-contiguous transpose (see the
+    module docstring)."""
+    return _accumulate_rows(np.ascontiguousarray(as_points(points).T))
 
 
 def _accumulate_rows(cols: np.ndarray) -> PointCluster:

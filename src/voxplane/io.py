@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CloudFormatError, InputValidationError
 from .evaluation import EvalReport
-from .geometry import _accumulate_checked
+from .geometry import accumulate
 from .merging import PlaneGroup
 from .octree import PlanePatch, VoxelKey
 
@@ -348,7 +348,7 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
                  fields["indices"][0])
         idx = np.array(idx, dtype=np.int64)
         patch = PlanePatch(
-            cluster=_accumulate_checked(points[idx]),
+            cluster=accumulate(points[idx]),
             centroid=np.array(centroid),
             normal=np.array(normal),
             eigenvalues=np.array(eigenvalues),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExtractionConfig
 from .errors import ConfigError
-from .geometry import _accumulate_checked, as_points, covariance, eigen_symmetric3
+from .geometry import accumulate, as_points, covariance, eigen_symmetric3
 from .octree import PlanePatch, VoxelKey, build_root_map
 
 __all__ = ["RansacParams", "RansacPlane", "point_plane_distances",
@@ -115,7 +115,7 @@ def ransac_plane(points, params: RansacParams,
 
     # PCA refit over the consensus set, then re-apply the inlier band
     # against the refit plane.
-    cov, centroid = covariance(_accumulate_checked(pts[best_inliers]))
+    cov, centroid = covariance(accumulate(pts[best_inliers]))
     eig = eigen_symmetric3(cov)
     normal = eig.eigenvectors[:, 2].copy()
     offset = float(np.dot(normal, centroid))
@@ -159,7 +159,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
             if result is None:
                 break
             member_idx = remaining[result.inliers]
-            cluster = _accumulate_checked(pts[member_idx])
+            cluster = accumulate(pts[member_idx])
             cov, centroid = covariance(cluster)
             eig = eigen_symmetric3(cov)
             patches.append(PlanePatch(

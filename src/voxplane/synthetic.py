@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, InputValidationError
-from .geometry import _accumulate_checked, covariance, eigen_symmetric3
+from .geometry import accumulate, covariance, eigen_symmetric3
 from .plane_test import PlaneTestParams, RejectReason, determine_plane, flatness_test
 
 __all__ = [
@@ -211,7 +211,7 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
                 blob_rng.uniform(0.0, height, count),
             ])
             cloud = _combine([base], outliers=blob)
-            cov, _ = covariance(_accumulate_checked(cloud.points))
+            cov, _ = covariance(accumulate(cloud.points))
             eig = eigen_symmetric3(cov)
             if not flatness_test(eig, params.flatness_ratio_max):
                 continue

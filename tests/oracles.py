@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: the eigenvalue oracle
 is a classical (largest-pivot) Jacobi iteration working on numpy arrays,
-the covariance oracle is a plain two-pass computation over raw points.
+the covariance oracle is a plain two-pass computation over raw points, and
+the scoring oracle counts each group's labels in its own loop.
 """
 
 import numpy as np
@@ -64,3 +65,23 @@ def random_rotation(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def plurality_scores(groups, labels, n_planes: int):
+    """([(group index, plane id), ...], precision, recall) of plurality
+    matching, one group at a time: each group takes its most frequent
+    label, ties to the smallest with -1 first, and stays unmatched on -1."""
+    matches = []
+    correct = 0
+    extracted = 0
+    for gi, group in enumerate(groups):
+        member = labels[group.merged.point_indices]
+        counts = np.bincount(member + 1, minlength=n_planes + 1)
+        plane_id = int(np.argmax(counts)) - 1
+        extracted += member.shape[0]
+        if plane_id >= 0:
+            matches.append((gi, plane_id))
+            correct += int((member == plane_id).sum())
+    labeled = int((labels >= 0).sum())
+    return (matches, correct / extracted if extracted else None,
+            correct / labeled if labeled else None)

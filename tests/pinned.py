@@ -48,3 +48,9 @@ ROOM_30K_GROUPS_SHA256 = "6d015e4a7eccf159d523ca9d25abf12235606396dbdf72114a2071
 # coordinates, where moment cancellation makes plane decisions sensitive to
 # the last bit of every kernel
 CORNER_UTM_GROUPS_SHA256 = "65102e801fe875153e6c91a2a0ab69a12f39269ba75b9bbe8b2ea0d705da7596"
+
+# sha256 of the report JSON of `voxplane compare corner --seed 0` (both
+# methods, default config) with each method's "wall_time_s" removed,
+# re-serialized as json.dumps(report, indent=2); pins every score the
+# evaluator prints for ours and for the RANSAC baseline
+CORNER_COMPARE_SHA256 = "143d438d98b0185d0c8828725c9462661a020fa628d7f55026d7e853141de57f"

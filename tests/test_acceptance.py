@@ -35,7 +35,7 @@ from voxplane import (
     split_center,
 )
 from voxplane.cli import cli_main
-from voxplane.evaluation import evaluate, match_planes
+from voxplane.evaluation import evaluate
 from voxplane.io import write_planes
 
 import pinned
@@ -168,9 +168,8 @@ def test_criterion_5_ransac_contrast():
 
 
 def _box_points_in_ground_groups(groups, cloud):
-    matches = match_planes(groups, cloud)
     total = 0
-    for m in matches:
+    for m in evaluate(groups, cloud).matched_planes:
         if m.plane_id == 0:  # ground plane label
             labels = cloud.labels[groups[m.group_index].merged.point_indices]
             total += int((labels >= 1).sum())

@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from voxplane.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, cli_main
-from voxplane.io import read_cloud, read_planes
+from voxplane.io import read_cloud, read_planes, write_cloud
+
+import pinned
 
 
 def run(*argv):
@@ -177,6 +180,33 @@ def test_compare_scene(tmp_path, capsys):
     assert data["ours"]["precision"] >= 0.95
     assert data["ours"]["recall"] >= 0.90
     assert data["ransac"]["extracted_count"] >= 3
+
+
+def test_compare_corner_report_pinned(tmp_path, capsys):
+    report = tmp_path / "cmp.json"
+    assert run("compare", "corner", "--seed", "0", "--report", str(report)) == EXIT_OK
+    capsys.readouterr()
+    data = json.loads(report.read_text())
+    for method in ("ours", "ransac"):
+        data[method].pop("wall_time_s")
+    digest = hashlib.sha256(json.dumps(data, indent=2).encode()).hexdigest()
+    assert digest == pinned.CORNER_COMPARE_SHA256
+
+
+def test_eval_and_compare_reject_out_of_range_labels(tmp_path, capsys):
+    cloud = tmp_path / "c.vxc"
+    planes = tmp_path / "planes.txt"
+    assert run("synth", "plane", "--out", str(cloud)) == EXIT_OK
+    assert run("extract", str(cloud), "--out", str(planes)) == EXIT_OK
+    points, labels = read_cloud(cloud)
+    labels = labels.copy()
+    labels[::10] = -2
+    write_cloud(cloud, points, labels)
+    capsys.readouterr()
+    assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert run("compare", str(cloud)) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_compare_unknown_method(capsys):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from voxplane import (
     GroundTruthCloud,
+    InputValidationError,
     PlaneGroup,
     PlanePatch,
+    PointCluster,
     TruthPlane,
     VoxelKey,
     accumulate,
@@ -15,7 +18,9 @@ from voxplane import (
     fit_truth_planes,
     gen_corner,
 )
-from voxplane.evaluation import geometry_error, match_planes, point_metrics
+from voxplane.evaluation import PlaneMatch, geometry_error
+
+from oracles import plurality_scores
 
 
 def group_from_indices(points, indices):
@@ -38,20 +43,19 @@ def perfect_extraction(truth):
 
 def test_perfect_corner_extraction(corner_cloud):
     groups = perfect_extraction(corner_cloud)
-    matches = match_planes(groups, corner_cloud)
+    report = evaluate(groups, corner_cloud)
+    matches = report.matched_planes
     assert len(matches) == 3
     assert sorted(m.plane_id for m in matches) == [0, 1, 2]
-    precision, recall = point_metrics(groups, corner_cloud, matches)
-    assert precision == 1.0
-    assert recall == 1.0
+    assert report.precision == 1.0
+    assert report.recall == 1.0
 
 
 def test_empty_extraction(corner_cloud):
-    matches = match_planes([], corner_cloud)
-    assert matches == []
-    precision, recall = point_metrics([], corner_cloud, matches)
-    assert precision is None
-    assert recall == 0.0
+    report = evaluate([], corner_cloud)
+    assert report.matched_planes == []
+    assert report.precision is None
+    assert report.recall == 0.0
 
 
 def test_no_labeled_points_recall_absent():
@@ -59,9 +63,9 @@ def test_no_labeled_points_recall_absent():
     truth = GroundTruthCloud(points=pts,
                              labels=np.full(50, -1, dtype=np.int32), planes=())
     groups = [group_from_indices(pts, np.arange(10))]
-    precision, recall = point_metrics(groups, truth)
-    assert recall is None
-    assert precision == 0.0  # all points in groups carry outlier labels
+    report = evaluate(groups, truth)
+    assert report.recall is None
+    assert report.precision == 0.0  # all points in groups carry outlier labels
 
 
 def test_plurality_matching_mixed_group(corner_cloud):
@@ -69,11 +73,11 @@ def test_plurality_matching_mixed_group(corner_cloud):
     idx1 = np.flatnonzero(corner_cloud.labels == 1)[:300]
     idx0 = np.flatnonzero(corner_cloud.labels == 0)[:40]
     groups = [group_from_indices(corner_cloud.points, np.concatenate([idx1, idx0]))]
-    matches = match_planes(groups, corner_cloud)
+    report = evaluate(groups, corner_cloud)
+    matches = report.matched_planes
     assert len(matches) == 1
     assert matches[0].plane_id == 1
-    precision, recall = point_metrics(groups, corner_cloud, matches)
-    assert precision == pytest.approx(300 / 340)
+    assert report.precision == pytest.approx(300 / 340)
 
 
 def test_outlier_plurality_group_unmatched():
@@ -87,7 +91,80 @@ def test_outlier_plurality_group_unmatched():
                              np.zeros(10, dtype=np.int32))
     truth = GroundTruthCloud(points=pts, labels=labels, planes=plane)
     groups = [group_from_indices(pts, np.arange(100))]
-    assert match_planes(groups, truth) == []
+    assert evaluate(groups, truth).matched_planes == []
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def _scoring_plane(k):
+    return TruthPlane(normal=_unit([1.0, k, 2.0]), offset=0.1 * k, center=np.zeros(3),
+                      axis_u=np.array([1.0, 0.0, 0.0]), axis_v=np.array([0.0, 1.0, 0.0]),
+                      half_u=1.0, half_v=1.0, noise_sigma=0.0)
+
+
+def _scoring_group(gi, members):
+    # Only the members, the normal and the centroid matter to the scorer.
+    patch = PlanePatch(cluster=PointCluster.empty(), centroid=np.full(3, 0.3 * gi),
+                       normal=_unit([1.0, gi, 0.5]), eigenvalues=np.zeros(3),
+                       point_indices=np.array(members, dtype=np.int64),
+                       root_key=VoxelKey(0, 0, 0), depth=0)
+    return PlaneGroup(members=[patch], merged=patch)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(plane count, labels, groups' member lists); members may overlap."""
+    n_planes = draw(st.integers(0, 3))
+    labels = draw(st.lists(st.integers(-1, n_planes - 1), max_size=40))
+    index = st.integers(0, len(labels) - 1) if labels else st.nothing()
+    members = draw(st.lists(st.lists(index, unique=True, max_size=len(labels)),
+                            max_size=6))
+    return n_planes, labels, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases())
+@example(case=(2, [0, 1, 0, 1, -1, -1], [[0, 1], [4, 5, 0], [0, 1, 2, 3, 4, 5]]))
+@example(case=(2, [-1] * 6, [[0, 1, 2], [2, 3]]))
+@example(case=(0, [-1] * 4, [[0, 1, 2, 3]]))
+@example(case=(3, [0, 1, 2, 2], []))
+def test_evaluate_equals_the_per_group_oracle(case):
+    # One bincount table over all groups must score exactly like counting
+    # each group's labels on its own: same matches (ties to the smaller
+    # label, -1 first), same precision and recall, the same float errors.
+    n_planes, labels, members = case
+    labels = np.array(labels, dtype=np.int32)
+    truth = GroundTruthCloud(points=np.zeros((labels.shape[0], 3)), labels=labels,
+                             planes=tuple(_scoring_plane(k) for k in range(n_planes)))
+    groups = [_scoring_group(gi, m) for gi, m in enumerate(members)]
+    report = evaluate(groups, truth)
+    matches, precision, recall = plurality_scores(groups, labels, n_planes)
+    assert report.matched_planes == [
+        PlaneMatch(gi, pid, *geometry_error(groups[gi], truth.planes[pid]))
+        for gi, pid in matches]
+    assert all(type(m.group_index) is int and type(m.plane_id) is int
+               for m in report.matched_planes)
+    assert report.precision == precision
+    assert report.recall == recall
+    assert report.extracted_count == len(groups)
+    assert report.ground_truth_count == n_planes
+
+
+def test_labels_outside_the_plane_range_are_rejected(corner_cloud):
+    # Most of the group's points carry label len(planes), one past the last
+    # plane; in the vote table that count would land in the next row.
+    idx = np.flatnonzero(corner_cloud.labels == 0)[:100]
+    groups = [group_from_indices(corner_cloud.points, idx)]
+    for bad in (len(corner_cloud.planes), -2):
+        labels = corner_cloud.labels.copy()
+        labels[idx[:60]] = bad
+        truth = GroundTruthCloud(points=corner_cloud.points, labels=labels,
+                                 planes=corner_cloud.planes)
+        with pytest.raises(InputValidationError, match="labels must lie in"):
+            evaluate(groups, truth)
 
 
 def test_corner_every_group_matched(corner_cloud):
