@@ -246,3 +246,19 @@ def test_fit_truth_planes_recovers_geometry(corner_cloud):
         dot = abs(float(fit.normal @ gen.normal))
         assert np.degrees(np.arccos(min(1.0, dot))) < 0.1
         assert abs(abs(fit.offset) - abs(gen.offset)) < 1e-3
+
+
+def test_fit_truth_planes_exact_at_utm_coordinates():
+    # The corner scene shifted to a UTM-like easting, northing and height
+    # must fit the same planes as at the origin: absolute moments would
+    # cancel there, giving a noise sigma of 0 and normals off by 0.08 deg.
+    shift = np.array([5e5, 4e6, 100.0])
+    for seed in range(3):
+        cloud = gen_corner(seed=seed)
+        near = fit_truth_planes(cloud.points, cloud.labels)
+        far = fit_truth_planes(cloud.points + shift, cloud.labels)
+        for a, b in zip(near, far):
+            dot = min(1.0, abs(float(a.normal @ b.normal)))
+            assert np.degrees(np.arccos(dot)) <= 1e-5
+            assert abs(a.noise_sigma - b.noise_sigma) <= 1e-9
+            assert np.abs(a.center - (b.center - shift)).max() <= 1e-8
