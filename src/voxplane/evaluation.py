@@ -1,14 +1,12 @@
 """Scoring of extraction output against ground-truth labels.
 
-Each extracted group is matched to the ground-truth plane holding the
-plurality of its members' labels; point precision/recall and per-plane
+``evaluate`` matches each extracted group to the ground-truth plane holding
+the plurality of its members' labels; point precision/recall and per-plane
 geometric errors follow from that matching. Matching is plurality-greedy
-(not globally optimal), which is deterministic and cheap at desk scale.
-
-``evaluate`` scores every group in one pass: a vote table with a row per
-group and a column per label (-1 first, then the plane ids), filled by one
-``np.bincount`` over all groups' members. A group's plurality is its row's
-first maximum, so ties go to the smallest label, with -1 (outlier
+(not globally optimal), deterministic and cheap: one vote table with a row
+per group and a column per label (-1 first, then the plane ids), filled by
+one ``np.bincount`` over all groups' members. A group's plurality is its
+row's first maximum, so ties go to the smallest label, with -1 (outlier
 structure) ahead of every plane. Labels must lie in ``[-1, len(planes))``.
 """
 
