@@ -41,6 +41,12 @@ ROOM_30K_LEAVES = {
 # seed=0).points) at the default config: for each group in output order, its
 # merged patch's root key and member indices (int64), then its centroid,
 # normal and eigenvalues (float64), as raw bytes
+# sha256 over the same extraction: for each group in output order, its
+# merged patch's root key and member indices (int64) only. The float half of
+# ROOM_30K_GROUPS_SHA256 moves with any change to summation order; this
+# half holds only while every decision and merge stays the same
+ROOM_30K_MEMBERS_SHA256 = "e19c77badfed6f71d5076b977d7137dba5ba4eece562f3b5d45f213582e798fe"
+
 ROOM_30K_GROUPS_SHA256 = "6d015e4a7eccf159d523ca9d25abf12235606396dbdf72114a2071fe64a4993c"
 
 # The same digest over extract_plane_groups(gen_corner(seed=0).points +

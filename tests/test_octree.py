@@ -214,16 +214,16 @@ def test_room_leaf_histogram_pinned(room_30k):
     assert dict(hist) == pin["leaves"]
 
 
-def _groups_sha256(points):
+def _groups_sha256(points, floats=True):
     """sha256 over each output group's merged patch, in output order: root
-    key and member indices (int64), then centroid, normal and eigenvalues
-    (float64), as raw bytes."""
+    key and member indices (int64), then, with ``floats``, centroid, normal
+    and eigenvalues (float64), as raw bytes."""
     h = hashlib.sha256()
     for group in extract_plane_groups(points, CFG).groups:
         patch = group.merged
         h.update(np.asarray(patch.root_key, dtype=np.int64).tobytes())
         h.update(np.asarray(patch.point_indices, dtype=np.int64).tobytes())
-        for arr in (patch.centroid, patch.normal, patch.eigenvalues):
+        for arr in (patch.centroid, patch.normal, patch.eigenvalues)[:3 * floats]:
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -232,6 +232,12 @@ def test_room_groups_byte_identical(room_30k):
     # the output bytes of the per-node regime, pinned: any change to the
     # summation order of a kernel shows here first
     assert _groups_sha256(room_30k[0]) == pinned.ROOM_30K_GROUPS_SHA256
+
+
+def test_room_group_members_pinned(room_30k):
+    # which points form which group: a change of moment frame or summation
+    # order moves the float bytes above but must leave every decision alone
+    assert _groups_sha256(room_30k[0], floats=False) == pinned.ROOM_30K_MEMBERS_SHA256
 
 
 def test_corner_utm_groups_byte_identical():
