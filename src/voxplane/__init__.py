@@ -35,7 +35,6 @@ from .octree import (
     VoxelKey,
     build_root_map,
     subdivide,
-    voxel_key,
 )
 from .pipeline import ExtractionResult, StageTimings, extract_plane_groups, octree_leaves
 from .plane_test import (
@@ -67,7 +66,7 @@ __all__ = [
     "covariance", "eigen_symmetric3",
     "PlaneTestParams", "PlaneDecision", "RejectReason", "flatness_test",
     "split_center", "quarter_split", "determine_plane",
-    "VoxelKey", "NodeState", "OctreeNode", "PlanePatch", "voxel_key",
+    "VoxelKey", "NodeState", "OctreeNode", "PlanePatch",
     "build_root_map", "subdivide",
     "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",
     "StageTimings", "ExtractionResult", "octree_leaves", "extract_plane_groups",

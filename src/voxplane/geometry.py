@@ -1,20 +1,22 @@
 """Moment statistics of point sets and a 3x3 symmetric eigensolver.
 
-A point cluster stores (count, sum of points, sum of outer products), which
-is enough to get the covariance of any point set in O(1) and to merge two
-sets in O(1). The octree subdivision and plane-merging stages lean on this
-to avoid re-touching raw points. The eigensolver is one call of the LAPACK
-kernel behind ``np.linalg.eigh`` plus a sign rule that makes its
-eigenvectors deterministic.
+A point cluster stores (count, sum of points, sum of outer products) about
+its first point, enough to get the covariance of any point set and to merge
+two sets in O(1); the octree and merging stages lean on this to avoid
+re-touching raw points. Only this module knows that frame. It keeps every
+sum at the scale of the set, so a covariance is as exact at georeferenced
+coordinates (UTM northings near 4e6 m) as at the origin. The eigensolver is
+one call of the LAPACK kernel behind ``np.linalg.eigh`` plus a sign rule
+that makes its eigenvectors deterministic.
 
-Summation order: the moments are summed along the contiguous rows of a
-(3, n) coordinate array, the first moments in one reduction and the second
-in one reduction over the last axis of the (3, 3, n) product ``cols[:,
-None] * cols``. numpy reduces each contiguous row pairwise in the same
-blocks as the strided column ``pts[:, j]`` of the (n, 3) array, so the
-sums equal the per-column sums bit for bit, whatever the input's layout.
-A slice ``[..., a:b]`` of a wider product has contiguous rows too, so it
-sums exactly like a copy of that run of points. A row that is not
+Summation order: the moments are summed along the contiguous rows of the
+centred (3, n) array ``cols = (pts - origin).T``, the first moments in one
+reduction and the second in one reduction over the last axis of the (3, 3,
+n) product ``cols[:, None] * cols``. numpy reduces each contiguous row
+pairwise in the same blocks as the strided column ``(pts - origin)[:, j]``,
+so the sums equal the per-column sums bit for bit, whatever the input's
+layout. A slice ``[..., a:b]`` of a wider product has contiguous rows too,
+so it sums exactly like a copy of that run of points. A row that is not
 contiguous (an uncopied transpose, ``cols[:, idx]``) or ``np.add.reduceat``,
 which is not pairwise, sums in another order and changes the last bits.
 
@@ -65,89 +67,101 @@ def as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCluster:
-    """Running sums of a point set: count, first moment, second moment.
-
-    ``sum`` is the componentwise sum of points (meters) and ``sq_sum`` the
-    sum of outer products p p^T (meters^2). Both are plain float64 arrays.
-    """
+    """Count, first and second moment of a point set about ``origin``, its
+    first point (zero when empty): ``sum`` of p - origin (meters) and
+    ``sq_sum`` of (p - origin)(p - origin)^T (meters^2), plain float64
+    arrays. This is the point-cluster statistic that voxel LiDAR bundle
+    adjustment consumes (BALM, Liu and Zhang, RA-L 2021)."""
 
     n: int
     sum: np.ndarray      # (3,)
     sq_sum: np.ndarray   # (3, 3), symmetric
+    origin: np.ndarray   # (3,)
 
     @staticmethod
     def empty() -> "PointCluster":
-        return PointCluster(0, np.zeros(3), np.zeros((3, 3)))
+        return PointCluster(0, np.zeros(3), np.zeros((3, 3)), np.zeros(3))
 
 
 def accumulate(points) -> PointCluster:
-    """Build a PointCluster from raw points, validating finiteness. The
-    sums run along the rows of the points' C-contiguous transpose (see the
-    module docstring)."""
-    return _accumulate_rows(np.ascontiguousarray(as_points(points).T))
+    """Build a PointCluster from raw points, validating finiteness."""
+    return _accumulate_centred(as_points(points))[0]
 
 
-def _accumulate_rows(cols: np.ndarray) -> PointCluster:
-    """Moment sums over a C-contiguous (3, N) array of coordinate rows.
-
-    Each sum is one contiguous row's pairwise reduction, which equals the
-    per-column sum of the (N, 3) points bit for bit. Gather a subset with
-    ``cols.take(idx, axis=1)``, which keeps the rows contiguous.
-    """
-    return PointCluster(cols.shape[1], cols.sum(axis=1), (cols[:, None] * cols).sum(axis=2))
+def _accumulate_centred(pts: np.ndarray) -> tuple[PointCluster, np.ndarray]:
+    """The cluster of validated (N, 3) points and the C-contiguous (3, N)
+    rows of pts - origin it was summed from, centred and transposed in one
+    copy. Gather a subset of the rows with ``cols.take(idx, axis=1)``,
+    which keeps them contiguous (see the module docstring)."""
+    origin = pts[0].copy() if pts.shape[0] else np.zeros(3)
+    cols = np.subtract(pts.T, origin[:, None], order="C")
+    return PointCluster(cols.shape[1], cols.sum(axis=1), (cols[:, None] * cols).sum(axis=2),
+                        origin), cols
 
 
 def merge(a: PointCluster, b: PointCluster) -> PointCluster:
-    """Combine two clusters; equivalent to accumulating the union of points."""
-    return PointCluster(a.n + b.n, a.sum + b.sum, a.sq_sum + b.sq_sum)
+    """Combine two clusters; equivalent to accumulating the union of points.
+
+    The result keeps a's origin (b's when a is empty), and b's sums are
+    re-based onto it with d = b.origin - a.origin (Chan, Golub and LeVeque,
+    1983): sum + n d and sq_sum + d s^T + s d^T + n d d^T, each term
+    exactly symmetric.
+    """
+    if a.n == 0 or b.n == 0:
+        return b if a.n == 0 else a
+    d = b.origin - a.origin
+    cross = d[:, None] * b.sum
+    shift = (cross + cross.T) + d[:, None] * d * b.n
+    return PointCluster(a.n + b.n, a.sum + (b.sum + b.n * d), a.sq_sum + (b.sq_sum + shift),
+                        a.origin)
+
+
+def _central_moments(n: int, s: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance and mean, relative to their origin, of n points' sums."""
+    mean = s / n
+    return ss / n - mean[:, None] * mean, mean
 
 
 def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     """Covariance matrix and centroid of a cluster.
 
-    cov = sq_sum/n - centroid centroid^T. It is not symmetrized: every
-    ``sq_sum`` built here is exactly symmetric (x_i x_j == x_j x_i, and
-    ``merge`` adds symmetric sums), so cov is too, and averaging it with its
-    transpose would return the same bits. The subtraction
-    cancels catastrophically far from the origin, with an error of about
-    eps * |centroid|^2: 3.5e-3 m^2 at 4e6 m (a UTM northing), against the
-    2.5e-5 m^2 normal variance of a plane with 5 mm noise. Plane decisions
-    there go wrong: a corner scene shifted to 4e6 m meets its quality check
-    in only about 14% of frames.
+    cov = sq_sum/n - m m^T with m = sum/n, and the centroid is origin + m.
+    About a point of the set the subtraction loses about eps * extent^2,
+    not eps * |centroid|^2 (3.5e-3 m^2 at a 4e6 m northing, against the
+    2.5e-5 m^2 normal variance of a plane with 5 mm noise). cov is not
+    symmetrized: every ``sq_sum`` built here is exactly symmetric, so cov
+    is too, and averaging it with its transpose would return the same bits.
 
     Raises EmptyClusterError when the cluster has no points.
     """
     if c.n == 0:
         raise EmptyClusterError("covariance of an empty cluster")
-    centroid = c.sum / c.n
-    return c.sq_sum / c.n - centroid[:, None] * centroid, centroid
+    cov, mean = _central_moments(c.n, c.sum, c.sq_sum)
+    return cov, c.origin + mean
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (descending) and matching unit eigenvectors of a
-    symmetric 3x3 matrix. Column k of ``eigenvectors`` pairs with
-    ``eigenvalues[k]``; each column is sign-fixed so its largest-magnitude
-    component is positive, which makes the decomposition deterministic
-    despite the inherent +/-u ambiguity."""
+    symmetric 3x3 matrix, column k pairing with ``eigenvalues[k]``. Each
+    column's largest-magnitude component is positive, which makes the
+    decomposition deterministic despite the inherent +/-u ambiguity."""
 
     eigenvalues: np.ndarray   # (3,), eigenvalues[0] >= eigenvalues[1] >= eigenvalues[2]
     eigenvectors: np.ndarray  # (3, 3), orthonormal columns
 
 
 def eigen_symmetric3(m) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric 3x3 matrix.
+    """Eigendecomposition of a symmetric 3x3 matrix, ordered and signed as
+    EigenDecomposition states (the first of tied largest components decides
+    the sign; a flipped zero becomes -0.0).
 
-    LAPACK computes it, through one direct call of the gufunc that
-    ``np.linalg.eigh`` dispatches to, so the bits are eigh's; only the
-    lower triangle is read. LAPACK scales the matrix internally, so the
-    result is accurate at any magnitude, and it handles repeated
-    eigenvalues without a special case. A non-finite eigenvalue means
-    LAPACK did not converge and raises ``np.linalg.LinAlgError``, as eigh
-    would. Eigenvalues are returned in descending order, and each
-    eigenvector column is flipped so its largest-magnitude component is
-    positive (the first such component when several tie; a flipped zero
-    becomes -0.0). Output is deterministic for identical input.
+    One direct call of the gufunc behind ``np.linalg.eigh`` computes it, so
+    the bits are eigh's; only the lower triangle is read. LAPACK scales the
+    matrix internally, so the result is accurate at any magnitude, and it
+    handles repeated eigenvalues without a special case. A non-finite
+    eigenvalue means LAPACK did not converge and raises
+    ``np.linalg.LinAlgError``, as eigh would.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.shape != (3, 3):

@@ -105,8 +105,8 @@ def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGr
 
     Patches are taken in the order given (octree traversal order); each is
     tested against every existing group's merged representative in group
-    creation order and joins the first match, after which that group's
-    representative is recomputed. The result is a partition of the input.
+    creation order and joins the first match, after which the patch is
+    folded into that representative. The result is a partition of the input.
     """
     if len({p.root_key for p in patches}) > 1:
         raise ValueError("greedy_merge requires patches from a single root voxel")
@@ -115,7 +115,7 @@ def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGr
         for group in groups:
             if coplanar_test(group.merged, patch, params):
                 group.members.append(patch)
-                group.merged = merge_patches(group.members)
+                group.merged = merge_patches([group.merged, patch])
                 break
         else:
             groups.append(PlaneGroup(members=[patch], merged=patch))

@@ -31,7 +31,6 @@ __all__ = [
     "NodeState",
     "PlanePatch",
     "OctreeNode",
-    "voxel_key",
     "voxel_keys",
     "build_root_map",
     "subdivide",
@@ -80,18 +79,10 @@ class OctreeNode:
     patch: PlanePatch | None = None
 
 
-def voxel_key(p, root_size: float) -> VoxelKey:
-    """Lattice address of the root voxel containing a single point.
-
-    Uses mathematical floor, so -0.3 lands in cell -1 and cell boundaries
-    belong to the higher cell (half-open convention).
-    """
-    k = voxel_keys(as_points(p)[:1], root_size)[0]
-    return VoxelKey(int(k[0]), int(k[1]), int(k[2]))
-
-
 def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
-    """Vectorized voxel_key: (N, 3) int64 lattice coordinates. Raises
+    """(N, 3) int64 lattice addresses of the root voxels holding (N, 3)
+    points. Uses mathematical floor, so -0.3 lands in cell -1 and cell
+    boundaries belong to the higher cell (half-open convention). Raises
     InputValidationError where |x / root_size| >= 2^63 has no int64 key."""
     cells = np.floor(points / root_size)
     if not (np.abs(cells) < 2.0 ** 63).all():

@@ -20,7 +20,8 @@ from .errors import ConfigError
 from .geometry import (
     EigenDecomposition,
     PointCluster,
-    _accumulate_rows,
+    _accumulate_centred,
+    _central_moments,
     as_points,
     covariance,
     eigen_symmetric3,
@@ -168,12 +169,11 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     """
     pts = as_points(points)
     n = pts.shape[0]
-    cols = np.ascontiguousarray(pts.T)
-    cluster = _accumulate_rows(cols)
+    cluster, cols = _accumulate_centred(pts)
 
     if n < params.min_points:
         eig = EigenDecomposition(np.zeros(3), np.eye(3))
-        centroid = cluster.sum / n if n else np.zeros(3)
+        centroid = covariance(cluster)[1] if n else np.zeros(3)
         return PlaneDecision(False, eig, centroid, cluster,
                              reject_reason=RejectReason.TOO_FEW_POINTS)
 
@@ -191,8 +191,8 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     pooled = _effective_min_eigenvalue(eig)
     bound = params.quarter_ratio_bound
 
-    # The rows in quarter order and their products, once: each quarter's
-    # moment sums are then contiguous slices, bit-equal to summing a copy.
+    # The centred rows in quarter order and their products, once: each
+    # quarter's sums are then contiguous slices, bit-equal to summing a copy.
     q_cols = cols.take(np.concatenate(quarters), axis=1)
     q_prod = q_cols[:, None] * q_cols
     quarter_l3: list[float] = []
@@ -202,8 +202,8 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
         start, stop = stop, stop + q_idx.shape[0]
         if stop - start < quarter_min:
             continue
-        q_cov, _ = covariance(PointCluster(stop - start, q_cols[:, start:stop].sum(axis=1),
-                                           q_prod[..., start:stop].sum(axis=2)))
+        q_cov, _ = _central_moments(stop - start, q_cols[:, start:stop].sum(axis=1),
+                                    q_prod[..., start:stop].sum(axis=2))
         q_l3 = _effective_min_eigenvalue(eigen_symmetric3(q_cov))
         quarter_l3.append(q_l3)
         # Zero thickness on either side means exact coplanarity somewhere;

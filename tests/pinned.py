@@ -47,16 +47,15 @@ ROOM_30K_LEAVES = {
 # half holds only while every decision and merge stays the same
 ROOM_30K_MEMBERS_SHA256 = "e19c77badfed6f71d5076b977d7137dba5ba4eece562f3b5d45f213582e798fe"
 
-ROOM_30K_GROUPS_SHA256 = "6d015e4a7eccf159d523ca9d25abf12235606396dbdf72114a2071fe64a4993c"
+ROOM_30K_GROUPS_SHA256 = "539ebb73e613677ef46dc3eab0a9d774c5f57b5bd5573061f316c3d38f7befd1"
 
 # The same digest over extract_plane_groups(gen_corner(seed=0).points +
 # (5e5, 4e6, 100)) at the default config: the corner scene at UTM-like
-# coordinates, where moment cancellation makes plane decisions sensitive to
-# the last bit of every kernel
-CORNER_UTM_GROUPS_SHA256 = "65102e801fe875153e6c91a2a0ab69a12f39269ba75b9bbe8b2ea0d705da7596"
+# coordinates, 27 groups with the same members as at the origin
+CORNER_UTM_GROUPS_SHA256 = "4daa1ca67ce2d1251db84b22cbdf7c888e039a63fd7ae188fcf74ef6d4855fe6"
 
 # sha256 of the report JSON of `voxplane compare corner --seed 0` (both
 # methods, default config) with each method's "wall_time_s" removed,
 # re-serialized as json.dumps(report, indent=2); pins every score the
 # evaluator prints for ours and for the RANSAC baseline
-CORNER_COMPARE_SHA256 = "143d438d98b0185d0c8828725c9462661a020fa628d7f55026d7e853141de57f"
+CORNER_COMPARE_SHA256 = "85565918529c4ebc7cd593dc25ce3810ca1b1af6211628e718a4b6e35ceb20c7"

@@ -35,8 +35,9 @@ def test_accumulate_empty():
 def test_accumulate_symmetric_pair():
     c = accumulate([(1, 0, 0), (-1, 0, 0)])
     assert c.n == 2
-    assert np.allclose(c.sum, 0)
-    assert np.allclose(c.sq_sum, np.diag([2.0, 0.0, 0.0]))
+    cov, cen = covariance(c)
+    assert rel_close(cen, np.zeros(3), 1e-12)
+    assert rel_close(cov, np.diag([1.0, 0.0, 0.0]), 1e-12)
 
 
 def test_accumulate_matches_two_pass_covariance(rng):
@@ -62,9 +63,9 @@ def _bits(x):
 @given(n=st.integers(1, 3000), layout=st.sampled_from(["C", "F", "strided", "gathered"]),
        offset=st.sampled_from([0.0, 1e3, 4e6]), seed=st.integers(0, 2**31 - 1))
 def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
-    # The moments must be exactly the per-column pairwise sums, whatever
-    # the memory layout of the input: the plane decisions and the output
-    # bytes depend on the last bit.
+    # The moments must be exactly the per-column pairwise sums of the
+    # points centred on the first one, whatever the memory layout of the
+    # input: the plane decisions and the output bytes depend on the last bit.
     gen = np.random.default_rng(seed)
     base = gen.uniform(-5.0, 5.0, (2 * n, 6)) + offset
     if layout == "C":
@@ -76,28 +77,41 @@ def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
     else:
         pts = base[gen.choice(2 * n, n, replace=False), 1:4]
     c = accumulate(pts)
+    rel = pts - pts[0]
     assert c.n == n
-    assert _bits(c.sum) == _bits([pts[:, j].sum() for j in range(3)])
-    assert _bits(c.sq_sum) == _bits([[(pts[:, i] * pts[:, j]).sum() for j in range(3)]
+    assert _bits(c.origin) == _bits(pts[0])
+    assert _bits(c.sum) == _bits([rel[:, j].sum() for j in range(3)])
+    assert _bits(c.sq_sum) == _bits([[(rel[:, i] * rel[:, j]).sum() for j in range(3)]
                                      for i in range(3)])
 
 
 def test_merge_identity():
+    # an empty operand on either side leaves the other one, origin included
     a = accumulate([(1, 2, 3), (4, 5, 6)])
-    merged = merge_clusters(a, PointCluster.empty())
-    assert merged.n == a.n
-    assert np.array_equal(merged.sum, a.sum)
-    assert np.array_equal(merged.sq_sum, a.sq_sum)
+    for merged in (merge_clusters(a, PointCluster.empty()),
+                   merge_clusters(PointCluster.empty(), a)):
+        assert merged.n == a.n
+        assert np.array_equal(merged.origin, a.origin)
+        assert np.array_equal(merged.sum, a.sum)
+        assert np.array_equal(merged.sq_sum, a.sq_sum)
 
 
 def test_merge_equals_accumulate_of_union(rng):
-    p = rng.uniform(-50, 50, (37, 3))
-    q = rng.uniform(-50, 50, (23, 3))
-    m = merge_clusters(accumulate(p), accumulate(q))
-    u = accumulate(np.concatenate([p, q]))
-    assert m.n == u.n
-    assert rel_close(m.sum, u.sum, 1e-12)
-    assert rel_close(m.sq_sum, u.sq_sum, 1e-12)
+    # q's origin lies up to 100 m from p's, so merging re-bases its sums;
+    # at 4e6 m sums about the coordinate origin would cancel in covariance
+    for offset in (0.0, 4e6):
+        p = rng.uniform(-50, 50, (37, 3)) + offset
+        q = rng.uniform(-50, 50, (23, 3)) + offset
+        m = merge_clusters(accumulate(p), accumulate(q))
+        u = accumulate(np.concatenate([p, q]))
+        assert m.n == u.n
+        assert _bits(m.origin) == _bits(u.origin) == _bits(p[0])
+        assert rel_close(m.sum, u.sum, 1e-12)
+        assert rel_close(m.sq_sum, u.sq_sum, 1e-12)
+        cov, cen = covariance(m)
+        cov_ref, cen_ref = two_pass_covariance(np.concatenate([p, q]))
+        assert rel_close(cen, cen_ref, 1e-12)
+        assert rel_close(cov, cov_ref, 1e-12)
 
 
 def test_merge_commutative_and_associative(rng):
@@ -105,15 +119,16 @@ def test_merge_commutative_and_associative(rng):
         a = accumulate(rng.uniform(-10, 10, (rng.integers(1, 30), 3)))
         b = accumulate(rng.uniform(-10, 10, (rng.integers(1, 30), 3)))
         c = accumulate(rng.uniform(-10, 10, (rng.integers(1, 30), 3)))
+        # the operands' origins differ, so compare what the sums describe
         ab = merge_clusters(a, b)
         ba = merge_clusters(b, a)
-        assert rel_close(ab.sum, ba.sum, 1e-12)
-        assert rel_close(ab.sq_sum, ba.sq_sum, 1e-12)
         left = merge_clusters(merge_clusters(a, b), c)
         right = merge_clusters(a, merge_clusters(b, c))
-        assert left.n == right.n
-        assert rel_close(left.sum, right.sum, 1e-12)
-        assert rel_close(left.sq_sum, right.sq_sum, 1e-12)
+        for x, y in ((ab, ba), (left, right)):
+            assert x.n == y.n
+            (cov_x, cen_x), (cov_y, cen_y) = covariance(x), covariance(y)
+            assert rel_close(cen_x, cen_y, 1e-12)
+            assert rel_close(cov_x, cov_y, 1e-12)
 
 
 def test_covariance_single_point():

@@ -26,38 +26,39 @@ from voxplane import (
     octree_leaves,
     ransac_extract_all,
     subdivide,
-    voxel_key,
 )
+from voxplane.octree import voxel_keys
 
 import pinned
 from oracles import two_pass_covariance
 
 CFG = ExtractionConfig()
+# a UTM-like easting, northing and height: a whole number of root voxels
+UTM_SHIFT = np.array([5e5, 4e6, 100.0])
 
 
 # ---------------------------------------------------------------------------
-# voxel_key / build_root_map
+# voxel_keys / build_root_map
 
 
 def test_voxel_key_basic():
-    assert voxel_key((0.5, 0.5, 0.5), 1.0) == VoxelKey(0, 0, 0)
+    assert voxel_keys(np.array([[0.5, 0.5, 0.5]]), 1.0)[0].tolist() == [0, 0, 0]
 
 
 def test_voxel_key_floor_semantics():
-    assert voxel_key((-0.01, 2.0, 0.99), 1.0) == VoxelKey(-1, 2, 0)
+    assert voxel_keys(np.array([[-0.01, 2.0, 0.99]]), 1.0)[0].tolist() == [-1, 2, 0]
 
 
 @pytest.mark.parametrize("root_size", [1.0, 0.5, 2.0])
 def test_voxel_key_interval_membership(rng, root_size):
     pts = rng.uniform(-20, 20, (100_000, 3))
-    keys = np.floor(pts / root_size).astype(np.int64)
+    keys = voxel_keys(pts, root_size)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, np.floor(pts / root_size))
     # oracle: every point must lie in the half-open cube its key names
     lo = keys * root_size
     hi = (keys + 1) * root_size
     assert np.all(pts >= lo) and np.all(pts < hi)
-    # and the scalar path agrees with the vectorized one
-    for i in rng.integers(0, pts.shape[0], 50):
-        assert voxel_key(pts[i], root_size) == VoxelKey(*keys[i])
 
 
 def test_build_root_map_empty():
@@ -91,7 +92,7 @@ def test_lattice_overflow_rejected():
         with pytest.raises(InputValidationError):
             build_root_map(pts, 1.0)
         with pytest.raises(InputValidationError):
-            voxel_key(pts[0], 1.0)
+            voxel_keys(pts[:1], 1.0)
         with pytest.raises(InputValidationError):
             ransac_extract_all(pts, CFG, RansacParams(seed=0))
     # the quotient, not the coordinate, must fit
@@ -223,7 +224,7 @@ def _groups_sha256(points, floats=True):
         patch = group.merged
         h.update(np.asarray(patch.root_key, dtype=np.int64).tobytes())
         h.update(np.asarray(patch.point_indices, dtype=np.int64).tobytes())
-        for arr in (patch.centroid, patch.normal, patch.eigenvalues)[:3 * floats]:
+        for arr in (patch.centroid, patch.normal, patch.eigenvalues) if floats else ():
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -241,10 +242,14 @@ def test_room_group_members_pinned(room_30k):
 
 
 def test_corner_utm_groups_byte_identical():
-    # at UTM coordinates the moments cancel, so a last-bit change in a
-    # kernel flips plane decisions here most easily
-    points = gen_corner(seed=0).points + np.array([5e5, 4e6, 100.0])
-    assert _groups_sha256(points) == pinned.CORNER_UTM_GROUPS_SHA256
+    # far from the origin a last-bit change in a kernel shows first; the
+    # groups must be the origin scene's, members and order alike
+    points = gen_corner(seed=0).points
+    assert _groups_sha256(points + UTM_SHIFT) == pinned.CORNER_UTM_GROUPS_SHA256
+    near, far = (extract_plane_groups(p, CFG).groups for p in (points, points + UTM_SHIFT))
+    assert len(far) == pinned.CORNER_EVAL["groups"]
+    assert ([g.merged.point_indices.tolist() for g in far]
+            == [g.merged.point_indices.tolist() for g in near])
 
 
 def test_leaf_octant_paths_strictly_increase(room_30k, rng):
@@ -284,7 +289,7 @@ def test_extract_plane_spanning_four_roots(rng):
     cloud = gen_plane(np.array([0.0, 0.0, 1.0]), 0.5, (2.0, 2.0), 1500.0,
                       0.002, seed=3, center=np.array([0.0, 0.0, 0.5]))
     # generator bounding box covers 4 root cells in x,y
-    keys = {voxel_key(p, CFG.root_size) for p in cloud.points[:: max(1, len(cloud.points) // 500)]}
+    keys = {tuple(k) for k in voxel_keys(cloud.points, CFG.root_size).tolist()}
     assert len(keys) >= 4
     patches = _planes(cloud.points)
     assert len(patches) >= 4
@@ -309,6 +314,44 @@ def test_extract_translation_by_root_multiples(rng):
                 for voxel in leaves.values() for leaf in voxel]
 
     assert shape(f0) == shape(f1)
+
+    # the whole extraction at UTM-like coordinates, also a whole number of
+    # root voxels away: the same groups and, within roundoff, the same planes
+    near = extract_plane_groups(pts, CFG).groups
+    far = extract_plane_groups(pts + UTM_SHIFT, CFG).groups
+    assert _member_sets(near) == _member_sets(far)
+    by_members = {frozenset(g.merged.point_indices.tolist()): g.merged for g in far}
+    for g in near:
+        f = by_members[frozenset(g.merged.point_indices.tolist())]
+        assert math.degrees(math.acos(min(1.0, abs(float(g.merged.normal @ f.normal))))) <= 1e-4
+        assert np.abs(g.merged.centroid + UTM_SHIFT - f.centroid).max() <= 1e-8
+
+
+def _member_sets(groups, order=None):
+    """The groups as a set of frozensets of point indices, mapped through
+    ``order`` when the extraction ran on ``points[order]``."""
+    return {frozenset((g.merged.point_indices if order is None
+                       else order[g.merged.point_indices]).tolist()) for g in groups}
+
+
+@pytest.mark.parametrize("scene", ["room_30k", "corner_utm"])
+def test_extract_permutation_gives_same_groups(scene):
+    # Input order must not decide a plane test. With min_points 20 a
+    # quarter counts from 3 points, and 3 points are always coplanar, so
+    # that quarter's smallest eigenvalue is pure roundoff. Summed about the
+    # coordinate origin it came out anywhere up to about +/-7e-14 in these
+    # rooms, on either side of the 1e-12 * lambda0 flush (about 5e-15), so
+    # the summation order, that is the input order, decided the verdict.
+    # Summed about a point of the node it is near 1e-20 and always flushed.
+    if scene == "room_30k":
+        points = gen_multi_room(target_points=30_000, seed=[9, 1]).points
+    else:
+        points = gen_corner(seed=0).points + UTM_SHIFT
+    ref = _member_sets(extract_plane_groups(points, CFG).groups)
+    gen = np.random.default_rng(5)
+    for _ in range(5):
+        order = gen.permutation(points.shape[0])
+        assert _member_sets(extract_plane_groups(points[order], CFG).groups, order) == ref
 
 
 def test_extract_deterministic(rng):
