@@ -4,7 +4,9 @@ Space is cut into fixed-size root voxels on an integer lattice; only
 non-empty voxels are kept, in a hash map keyed by lattice coordinates.
 Each root voxel is then subdivided: a node whose points pass the plane
 test becomes a plane leaf, a node that is too small or too sparse is
-discarded, and anything else splits into eight octants.
+discarded, and anything else splits into eight octants. A node carries its
+own rows of the cloud: the caller gathers each root's rows once, and every
+child's rows are a contiguous slice of its parent's, in octant order.
 
 The tree itself is not kept. Each root voxel resolves to a flat list of
 its leaves (plane leaves and discarded nodes), depth first with octant
@@ -81,14 +83,15 @@ class OctreeNode:
 
 def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
     """(N, 3) int64 lattice addresses of the root voxels holding (N, 3)
-    points. Uses mathematical floor, so -0.3 lands in cell -1 and cell
-    boundaries belong to the higher cell (half-open convention). Raises
+    points, the transpose of C-contiguous (3, N) key rows. Uses
+    mathematical floor, so -0.3 lands in cell -1 and cell boundaries
+    belong to the higher cell (half-open convention). Raises
     InputValidationError where |x / root_size| >= 2^63 has no int64 key."""
-    cells = np.floor(points / root_size)
-    if not (np.abs(cells) < 2.0 ** 63).all():
+    cells = np.floor(np.divide(points.T, root_size, order="C"))
+    if cells.size and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):
         raise InputValidationError("coordinate too large for the voxel lattice: "
                                    "|x / root_size| must be below 2^63")
-    return cells.astype(np.int64)
+    return cells.astype(np.int64).T
 
 
 def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
@@ -97,19 +100,28 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     Only non-empty voxels appear; the index arrays partition the input.
     Keys are in sorted lattice order so downstream iteration is
     deterministic.
+
+    The sort keys are each lattice row's offsets from its minimum, stored
+    in the narrowest unsigned type that holds the row's span (uint8 on a
+    room-sized scene), which gives the order of the int64 keys with a
+    faster ``lexsort``. The span is a Python int and the offsets are
+    uint64 differences modulo 2^64 before narrowing, so a span beyond
+    int64 (keys near +-6e18) still sorts right.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
         return {}
-    # Key rows, so the sort keys and the gather read contiguous rows.
-    keys = np.ascontiguousarray(voxel_keys(pts, root_size).T)
-    order = np.lexsort(keys[::-1])
-    sorted_keys = keys.take(order, axis=1)
-    change = np.flatnonzero((sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)) + 1
+    keys = voxel_keys(pts, root_size).T
+    lows = keys.min(axis=1).tolist()
+    rows = [(row.view(np.uint64) - np.uint64(lo % 2 ** 64)).astype(np.min_scalar_type(hi - lo))
+            for row, lo, hi in zip(keys, lows, keys.max(axis=1).tolist())]
+    order = np.lexsort(rows[::-1])
+    rows = [row.take(order) for row in rows]
+    change = np.flatnonzero(np.logical_or.reduce([row[1:] != row[:-1] for row in rows])) + 1
     starts = np.concatenate(([0], change)).tolist()
-    firsts = sorted_keys.take(starts, axis=1).T.tolist()
-    return {VoxelKey(*k): order[a:b]
-            for k, a, b in zip(firsts, starts, starts[1:] + [pts.shape[0]])}
+    firsts = zip(*(row.take(starts).tolist() for row in rows))
+    return {VoxelKey(*(lo + k for lo, k in zip(lows, first))): order[a:b]
+            for first, a, b in zip(firsts, starts, starts[1:] + [pts.shape[0]])}
 
 
 # Octant index bit layout: bit0 = x >= center, bit1 = y >= center,
@@ -117,13 +129,17 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
 _OCTANT_SIGNS = np.array(
     [[(k >> 0) & 1, (k >> 1) & 1, (k >> 2) & 1] for k in range(8)],
     dtype=np.float64) * 2.0 - 1.0
-_OCTANT_BITS = np.array([1, 2, 4])
+_OCTANT_BITS = np.array([1, 2, 4], dtype=np.uint8)
 
 
 def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
               root_key: VoxelKey, leaves: list[OctreeNode]) -> OctreeNode:
     """Resolve a node and its subtree, appending every terminal node to
     ``leaves`` depth first, octant index ascending.
+
+    ``points`` are the node's own (n, 3) rows, row i being the point
+    ``node.point_indices[i]``. Each child gets a contiguous slice of its
+    parent's rows in octant order, so the cloud is read once per root.
 
     Terminal conditions: too few points (discard), plane test passed
     (plane leaf, reusing the statistics computed by the test), or node
@@ -134,8 +150,7 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     idx = node.point_indices
     node.state = NodeState.DISCARDED
     if idx.shape[0] >= config.plane_params.min_points:
-        sub = points.take(idx, axis=0)
-        decision = determine_plane(sub, config.plane_params)
+        decision = determine_plane(points, config.plane_params)
         if decision.is_plane:
             node.state = NodeState.PLANE_LEAF
             node.patch = PlanePatch(
@@ -153,10 +168,11 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
         leaves.append(node)
         return node
 
-    # One stable sort by octant code keeps each octant's indices in their
-    # current order; the octants are then consecutive slices.
-    code = (sub >= node.center) @ _OCTANT_BITS
-    by_octant = idx[code.argsort(kind="stable")]
+    # One stable (uint8, so radix) sort by octant code keeps each octant's
+    # points in their current order; the octants are then consecutive slices.
+    code = (points >= node.center) @ _OCTANT_BITS
+    order = code.argsort(kind="stable")
+    by_octant, block = idx.take(order), points.take(order, axis=0)
     child_he = node.half_extent / 2.0
     centers = node.center + _OCTANT_SIGNS * child_he
     stop = 0
@@ -166,5 +182,5 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
             subdivide(OctreeNode(center=centers[k], half_extent=child_he,
                                  depth=node.depth + 1,
                                  point_indices=by_octant[start:stop]),
-                      points, config, root_key, leaves)
+                      block[start:stop], config, root_key, leaves)
     return node

@@ -1,11 +1,12 @@
 """End-to-end extraction pipeline: root voxelization, per-voxel octree
 subdivision, and per-voxel plane merging.
 
-Each root voxel resolves to a flat list of its octree leaves, depth first
-with octant index ascending; the plane leaves' patches are merged within
-the voxel. Root voxels are resolved and emitted in sorted lattice order,
-which keeps the output identical from run to run. ``octree_leaves``
-returns the leaf lists themselves, for inspection and tests.
+Each root voxel's rows are gathered from the cloud once and resolve to a
+flat list of its octree leaves, depth first with octant index ascending;
+the plane leaves' patches are merged within the voxel. Root voxels are
+resolved and emitted in sorted lattice order, which keeps the output
+identical from run to run. ``octree_leaves`` returns the leaf lists
+themselves, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _root_leaves(key: VoxelKey, idx: np.ndarray, pts: np.ndarray,
     leaves: list[OctreeNode] = []
     root = OctreeNode(center=(np.asarray(key, dtype=np.float64) + 0.5) * config.root_size,
                       half_extent=config.root_size / 2.0, depth=0, point_indices=idx)
-    subdivide(root, pts, config, key, leaves)
+    subdivide(root, pts.take(idx, axis=0), config, key, leaves)
     return leaves
 
 

@@ -132,11 +132,12 @@ def quarter_split(points, eig: EigenDecomposition,
     whose union is the full index range.
     """
     pts = as_points(points)
-    rel = (pts - center).T
+    rel = np.subtract(pts.T, center[:, None], order="C")
     u = eig.eigenvectors
     d0 = rel[0] * u[0, 0] + rel[1] * u[1, 0] + rel[2] * u[2, 0]
     d1 = rel[0] * u[0, 1] + rel[1] * u[1, 1] + rel[2] * u[2, 1]
-    code = (d0 >= 0.0) * 2 + (d1 >= 0.0)
+    # uint8 codes, so the stable argsort is a radix sort
+    code = (d0 >= 0.0) * np.uint8(2) + (d1 >= 0.0)
     order = code.argsort(kind="stable")
     a, b, c = np.bincount(code, minlength=4)[:3].cumsum().tolist()
     return order[:a], order[a:b], order[b:c], order[c:]

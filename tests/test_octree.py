@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -86,8 +88,9 @@ def test_build_root_map_partitions_input(rng):
 
 
 def test_lattice_overflow_rejected():
-    # 1e19, -1e19 and 2e19 would all cast to the key INT64_MIN
-    for x in (1e19, -1e19, 2e19):
+    # 1e19, -1e19 and 2e19 would all cast to the key INT64_MIN; -2^63 is
+    # INT64_MIN itself, on the rejected side of the one |x| < 2^63 bound
+    for x in (1e19, -1e19, 2e19, -2.0 ** 63):
         pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
         with pytest.raises(InputValidationError):
             build_root_map(pts, 1.0)
@@ -98,6 +101,71 @@ def test_lattice_overflow_rejected():
     # the quotient, not the coordinate, must fit
     with pytest.raises(InputValidationError):
         build_root_map(np.array([[1e10, 0.0, 0.0]]), 1e-10)
+    # the largest double below 2^63 is accepted and keeps its exact key
+    x = np.nextafter(2.0 ** 63, 0)
+    pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    assert voxel_keys(pts[:1], 1.0)[0].tolist() == [2 ** 63 - 1024, 0, 0]
+    out = build_root_map(pts, 1.0)
+    assert list(out) == [VoxelKey(0, 0, 0), VoxelKey(2 ** 63 - 1024, 0, 0)]
+    assert [v.tolist() for v in out.values()] == [[1], [0]]
+
+
+def _root_map_reference(points, root_size):
+    """build_root_map written plainly: a stable lexsort of the wide int64
+    keys, x first, then one index array per run of equal keys."""
+    keys = np.floor(points / root_size).astype(np.int64)
+    out = {}
+    for i in np.lexsort(keys.T[::-1]).tolist():
+        out.setdefault(VoxelKey(*keys[i].tolist()), []).append(i)
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def _assert_root_map_matches_reference(points, root_size):
+    out = build_root_map(points, root_size)
+    ref = _root_map_reference(points, root_size)
+    assert list(out) == list(ref)
+    for key, idx in ref.items():
+        assert np.array_equal(out[key], idx), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), bits=st.sampled_from([5, 16, 32, 44]),
+       root_size=st.sampled_from([0.25, 1.0, 4.0]))
+def test_build_root_map_matches_wide_key_reference(seed, bits, root_size):
+    # Every axis spans 2^bits - 1 cells about zero, negative keys included,
+    # so the narrowed sort rows come out uint8, uint16, uint32 and uint64.
+    # The keys repeat, so voxels hold several points in input order.
+    gen = np.random.default_rng(seed)
+    half = 2 ** (bits - 1)
+    pool = gen.integers(-half, half, (int(gen.integers(2, 40)), 3))
+    pool[0], pool[1] = -half, half - 1
+    keys = pool[np.concatenate(([0, 1], gen.integers(0, len(pool), int(gen.integers(0, 300)))))]
+    keys = keys[gen.permutation(len(keys))]
+    points = (keys + gen.uniform(0.01, 0.99, keys.shape)) * root_size
+    assert np.array_equal(np.floor(points / root_size), keys)
+    _assert_root_map_matches_reference(points, root_size)
+
+
+def test_build_root_map_span_beyond_int64():
+    # keys near +-6e18: max - min is about 1.2e19, past INT64_MAX, so a
+    # span taken in int64 would wrap and sort these points wrongly
+    pts = np.array([[6e18, 0.0, 0.0], [-6e18, 1.5, 0.0], [0.5, 0.5, -3.0],
+                    [6e18, 0.2, 0.3], [-6e18, 1.5, -6e18], [-6e18, 1.2, 0.0]])
+    assert int(pts[:, 0].max()) - int(pts[:, 0].min()) > 2 ** 63 - 1
+    _assert_root_map_matches_reference(pts, 1.0)
+
+
+def test_build_root_map_peak_memory():
+    # The float quotient and the int64 key rows are the only arrays the
+    # size of the cloud alive at once; the sort keys are narrow copies.
+    pts = gen_multi_room(target_points=200_000, seed=0).points
+    tracemalloc.start()
+    try:
+        build_root_map(pts, CFG.root_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * pts.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +283,12 @@ def test_room_leaf_histogram_pinned(room_30k):
     assert dict(hist) == pin["leaves"]
 
 
-def _groups_sha256(points, floats=True):
+def _groups_sha256(points, floats=True, config=CFG):
     """sha256 over each output group's merged patch, in output order: root
     key and member indices (int64), then, with ``floats``, centroid, normal
     and eigenvalues (float64), as raw bytes."""
     h = hashlib.sha256()
-    for group in extract_plane_groups(points, CFG).groups:
+    for group in extract_plane_groups(points, config).groups:
         patch = group.merged
         h.update(np.asarray(patch.root_key, dtype=np.int64).tobytes())
         h.update(np.asarray(patch.point_indices, dtype=np.int64).tobytes())
@@ -250,6 +318,56 @@ def test_corner_utm_groups_byte_identical():
     assert len(far) == pinned.CORNER_EVAL["groups"]
     assert ([g.merged.point_indices.tolist() for g in far]
             == [g.merged.point_indices.tolist() for g in near])
+
+
+def _crossing_planes(rng):
+    """Three noisy planes crossing in [-1, 1]^3 over uniform clutter: plane
+    leaves at every depth, so child rows are sliced from parent rows."""
+    parts = [rng.uniform(-1, 1, (1000, 3))]
+    for normal, d in (([0.3, 0.2, 1.0], 0.1), ([1.0, 0.1, 0.05], -0.4), ([0.1, 1.0, 0.2], 0.3)):
+        n = np.asarray(normal) / np.linalg.norm(normal)
+        p = rng.uniform(-1, 1, (8000, 3))
+        parts.append(p - np.outer(p @ n - d - rng.normal(0, 0.002, 8000), n))
+    return np.concatenate(parts)
+
+
+def test_plane_leaf_cluster_sums_its_own_points(room_30k, rng):
+    # A node's rows are a slice of its parent's, gathered apart from its
+    # index slice; a block out of step with the indices would sum other
+    # points than the leaf names. The sums must be those of the named
+    # points, bit for bit.
+    clutter = _crossing_planes(rng)
+    scenes = (room_30k, (clutter, octree_leaves(clutter, CFG)))
+    for pts, leaves in scenes:
+        for leaf in (leaf for voxel in leaves.values() for leaf in voxel if leaf.patch):
+            got, ref = leaf.patch.cluster, accumulate(pts[leaf.point_indices])
+            assert got.n == ref.n
+            for field in ("sum", "sq_sum", "origin"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    # the clutter has plane leaves two slices below their root
+    assert 2 in {leaf.depth for voxel in scenes[1][1].values() for leaf in voxel if leaf.patch}
+
+
+@pytest.fixture(scope="module")
+def scale_scenes(room_30k):
+    corner = gen_corner(seed=0).points
+    return {"room_30k": (room_30k[0], pinned.ROOM_30K_MEMBERS_SHA256),
+            "corner": (corner, _groups_sha256(corner, floats=False))}
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+@pytest.mark.parametrize("scene", ["room_30k", "corner"])
+def test_extract_scale_invariance(scale_scenes, scene, k):
+    # Scaling the points and every length parameter by 2^k is exact in
+    # binary floating point, so no decision may move: same root keys, same
+    # groups, same member indices.
+    points, members_sha = scale_scenes[scene]
+    s = 2.0 ** k
+    cfg = dataclasses.replace(
+        CFG, root_size=CFG.root_size * s, min_voxel_size=CFG.min_voxel_size * s,
+        merge_params=dataclasses.replace(CFG.merge_params,
+                                         min_separation=CFG.merge_params.min_separation * s))
+    assert _groups_sha256(points * s, floats=False, config=cfg) == members_sha
 
 
 def test_leaf_octant_paths_strictly_increase(room_30k, rng):
