@@ -59,3 +59,9 @@ CORNER_UTM_GROUPS_SHA256 = "4daa1ca67ce2d1251db84b22cbdf7c888e039a63fd7ae188fcf7
 # re-serialized as json.dumps(report, indent=2); pins every score the
 # evaluator prints for ours and for the RANSAC baseline
 CORNER_COMPARE_SHA256 = "85565918529c4ebc7cd593dc25ce3810ca1b1af6211628e718a4b6e35ceb20c7"
+
+# sha256 over ransac_extract_all(...) at seed 0 and the default config, on
+# gen_corner(seed=0) and then gen_slab_with_object(seed=0): for each patch
+# in output order, its root key and point indices (int64), then its
+# centroid, normal and eigenvalues (float64), as raw bytes
+RANSAC_PATCHES_SHA256 = "19d2e507523ddbbf86c1e423461a5cabcfb70248bdfa8cf8fd8c41e1c3790f94"

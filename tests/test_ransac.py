@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from voxplane import (
     ransac_plane,
 )
 
+import pinned
 from oracles import point_plane_distance
 
 CFG = ExtractionConfig()
@@ -156,3 +158,16 @@ def test_extract_all_scores_the_same_at_utm_coordinates(corner_cloud):
         report = evaluate([PlaneGroup(members=[p], merged=p) for p in patches], truth)
         worst.append(max(m.normal_error_deg for m in report.matched_planes))
     assert round(worst[0], 3) == round(worst[1], 3) == 0.290
+
+
+def test_extract_all_patches_pinned():
+    # the baseline's bytes: every patch's members and statistics on two
+    # scenes, so a change to its sampling, refit or settings shows here
+    h = hashlib.sha256()
+    for cloud in (gen_corner(seed=0), gen_slab_with_object(seed=0)):
+        for p in ransac_extract_all(cloud.points, CFG, RansacParams(seed=0)):
+            h.update(np.asarray(p.root_key, dtype=np.int64).tobytes())
+            h.update(np.asarray(p.point_indices, dtype=np.int64).tobytes())
+            for arr in (p.centroid, p.normal, p.eigenvalues):
+                h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    assert h.hexdigest() == pinned.RANSAC_PATCHES_SHA256
