@@ -6,7 +6,7 @@ wrong point association that hurts downstream pose optimization. The
 adaptive-voxel pipeline drops the ambiguous region instead.
 """
 
-from voxplane import ExtractionConfig, PlaneGroup, RansacParams, ransac_extract_all
+from voxplane import ExtractionConfig, PlaneGroup, ransac_extract_all
 from voxplane.evaluation import evaluate
 from voxplane.pipeline import extract_plane_groups
 from voxplane.synthetic import gen_slab_with_object
@@ -31,7 +31,7 @@ print(f"ours:   {len(ours)} groups, precision {rep.precision:.3f}, "
       f"recall {rep.recall:.3f}")
 print(f"        box points inside ground groups: {box_points_claimed_as_ground(ours)}")
 
-patches = ransac_extract_all(cloud.points, config, RansacParams(seed=0))
+patches = ransac_extract_all(cloud.points, config, seed=0)
 ransac_groups = [PlaneGroup(members=[p], merged=p) for p in patches]
 rep_r = evaluate(ransac_groups, cloud)
 print(f"ransac: {len(ransac_groups)} patches, precision {rep_r.precision:.3f}, "

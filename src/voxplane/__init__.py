@@ -46,7 +46,7 @@ from .plane_test import (
     quarter_split,
     split_center,
 )
-from .ransac import RansacParams, RansacPlane, ransac_extract_all, ransac_plane
+from .ransac import RansacPlane, ransac_extract_all, ransac_plane
 from .synthetic import (
     GroundTruthCloud,
     TruthPlane,
@@ -70,7 +70,7 @@ __all__ = [
     "build_root_map", "subdivide",
     "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",
     "StageTimings", "ExtractionResult", "octree_leaves", "extract_plane_groups",
-    "RansacParams", "RansacPlane", "ransac_plane", "ransac_extract_all",
+    "RansacPlane", "ransac_plane", "ransac_extract_all",
     "GroundTruthCloud", "TruthPlane", "gen_plane", "gen_corner",
     "gen_false_positive_slab", "gen_slab_with_object", "gen_multi_room",
     "EvalReport", "PlaneMatch", "evaluate", "fit_truth_planes",

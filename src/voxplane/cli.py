@@ -30,7 +30,7 @@ from .io import (
 )
 from .merging import PlaneGroup
 from .pipeline import extract_plane_groups
-from .ransac import RansacParams, ransac_extract_all
+from .ransac import ransac_extract_all
 from .synthetic import (
     GroundTruthCloud,
     gen_corner,
@@ -193,7 +193,7 @@ def _cmd_compare(args) -> int:
         result = extract_plane_groups(points, config)
         payload["ours"] = report_to_dict(evaluate(result.groups, truth, result.timings))
     if "ransac" in methods:
-        patches = ransac_extract_all(points, config, RansacParams(seed=args.seed))
+        patches = ransac_extract_all(points, config, seed=args.seed)
         groups = [PlaneGroup(members=[p], merged=p) for p in patches]
         payload["ransac"] = report_to_dict(evaluate(groups, truth))
     _emit_report(payload, args.report)

@@ -69,7 +69,8 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     denominator is empty. A point in several groups votes in each.
 
     Raises InputValidationError unless every label is in
-    ``[-1, len(truth.planes))``.
+    ``[-1, len(truth.planes))`` and every member index in
+    ``[0, len(truth.labels))``.
     """
     labels = truth.labels
     n_planes = len(truth.planes)
@@ -81,6 +82,10 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     sizes = [g.merged.point_indices.shape[0] for g in groups]
     idx = np.concatenate([np.empty(0, dtype=np.intp)]
                          + [g.merged.point_indices for g in groups])
+    if idx.size and (idx.min() < 0 or idx.max() >= labels.shape[0]):
+        raise InputValidationError(
+            f"member indices must lie in [0, {labels.shape[0]}) for "
+            f"{labels.shape[0]} labeled points, got {idx.min()} to {idx.max()}")
     gid = np.repeat(np.arange(len(groups)), sizes)
     votes = np.bincount(gid * width + labels[idx] + 1,
                         minlength=len(groups) * width).reshape(len(groups), width)

@@ -1,8 +1,10 @@
 """File formats: point clouds (binary labeled, xyz, ascii ply), plane-set
 documents, colored clouds, and the JSON form of evaluation reports.
 
-One writer per format, each formatting whole arrays: one ``tolist()`` per
-array, floats in shortest round-trip ``repr``. Output is byte-stable for
+Clouds are read in all three formats and written in the labeled binary
+one, which round-trips coordinates bit-exactly; the text writers (plane
+sets and colored ply) format whole arrays: one ``tolist()`` per array,
+floats in shortest round-trip ``repr``. Output is byte-stable for
 identical input: field order is fixed, and nothing timing-dependent is
 written except the explicit timing section of reports. Plane sets always
 carry each group's member point indices (the point association).
@@ -182,54 +184,19 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
     return _parse_rows(rows[:vertex_count], properties, path)
 
 
-def write_cloud(path, points, labels=None, fmt: str = "labeled") -> None:
-    """Write a cloud. The labeled binary format round-trips coordinates
-    bit-exactly; xyz and ply_ascii use shortest round-trip decimal."""
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3))
+def write_cloud(path, points, labels=None) -> None:
+    """Write a cloud in the labeled binary format, which round-trips
+    coordinates bit-exactly; labels are optional."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if labels is not None and len(labels) != pts.shape[0]:
         raise InputValidationError(
             f"labels length {len(labels)} does not match {pts.shape[0]} points")
-    path = Path(path)
-    if fmt == "labeled":
-        has = labels is not None
-        blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], int(has))
-        blob += pts.astype("<f8").tobytes()
-        if has:
-            blob += np.asarray(labels, dtype="<i4").tobytes()
-        path.write_bytes(blob)
-        return
-    if fmt == "xyz":
-        rows = _text_rows(pts)
-        path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
-        return
-    if fmt == "ply_ascii":
-        if labels is None:
-            _write_ply(path, pts)
-        else:
-            _write_ply(path, pts, ("int label",),
-                       np.asarray(labels, dtype=np.int64).reshape(-1, 1))
-        return
-    raise CloudFormatError(f"unknown format {fmt!r}", path)
-
-
-def _text_rows(points: np.ndarray, ints: np.ndarray | None = None) -> list[str]:
-    """One text row per point: x y z in shortest round-trip repr, then the
-    matching row of the (n, k) integer array ``ints``, if given."""
-    cols = [map(repr, points[:, k].tolist()) for k in range(3)]
-    if ints is not None:
-        cols += [map(str, ints[:, k].tolist()) for k in range(ints.shape[1])]
-    return list(map(" ".join, zip(*cols)))
-
-
-def _write_ply(path, points: np.ndarray, int_properties: tuple[str, ...] = (),
-               ints: np.ndarray | None = None) -> None:
-    """ASCII ply with double x, y, z and one integer property per column of
-    ``ints``, each declared as "<type> <name>" in ``int_properties``."""
-    header = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
-              "property double x", "property double y", "property double z",
-              *(f"property {prop}" for prop in int_properties), "end_header"]
-    Path(path).write_text("\n".join(header + _text_rows(points, ints)) + "\n",
-                          encoding="utf-8")
+    has = labels is not None
+    blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], int(has))
+    blob += pts.astype("<f8").tobytes()
+    if has:
+        blob += np.asarray(labels, dtype="<i4").tobytes()
+    Path(path).write_bytes(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +343,8 @@ def group_color(index: int) -> tuple[int, int, int]:
 
 def write_colored_cloud(points, assignment, path) -> None:
     """ASCII ply of the points assigned to groups, one distinct color per
-    group (palette indexed by group number). Points with assignment < 0
+    group (palette indexed by group number): double x, y, z in shortest
+    round-trip repr and uchar red, green, blue. Points with assignment < 0
     are not part of any plane and are omitted."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     assign = np.asarray(assignment, dtype=np.int64).reshape(-1)
@@ -384,8 +352,15 @@ def write_colored_cloud(points, assignment, path) -> None:
     groups, member_of = np.unique(assign[keep], return_inverse=True)
     palette = np.array([group_color(g) for g in groups.tolist()],
                        dtype=np.int64).reshape(-1, 3)
-    _write_ply(path, pts[keep], ("uchar red", "uchar green", "uchar blue"),
-               palette[member_of])
+    kept, colors = pts[keep], palette[member_of]
+    cols = [map(repr, kept[:, k].tolist()) for k in range(3)]
+    cols += [map(str, colors[:, k].tolist()) for k in range(3)]
+    header = ["ply", "format ascii 1.0", f"element vertex {keep.shape[0]}",
+              "property double x", "property double y", "property double z",
+              "property uchar red", "property uchar green", "property uchar blue",
+              "end_header"]
+    Path(path).write_text("\n".join(header + list(map(" ".join, zip(*cols)))) + "\n",
+                          encoding="utf-8")
 
 
 def report_to_dict(report: EvalReport) -> dict:

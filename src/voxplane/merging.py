@@ -40,8 +40,8 @@ class MergeParams:
             raise ConfigError("normal_angle_max_deg must be in (0, 90)")
         if not 0 < self.separation_angle_tol_deg < 90:
             raise ConfigError("separation_angle_tol_deg must be in (0, 90)")
-        if self.min_separation < 0:
-            raise ConfigError("min_separation must be non-negative")
+        if not 0 <= self.min_separation < math.inf:
+            raise ConfigError("min_separation must be non-negative and finite")
 
 
 @dataclass

@@ -59,14 +59,14 @@ class PlaneTestParams:
     sigma_shift_multiple: float = 5.0
 
     def __post_init__(self):
-        if not self.flatness_ratio_max > 0:
-            raise ConfigError("flatness_ratio_max must be positive")
-        if not self.quarter_ratio_bound > 1:
-            raise ConfigError("quarter_ratio_bound must exceed 1")
+        if not 0 < self.flatness_ratio_max < math.inf:
+            raise ConfigError("flatness_ratio_max must be positive and finite")
+        if not 1 < self.quarter_ratio_bound < math.inf:
+            raise ConfigError("quarter_ratio_bound must exceed 1 and be finite")
         if self.min_points < 4:
             raise ConfigError("min_points must be at least 4")
-        if self.sigma_shift_multiple < 0:
-            raise ConfigError("sigma_shift_multiple must be non-negative")
+        if not 0 <= self.sigma_shift_multiple < math.inf:
+            raise ConfigError("sigma_shift_multiple must be non-negative and finite")
 
 
 class RejectReason(enum.Enum):

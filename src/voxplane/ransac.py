@@ -1,49 +1,32 @@
 """Voxelized RANSAC plane extraction, the comparison baseline.
 
 Within each root voxel, planes are pulled out one at a time: sample three
-points, score the implied plane by its inlier count at a fixed distance
-threshold, keep the best, refit it by PCA over the inliers, remove them,
-repeat. The per-voxel random stream is derived from (seed, voxel key) so
-results do not depend on processing order.
+points, score the implied plane by its inlier count at a fixed 0.03 m
+distance threshold, keep the best, refit it by PCA over the inliers,
+remove them, repeat. The baseline's one setting is its seed; the
+per-voxel random stream is derived from (seed, voxel key) so results do
+not depend on processing order. A plane needs the plane test's
+``min_points`` inliers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExtractionConfig
-from .errors import ConfigError
 from .geometry import accumulate, as_points, covariance, eigen_symmetric3
 from .octree import PlanePatch, VoxelKey, build_root_map
 
-__all__ = ["RansacParams", "RansacPlane", "point_plane_distances",
-           "ransac_plane", "ransac_extract_all"]
+__all__ = ["RansacPlane", "point_plane_distances", "ransac_plane", "ransac_extract_all"]
+
+DIST_THRESHOLD = 0.03       # inlier band (meters)
+MAX_ITERATIONS = 500
+SUCCESS_PROBABILITY = 0.99  # of drawing one all-inlier sample
 
 _U64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RansacParams:
-    """dist_threshold is the inlier band (meters). min_inliers of None
-    means "use the plane test's min_points" when running under a config,
-    or 3 when calling ransac_plane standalone."""
-
-    dist_threshold: float = 0.03
-    max_iterations: int = 500
-    min_inliers: int | None = None
-    success_probability: float = 0.99
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.dist_threshold > 0:
-            raise ConfigError("dist_threshold must be positive")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be positive")
-        if not 0 < self.success_probability < 1:
-            raise ConfigError("success_probability must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -62,7 +45,7 @@ def point_plane_distances(points: np.ndarray, normal: np.ndarray,
     return np.abs(d)
 
 
-def _adaptive_iteration_limit(inlier_ratio: float, success_probability: float) -> float:
+def _adaptive_iteration_limit(inlier_ratio: float) -> float:
     """Iterations needed so a clean 3-point sample occurs with the wanted
     probability, given the best inlier ratio seen so far."""
     w3 = inlier_ratio ** 3
@@ -70,29 +53,27 @@ def _adaptive_iteration_limit(inlier_ratio: float, success_probability: float) -
         return math.inf
     if w3 >= 1.0:
         return 0.0
-    return math.log(1.0 - success_probability) / math.log(1.0 - w3)
+    return math.log(1.0 - SUCCESS_PROBABILITY) / math.log(1.0 - w3)
 
 
-def ransac_plane(points, params: RansacParams,
-                 rng: np.random.Generator | None = None) -> RansacPlane | None:
-    """Best consensus plane of a point set, or None.
+def ransac_plane(points, rng: np.random.Generator,
+                 min_inliers: int) -> RansacPlane | None:
+    """Best consensus plane of a point set with at least ``min_inliers``
+    inliers, or None.
 
     Samples of three (nearly) collinear points are degenerate and skipped.
     The final plane is refit by PCA over the consensus set and its inliers
-    recomputed, so every reported inlier is within dist_threshold of the
-    reported plane. Deterministic for a fixed seed/generator.
+    recomputed, so every reported inlier is within DIST_THRESHOLD of the
+    reported plane. Deterministic for a fixed state of ``rng``.
     """
     pts = as_points(points)
     n = pts.shape[0]
     if n < 3:
         return None
-    if rng is None:
-        rng = np.random.default_rng(params.seed % (_U64 + 1))
-    min_inliers = params.min_inliers if params.min_inliers is not None else 3
 
     best_count = 0
     best_inliers: np.ndarray | None = None
-    for iteration in range(1, params.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         sample = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[sample]
         cross = np.cross(p1 - p0, p2 - p0)
@@ -102,15 +83,14 @@ def ransac_plane(points, params: RansacParams,
         normal = cross / norm
         offset = float(np.dot(normal, p0))
         dist = point_plane_distances(pts, normal, offset)
-        inliers = np.flatnonzero(dist <= params.dist_threshold)
+        inliers = np.flatnonzero(dist <= DIST_THRESHOLD)
         if inliers.shape[0] > best_count:
             best_count = inliers.shape[0]
             best_inliers = inliers
-        if iteration >= _adaptive_iteration_limit(best_count / n,
-                                                  params.success_probability):
+        if iteration >= _adaptive_iteration_limit(best_count / n):
             break
 
-    if best_inliers is None or best_count < max(min_inliers, 3):
+    if best_inliers is None or best_count < min_inliers:
         return None
 
     # PCA refit over the consensus set, then re-apply the inlier band
@@ -120,7 +100,7 @@ def ransac_plane(points, params: RansacParams,
     normal = eig.eigenvectors[:, 2].copy()
     offset = float(np.dot(normal, centroid))
     dist = point_plane_distances(pts, normal, offset)
-    inliers = np.flatnonzero(dist <= params.dist_threshold)
+    inliers = np.flatnonzero(dist <= DIST_THRESHOLD)
     if inliers.shape[0] < min_inliers:
         return None
     return RansacPlane(normal=normal, offset=offset, inliers=inliers)
@@ -134,28 +114,25 @@ def _voxel_rng(seed: int, key: VoxelKey) -> np.random.Generator:
 
 
 def ransac_extract_all(points, config: ExtractionConfig | None = None,
-                       params: RansacParams | None = None) -> list[PlanePatch]:
+                       seed: int = 0) -> list[PlanePatch]:
     """Per-root-voxel iterative RANSAC extraction.
 
     In each voxel, planes are extracted and their inliers removed until no
-    plane reaches min_inliers. Patch statistics come from the inlier
-    clusters; inlier sets of successive planes in a voxel are disjoint.
+    plane reaches ``config.plane_params.min_points`` inliers. Patch
+    statistics come from the inlier clusters; inlier sets of successive
+    planes in a voxel are disjoint.
     """
     if config is None:
         config = ExtractionConfig()
-    if params is None:
-        params = RansacParams()
-    min_inliers = (params.min_inliers if params.min_inliers is not None
-                   else config.plane_params.min_points)
-    eff = replace(params, min_inliers=min_inliers)
+    min_inliers = config.plane_params.min_points
 
     pts = as_points(points)
     patches: list[PlanePatch] = []
     for key, idx in build_root_map(pts, config.root_size).items():
-        rng = _voxel_rng(params.seed, key)
+        rng = _voxel_rng(seed, key)
         remaining = idx
-        while remaining.shape[0] >= max(3, min_inliers):
-            result = ransac_plane(pts[remaining], eff, rng)
+        while remaining.shape[0] >= min_inliers:
+            result = ransac_plane(pts[remaining], rng, min_inliers)
             if result is None:
                 break
             member_idx = remaining[result.inliers]

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, InputValidationError
-from .geometry import accumulate, covariance, eigen_symmetric3
-from .plane_test import PlaneTestParams, RejectReason, determine_plane, flatness_test
+from .plane_test import PlaneTestParams, RejectReason, determine_plane
 
 __all__ = [
     "TruthPlane",
@@ -211,10 +210,7 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
                 blob_rng.uniform(0.0, height, count),
             ])
             cloud = _combine([base], outliers=blob)
-            cov, _ = covariance(accumulate(cloud.points))
-            eig = eigen_symmetric3(cov)
-            if not flatness_test(eig, params.flatness_ratio_max):
-                continue
+            # the quarter test runs only once the flatness gate has passed
             decision = determine_plane(cloud.points, params)
             if (not decision.is_plane
                     and decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED):

@@ -3,8 +3,12 @@
 These deliberately avoid the library's code paths: the eigenvalue oracle
 is a classical (largest-pivot) Jacobi iteration working on numpy arrays,
 the covariance oracle is a plain two-pass computation over raw points, and
-the scoring oracle counts each group's labels in its own loop.
+the scoring oracle counts each group's labels in its own loop. The text
+cloud writers, which make xyz and ascii ply input for the readers, format
+their rows on their own.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -85,3 +89,23 @@ def plurality_scores(groups, labels, n_planes: int):
     labeled = int((labels >= 0).sum())
     return (matches, correct / extracted if extracted else None,
             correct / labeled if labeled else None)
+
+
+def _write_rows(path, lines) -> None:
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def write_xyz(path, points) -> None:
+    """One "x y z" row per point, in shortest round-trip ``repr``."""
+    _write_rows(path, [" ".join(map(repr, p)) for p in np.asarray(points).tolist()])
+
+
+def write_ply(path, points, labels=None) -> None:
+    """ASCII ply with double x, y, z and, given labels, an int label."""
+    rows = [" ".join(map(repr, p)) for p in np.asarray(points).tolist()]
+    if labels is not None:
+        rows = [f"{row} {label}" for row, label in zip(rows, np.asarray(labels).tolist())]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+              "property double x", "property double y", "property double z",
+              *(["property int label"] if labels is not None else []), "end_header"]
+    _write_rows(path, header + rows)

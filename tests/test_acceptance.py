@@ -16,7 +16,6 @@ from voxplane import (
     NodeState,
     PlaneGroup,
     PlaneTestParams,
-    RansacParams,
     RejectReason,
     accumulate,
     covariance,
@@ -155,7 +154,7 @@ def test_criterion_5_ransac_contrast():
     def body():
         cloud = gen_slab_with_object(seed=0)
 
-        patches = ransac_extract_all(cloud.points, CFG, RansacParams(seed=0))
+        patches = ransac_extract_all(cloud.points, CFG, seed=0)
         groups_r = [PlaneGroup(members=[p], merged=p) for p in patches]
         box_in_ground_r = _box_points_in_ground_groups(groups_r, cloud)
         assert box_in_ground_r >= 1

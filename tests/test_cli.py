@@ -134,12 +134,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
-    # these once recursed until RecursionError on NaN octant centres
+    # the sizes once recursed until RecursionError on NaN octant centres;
+    # an infinite min_separation once merged points into the wrong groups
     cloud = tmp_path / "c.vxc"
     assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
     cfg = tmp_path / "bad.json"
     for text in ('{"root_size": Infinity}',
-                 '{"root_size": 1e300, "min_voxel_size": 1e-300}'):
+                 '{"root_size": 1e300, "min_voxel_size": 1e-300}',
+                 '{"merge": {"min_separation": Infinity}}'):
         cfg.write_text(text)
         assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

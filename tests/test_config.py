@@ -4,7 +4,7 @@ import pytest
 
 from voxplane import ConfigError, ExtractionConfig, MergeParams, PlaneTestParams
 from voxplane.config import config_from_dict, config_to_dict, load_config
-from voxplane.ransac import RansacParams
+from voxplane.ransac import DIST_THRESHOLD
 
 
 def test_defaults_carry_shipped_values():
@@ -18,7 +18,7 @@ def test_defaults_carry_shipped_values():
     assert cfg.merge_params.normal_angle_max_deg == 8.0
     assert cfg.merge_params.separation_angle_tol_deg == 10.0
     assert cfg.merging_enabled
-    assert RansacParams().dist_threshold == 0.03
+    assert DIST_THRESHOLD == 0.03
 
 
 def test_invariant_violations_raise():
@@ -44,10 +44,20 @@ def test_invariant_violations_raise():
         MergeParams(normal_angle_max_deg=90.0)
     with pytest.raises(ConfigError):
         MergeParams(separation_angle_tol_deg=0.0)
-    with pytest.raises(ConfigError):
-        RansacParams(dist_threshold=0.0)
-    with pytest.raises(ConfigError):
-        RansacParams(success_probability=1.0)
+    # non-finite plane and merge settings: with sigma_shift_multiple=nan the
+    # fp slab passed the quarter test, and with min_separation=inf two
+    # parallel squares in one voxel merged into groups of the wrong points
+    inf, nan = float("inf"), float("nan")
+    for params, bad in ((PlaneTestParams, {"flatness_ratio_max": inf}),
+                        (PlaneTestParams, {"flatness_ratio_max": nan}),
+                        (PlaneTestParams, {"quarter_ratio_bound": inf}),
+                        (PlaneTestParams, {"quarter_ratio_bound": nan}),
+                        (PlaneTestParams, {"sigma_shift_multiple": inf}),
+                        (PlaneTestParams, {"sigma_shift_multiple": nan}),
+                        (MergeParams, {"min_separation": inf}),
+                        (MergeParams, {"min_separation": nan})):
+        with pytest.raises(ConfigError):
+            params(**bad)
 
 
 def test_field_by_field_override(tmp_path):

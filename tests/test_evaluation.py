@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,6 +167,16 @@ def test_labels_outside_the_plane_range_are_rejected(corner_cloud):
                                  planes=corner_cloud.planes)
         with pytest.raises(InputValidationError, match="labels must lie in"):
             evaluate(groups, truth)
+
+
+def test_member_indices_outside_the_cloud_are_rejected(corner_cloud):
+    # negative indices once wrapped round to the cloud's last points and
+    # scored precision 0.667; one past the end raised a bare IndexError
+    patch = group_from_indices(corner_cloud.points, [0, 1, 5]).merged
+    for bad in ([-1, -2, 5], [0, 1, 10**7]):
+        bad_patch = dataclasses.replace(patch, point_indices=np.array(bad))
+        with pytest.raises(InputValidationError, match="member indices must lie in"):
+            evaluate([PlaneGroup(members=[bad_patch], merged=bad_patch)], corner_cloud)
 
 
 def test_corner_every_group_matched(corner_cloud):

@@ -23,6 +23,8 @@ from voxplane.io import (
     write_planes,
 )
 
+from oracles import write_ply, write_xyz
+
 Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -33,7 +35,7 @@ Z = np.array([0.0, 0.0, 1.0])
 def test_xyz_roundtrip(tmp_path):
     pts = np.array([[0.0, 1.5, -2.25], [1e-9, 2.0, 3.0], [4.0, 5.0, 6.0]])
     path = tmp_path / "three.xyz"
-    write_cloud(path, pts, fmt="xyz")
+    write_xyz(path, pts)
     back, labels = read_cloud(path)
     assert labels is None
     assert np.array_equal(back, pts)
@@ -104,7 +106,7 @@ def test_ply_roundtrip_with_labels(tmp_path, rng):
     pts = rng.uniform(-5, 5, (200, 3))
     labels = rng.integers(-1, 4, 200).astype(np.int32)
     path = tmp_path / "cloud.ply"
-    write_cloud(path, pts, labels, fmt="ply_ascii")
+    write_ply(path, pts, labels)
     back, lab = read_cloud(path)
     assert np.array_equal(back, pts)   # repr round-trips doubles exactly
     assert np.array_equal(lab, labels)
@@ -158,9 +160,9 @@ def test_ply_truncated_data(tmp_path):
 
 def test_auto_sniffing(tmp_path, rng):
     pts = rng.uniform(0, 1, (20, 3))
-    for fmt, name in (("labeled", "a.bin"), ("xyz", "b.txt"), ("ply_ascii", "c.dat")):
+    for write, name in ((write_cloud, "a.bin"), (write_xyz, "b.txt"), (write_ply, "c.dat")):
         path = tmp_path / name
-        write_cloud(path, pts, fmt=fmt)
+        write(path, pts)
         back, _ = read_cloud(path)  # format sniffed from content
         assert np.array_equal(back, pts)
 
@@ -178,9 +180,12 @@ _EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 def test_read_back_bit_exact(tmp_path, pts, data):
     labels = data.draw(arrays(np.int32, pts.shape[0],
                               elements=st.integers(-2**31, 2**31 - 1)))
-    for fmt in ("labeled", "xyz", "ply_ascii"):
+    for fmt in ("labeled", "xyz", "ply"):
         path = tmp_path / f"cloud.{fmt}"
-        write_cloud(path, pts, labels, fmt=fmt)
+        if fmt == "xyz":
+            write_xyz(path, pts)
+        else:
+            (write_cloud if fmt == "labeled" else write_ply)(path, pts, labels)
         back, lab = read_cloud(path)
         assert back.dtype == np.float64 and back.shape == pts.shape
         assert np.array_equal(back.view(np.int64), pts.view(np.int64))
@@ -194,20 +199,13 @@ def test_text_writers_exact_bytes(tmp_path):
     pts = np.array([[0.1, -0.0, 1e-300],
                     [123456789.125, 0.1, -0.0],
                     [-1e-300, 123456789.125, -0.1]])
-    rows = ["0.1 -0.0 1e-300", "123456789.125 0.1 -0.0", "-1e-300 123456789.125 -0.1"]
-    xyz, ply, colored = tmp_path / "a.xyz", tmp_path / "a.ply", tmp_path / "c.ply"
-    write_cloud(xyz, pts, fmt="xyz")
-    write_cloud(ply, pts, np.array([3, -1, 0], dtype=np.int32), fmt="ply_ascii")
+    colored = tmp_path / "c.ply"
     write_colored_cloud(pts, np.array([0, -1, 2]), colored)
-    head = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\n"
-            "property double y\nproperty double z\n")
-    assert xyz.read_text() == "\n".join(rows) + "\n"
-    assert ply.read_text() == (head.format(3) + "property int label\nend_header\n"
-                               f"{rows[0]} 3\n{rows[1]} -1\n{rows[2]} 0\n")
     assert colored.read_text() == (
-        head.format(2) + "property uchar red\nproperty uchar green\n"
-        "property uchar blue\nend_header\n"
-        f"{rows[0]} 242 36 36\n{rows[2]} 156 242 36\n")
+        "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+        "property double y\nproperty double z\nproperty uchar red\n"
+        "property uchar green\nproperty uchar blue\nend_header\n"
+        "0.1 -0.0 1e-300 242 36 36\n-1e-300 123456789.125 -0.1 156 242 36\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from voxplane import (
     InputValidationError,
     NodeState,
     OctreeNode,
-    RansacParams,
     VoxelKey,
     accumulate,
     build_root_map,
@@ -97,7 +96,7 @@ def test_lattice_overflow_rejected():
         with pytest.raises(InputValidationError):
             voxel_keys(pts[:1], 1.0)
         with pytest.raises(InputValidationError):
-            ransac_extract_all(pts, CFG, RansacParams(seed=0))
+            ransac_extract_all(pts, CFG, seed=0)
     # the quotient, not the coordinate, must fit
     with pytest.raises(InputValidationError):
         build_root_map(np.array([[1e10, 0.0, 0.0]]), 1e-10)

@@ -7,7 +7,6 @@ from voxplane import (
     ExtractionConfig,
     GroundTruthCloud,
     PlaneGroup,
-    RansacParams,
     evaluate,
     fit_truth_planes,
     gen_corner,
@@ -15,6 +14,7 @@ from voxplane import (
     ransac_extract_all,
     ransac_plane,
 )
+from voxplane.ransac import DIST_THRESHOLD
 
 import pinned
 from oracles import point_plane_distance
@@ -27,7 +27,7 @@ def test_recovers_plane_among_outliers(rng):
                              np.zeros(100)])
     outliers = rng.uniform(5, 9, (5, 3))
     pts = np.concatenate([plane, outliers])
-    result = ransac_plane(pts, RansacParams(seed=7))
+    result = ransac_plane(pts, np.random.default_rng(7), 3)
     assert result is not None
     assert result.inliers.shape[0] == 100
     assert np.all(result.inliers < 100)
@@ -43,18 +43,18 @@ def test_degenerate_samples_are_skipped(rng):
     plane = np.column_stack([rng.uniform(-1, 1, 60), rng.uniform(-1, 1, 60),
                              np.zeros(60)])
     pts = np.concatenate([collinear, plane])
-    result = ransac_plane(pts, RansacParams(seed=3, min_inliers=20))
+    result = ransac_plane(pts, np.random.default_rng(3), 20)
     assert result is not None
     assert result.inliers.shape[0] >= 60
 
 
 def test_identical_points_no_plane():
     pts = np.tile([1.0, 2.0, 3.0], (50, 1))
-    assert ransac_plane(pts, RansacParams(seed=0)) is None
+    assert ransac_plane(pts, np.random.default_rng(0), 3) is None
 
 
 def test_fewer_than_three_points():
-    assert ransac_plane(np.zeros((2, 3)), RansacParams(seed=0)) is None
+    assert ransac_plane(np.zeros((2, 3)), np.random.default_rng(0), 3) is None
 
 
 def test_inliers_within_threshold(rng):
@@ -63,16 +63,15 @@ def test_inliers_within_threshold(rng):
                          rng.normal(0, 0.01, 300)]),
         rng.uniform(-1, 1, (100, 3)),
     ])
-    params = RansacParams(seed=11, min_inliers=30)
-    result = ransac_plane(pts, params)
+    result = ransac_plane(pts, np.random.default_rng(11), 30)
     assert result is not None
     dist = point_plane_distance(pts[result.inliers], result.normal, result.offset)
-    assert np.all(dist <= params.dist_threshold)
+    assert np.all(dist <= DIST_THRESHOLD)
 
 
 def test_min_inliers_gate(rng):
     pts = rng.uniform(-1, 1, (40, 3))  # diffuse clutter, no consensus
-    assert ransac_plane(pts, RansacParams(seed=5, min_inliers=35)) is None
+    assert ransac_plane(pts, np.random.default_rng(5), 35) is None
 
 
 def test_seed_determinism(rng):
@@ -81,15 +80,15 @@ def test_seed_determinism(rng):
                          rng.normal(0, 0.01, 200)]),
         rng.uniform(-1, 1, (80, 3)),
     ])
-    a = ransac_plane(pts, RansacParams(seed=42, min_inliers=30))
-    b = ransac_plane(pts, RansacParams(seed=42, min_inliers=30))
+    a = ransac_plane(pts, np.random.default_rng(42), 30)
+    b = ransac_plane(pts, np.random.default_rng(42), 30)
     assert np.array_equal(a.inliers, b.inliers)
     assert np.array_equal(a.normal, b.normal)
     assert a.offset == b.offset
 
 
 def test_extract_all_corner_scene(corner_cloud):
-    patches = ransac_extract_all(corner_cloud.points, CFG, RansacParams(seed=0))
+    patches = ransac_extract_all(corner_cloud.points, CFG, seed=0)
     assert len(patches) >= 3
     truth_normals = np.eye(3)
     hit = set()
@@ -102,12 +101,12 @@ def test_extract_all_corner_scene(corner_cloud):
 
 
 def test_extract_all_empty():
-    assert ransac_extract_all(np.zeros((0, 3)), CFG, RansacParams(seed=0)) == []
+    assert ransac_extract_all(np.zeros((0, 3)), CFG, seed=0) == []
 
 
 def test_extract_all_disjoint_inliers_per_voxel():
     cloud = gen_slab_with_object(seed=0)
-    patches = ransac_extract_all(cloud.points, CFG, RansacParams(seed=0))
+    patches = ransac_extract_all(cloud.points, CFG, seed=0)
     by_root = {}
     for p in patches:
         by_root.setdefault(p.root_key, []).append(p.point_indices)
@@ -120,7 +119,7 @@ def test_extract_all_claims_box_base_points():
     # the distance-threshold baseline absorbs box points near the ground
     # into the ground plane; the ground truth marks them as box labels
     cloud = gen_slab_with_object(seed=0)
-    patches = ransac_extract_all(cloud.points, CFG, RansacParams(seed=0))
+    patches = ransac_extract_all(cloud.points, CFG, seed=0)
     ground = cloud.planes[0]
     claimed = 0
     for p in patches:
@@ -134,8 +133,8 @@ def test_extract_all_claims_box_base_points():
 
 
 def test_extract_all_seed_determinism(corner_cloud):
-    a = ransac_extract_all(corner_cloud.points, CFG, RansacParams(seed=9))
-    b = ransac_extract_all(corner_cloud.points, CFG, RansacParams(seed=9))
+    a = ransac_extract_all(corner_cloud.points, CFG, seed=9)
+    b = ransac_extract_all(corner_cloud.points, CFG, seed=9)
     assert len(a) == len(b)
     for pa, pb in zip(a, b):
         assert pa.root_key == pb.root_key
@@ -151,7 +150,7 @@ def test_extract_all_scores_the_same_at_utm_coordinates(corner_cloud):
     worst = []
     for shift in (np.zeros(3), np.array([5e5, 4e6, 100.0])):
         pts = corner_cloud.points + shift
-        patches = ransac_extract_all(pts, CFG, RansacParams(seed=0))
+        patches = ransac_extract_all(pts, CFG, seed=0)
         assert min(p.eigenvalues[2] for p in patches) >= 0.0
         truth = GroundTruthCloud(pts, corner_cloud.labels,
                                  fit_truth_planes(pts, corner_cloud.labels))
@@ -165,7 +164,7 @@ def test_extract_all_patches_pinned():
     # scenes, so a change to its sampling, refit or settings shows here
     h = hashlib.sha256()
     for cloud in (gen_corner(seed=0), gen_slab_with_object(seed=0)):
-        for p in ransac_extract_all(cloud.points, CFG, RansacParams(seed=0)):
+        for p in ransac_extract_all(cloud.points, CFG, seed=0):
             h.update(np.asarray(p.root_key, dtype=np.int64).tobytes())
             h.update(np.asarray(p.point_indices, dtype=np.int64).tobytes())
             for arr in (p.centroid, p.normal, p.eigenvalues):
