@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CloudFormatError, InputValidationError
 from .evaluation import EvalReport
-from .geometry import accumulate
+from .geometry import accumulate, as_points
 from .merging import PlaneGroup
 from .octree import PlanePatch, VoxelKey
 
@@ -116,6 +116,8 @@ def _read_labeled(raw: bytes, path) -> tuple[np.ndarray, np.ndarray | None]:
     _, version, count, has_labels = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise CloudFormatError(f"unsupported labeled-cloud version {version}", path)
+    if has_labels > 1:
+        raise CloudFormatError(f"has-labels flag must be 0 or 1, got {has_labels}", path)
     need = _HEADER.size + count * 24 + (count * 4 if has_labels else 0)
     if len(raw) != need:
         raise CloudFormatError(f"size mismatch: header promises {count} points "
@@ -186,8 +188,9 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def write_cloud(path, points, labels=None) -> None:
     """Write a cloud in the labeled binary format, which round-trips
-    coordinates bit-exactly; labels are optional."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    coordinates bit-exactly; labels are optional. The points must be an
+    (N, 3) array of finite coordinates (InputValidationError otherwise)."""
+    pts = as_points(points)
     if labels is not None and len(labels) != pts.shape[0]:
         raise InputValidationError(
             f"labels length {len(labels)} does not match {pts.shape[0]} points")
@@ -235,84 +238,73 @@ def _depth_pair(pair: str) -> tuple[int, int]:
     return int(depth), int(count)
 
 
+# One group block as write_planes writes it: (key, value type, value count,
+# None for any). Line k of group i is line 3 + 9 i + k of the document.
+_BLOCK = (("group", int, 1), ("root", int, 3), ("count", int, 1),
+          ("centroid", float, 3), ("normal", float, 3), ("eigenvalues", float, 3),
+          ("depths", _depth_pair, None), ("indices", int, None), ("end", int, 0))
+
+
+def _line_values(lines: list[str], lineno: int, key: str, cast, n, path) -> list:
+    """The ``n`` values of type ``cast`` (finite if floats) that follow
+    ``key`` on line ``lineno``."""
+    line = lines[lineno - 1] if lineno <= len(lines) else None
+    name, _, rest = (line or "").partition(" ")
+    if name != key:
+        got = "end of file" if line is None else repr(line[:40])
+        raise CloudFormatError(f"expected {key!r}, got {got}", path, lineno)
+    try:
+        vals = [cast(v) for v in rest.split()]
+    except ValueError as exc:
+        raise CloudFormatError(f"bad value: {exc}", path, lineno) from exc
+    if n is not None and len(vals) != n:
+        raise CloudFormatError(f"expected {n} values, got {len(vals)}", path, lineno)
+    if cast is float and not np.isfinite(vals).all():
+        raise CloudFormatError(f"non-finite {key}", path, lineno)
+    return vals
+
+
 def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     """Read a plane-set document back as groups over ``points``, the cloud
     it was extracted from: one single-member group per block.
 
-    Centroid, normal and eigenvalues are used as stored; the cluster is
-    re-accumulated from the member points, and the depth is the smallest
-    one in the depth histogram. Malformed content, including a ``count``
-    below 1 or member indices that are not ``count`` distinct values in
-    [0, len(points)), raises CloudFormatError with the line number where
-    one applies.
+    Only the layout write_planes writes is read: the two header lines, then
+    each group's nine ``_BLOCK`` lines and nothing else. Centroid, normal
+    and eigenvalues are used as stored (finite, the normal unit length
+    within 1e-9); the cluster is re-accumulated from the ``count`` >= 1
+    distinct member indices in [0, len(points)), and the depth is the
+    smallest in the non-empty depth histogram. Anything else raises
+    CloudFormatError with its line number.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CloudFormatError(f"cannot read file: {exc}", path) from exc
-
-    def fail(msg, lineno=None):
-        raise CloudFormatError(msg, path, lineno)
-
-    def values(lineno, text, cast, n=None):
-        try:
-            vals = tuple(cast(v) for v in text.split())
-        except ValueError as exc:
-            fail(f"bad value: {exc}", lineno)
-        if n is not None and len(vals) != n:
-            fail(f"expected {n} values, got {len(vals)}", lineno)
-        return vals
-
-    def header(lineno, key, missing):
-        line = lines[lineno - 1] if len(lines) >= lineno else ""
-        name, _, rest = line.partition(" ")
-        if name != key:
-            fail(missing, lineno)
-        return values(lineno, rest, int, 1)[0]
-
-    version = header(1, "voxplane-planeset", "not a plane-set document")
+    [version] = _line_values(lines, 1, "voxplane-planeset", int, 1, path)
     if version != _VERSION:
-        fail(f"unsupported version {version}", 1)
-    expected = header(2, "groups", "missing group count")
+        raise CloudFormatError(f"unsupported version {version}", path, 1)
+    [expected] = _line_values(lines, 2, "groups", int, 1, path)
+    if expected < 0:
+        raise CloudFormatError(f"negative group count {expected}", path, 2)
 
     groups = []
-    i = 2
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        if not lines[i].startswith("group "):
-            fail(f"expected 'group', got {lines[i]!r}", i + 1)
-        start = i + 1
-        fields: dict[str, tuple[int, str]] = {}  # key -> (line number, values)
-        i += 1
-        while i < len(lines) and lines[i] != "end":
-            key, _, rest = lines[i].partition(" ")
-            fields[key] = (i + 1, rest)
-            i += 1
-        if i >= len(lines):
-            fail("group without 'end'", start)
-        i += 1
-
-        def field(key, cast, n=None):
-            if key not in fields:
-                fail(f"group block lacks {key!r}", start)
-            return values(*fields[key], cast, n)
-
-        root = field("root", int, 3)
-        count = field("count", int, 1)[0]
-        if count < 1:
-            fail(f"group count must be at least 1, got {count}", fields["count"][0])
-        centroid = field("centroid", float, 3)
-        normal = field("normal", float, 3)
-        eigenvalues = field("eigenvalues", float, 3)
-        depths = field("depths", _depth_pair)
-        idx = field("indices", int)
-        if (len(idx) != count or len(set(idx)) != count
-                or (idx and (min(idx) < 0 or max(idx) >= len(points)))):
-            fail(f"indices must be {count} distinct values in [0, {len(points)})",
-                 fields["indices"][0])
+    for i in range(expected):
+        start = 3 + len(_BLOCK) * i
+        [index], root, [count], centroid, normal, eigenvalues, depths, idx, _ = (
+            _line_values(lines, start + k, key, cast, n, path)
+            for k, (key, cast, n) in enumerate(_BLOCK))
+        for k, bad, msg in (
+                (0, index != i, f"expected group {i}, got group {index}"),
+                (2, count < 1, f"group count must be at least 1, got {count}"),
+                (4, abs(np.linalg.norm(normal) - 1.0) > 1e-9, "normal is not unit length"),
+                (6, not depths or any(d < 0 or c < 1 for d, c in depths),
+                 "depths must be one or more depth:count pairs, depth >= 0, count >= 1"),
+                (7, len(idx) != count or len(set(idx)) != count
+                 or not all(0 <= j < len(points) for j in idx),
+                 f"indices must be {count} distinct values in [0, {len(points)})")):
+            if bad:
+                raise CloudFormatError(msg, path, start + k)
         idx = np.array(idx, dtype=np.int64)
         patch = PlanePatch(
             cluster=accumulate(points[idx]),
@@ -321,11 +313,12 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
             eigenvalues=np.array(eigenvalues),
             point_indices=idx,
             root_key=VoxelKey(*root),
-            depth=min((d for d, _ in depths), default=0),
+            depth=min(d for d, _ in depths),
         )
         groups.append(PlaneGroup(members=[patch], merged=patch))
-    if len(groups) != expected:
-        fail(f"document promises {expected} groups, found {len(groups)}")
+    end = 3 + len(_BLOCK) * expected
+    if len(lines) >= end:
+        raise CloudFormatError(f"content after the {expected} promised groups", path, end)
     return groups
 
 
@@ -345,9 +338,13 @@ def write_colored_cloud(points, assignment, path) -> None:
     """ASCII ply of the points assigned to groups, one distinct color per
     group (palette indexed by group number): double x, y, z in shortest
     round-trip repr and uchar red, green, blue. Points with assignment < 0
-    are not part of any plane and are omitted."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    are not part of any plane and are omitted. The points must be an
+    (N, 3) array of finite coordinates with one assignment each."""
+    pts = as_points(points)
     assign = np.asarray(assignment, dtype=np.int64).reshape(-1)
+    if assign.shape[0] != pts.shape[0]:
+        raise InputValidationError(f"assignment length {assign.shape[0]} does not "
+                                   f"match {pts.shape[0]} points")
     keep = np.flatnonzero(assign >= 0)
     groups, member_of = np.unique(assign[keep], return_inverse=True)
     palette = np.array([group_color(g) for g in groups.tolist()],

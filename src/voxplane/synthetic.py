@@ -136,25 +136,22 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
                             planes=(plane,))
 
 
-def _combine(parts: list[GroundTruthCloud],
-             outliers: np.ndarray | None = None) -> GroundTruthCloud:
-    """Concatenate clouds, renumbering plane labels sequentially; outlier
-    points keep label -1 and belong to no plane."""
-    points = []
-    labels = []
-    planes: list[TruthPlane] = []
-    for part in parts:
-        shifted = part.labels.copy()
-        shifted[shifted >= 0] += len(planes)
-        points.append(part.points)
-        labels.append(shifted)
-        planes.extend(part.planes)
-    if outliers is not None and outliers.shape[0]:
-        points.append(outliers)
-        labels.append(np.full(outliers.shape[0], OUTLIER_LABEL, dtype=np.int32))
-    return GroundTruthCloud(points=np.concatenate(points) if points else np.zeros((0, 3)),
-                            labels=np.concatenate(labels) if labels else np.zeros(0, np.int32),
-                            planes=tuple(planes))
+def _scene(rects, noise_sigma: float, seed) -> GroundTruthCloud:
+    """Rectangles listed as (normal, extent, center, density), each on the
+    plane through its center (offset normal . center) and drawn from its
+    own child stream; rectangle k carries label k."""
+    seeds = _seed_sequence(seed).spawn(len(rects))
+    parts = [gen_plane(n, float(np.dot(n, c)), extent, density, noise_sigma, s, center=c)
+             for (n, extent, c, density), s in zip(rects, seeds)]
+    return GroundTruthCloud(
+        points=np.concatenate([part.points for part in parts]),
+        labels=np.concatenate([np.full(len(part.points), k, dtype=np.int32)
+                               for k, part in enumerate(parts)]),
+        planes=tuple(part.planes[0] for part in parts))
+
+
+def _unit(axis: int, sign: float = 1.0) -> np.ndarray:
+    return np.where(np.arange(3) == axis, float(sign), 0.0)
 
 
 def gen_corner(size: float = 2.0, density: float = 1000.0,
@@ -171,16 +168,9 @@ def gen_corner(size: float = 2.0, density: float = 1000.0,
     perpendicular to x, y, z respectively.
     """
     c = np.asarray(corner, dtype=np.float64)
-    seeds = _seed_sequence(seed).spawn(3)
-    parts = []
-    for axis in range(3):
-        normal = np.zeros(3)
-        normal[axis] = 1.0
-        lo = c + edge_margin
-        center = np.where(np.arange(3) == axis, c, lo + size / 2.0)
-        parts.append(gen_plane(normal, float(c[axis]), (size, size), density,
-                               noise_sigma, seeds[axis], center=center))
-    return _combine(parts)
+    return _scene([(_unit(axis), (size, size),
+                    np.where(np.arange(3) == axis, c, c + edge_margin + size / 2.0), density)
+                   for axis in range(3)], noise_sigma, seed)
 
 
 def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
@@ -209,7 +199,11 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
                 blob_rng.uniform(footprint[1, 0], footprint[1, 1], count),
                 blob_rng.uniform(0.0, height, count),
             ])
-            cloud = _combine([base], outliers=blob)
+            cloud = GroundTruthCloud(
+                points=np.concatenate([base.points, blob]),
+                labels=np.concatenate([base.labels,
+                                       np.full(count, OUTLIER_LABEL, dtype=np.int32)]),
+                planes=base.planes)
             # the quarter test runs only once the flatness gate has passed
             decision = determine_plane(cloud.points, params)
             if (not decision.is_plane
@@ -238,30 +232,18 @@ def gen_slab_with_object(seed=0, ground_size: float = 2.0,
     box_height = 0.3
     box_top = box_bottom + box_height
 
-    seeds = _seed_sequence(seed).spawn(6)
-    parts = [gen_plane(np.array([0.0, 0.0, 1.0]), ground_z,
-                       (ground_size, ground_size), ground_density,
-                       noise_sigma, seeds[0],
-                       center=np.array([0.0, 0.0, ground_z]))]
-
+    rects = [(_unit(2), (ground_size, ground_size),
+              np.array([0.0, 0.0, ground_z]), ground_density)]
     z_mid = (box_bottom + box_top) / 2.0
-    # Four vertical side faces.
-    for i, (axis, sign) in enumerate(((0, -1), (0, 1), (1, -1), (1, 1))):
-        normal = np.zeros(3)
-        normal[axis] = float(sign)
-        coord = box_center[axis] + sign * box_half
-        center = np.array([0.0, 0.0, z_mid])
-        center[axis] = coord
-        center[1 - axis] = box_center[1 - axis]
-        parts.append(gen_plane(normal, float(sign * coord),
-                               (2 * box_half, box_height), face_density,
-                               noise_sigma, seeds[1 + i], center=center))
-    # Top face.
-    parts.append(gen_plane(np.array([0.0, 0.0, 1.0]), box_top,
-                           (2 * box_half, 2 * box_half), face_density,
-                           noise_sigma, seeds[5],
-                           center=np.array([box_center[0], box_center[1], box_top])))
-    return _combine(parts)
+    # Four vertical side faces, then the top.
+    for axis, sign in ((0, -1), (0, 1), (1, -1), (1, 1)):
+        center = np.array([*box_center, z_mid])
+        center[axis] += sign * box_half
+        rects.append((_unit(axis, sign), (2 * box_half, box_height), center,
+                      face_density))
+    rects.append((_unit(2), (2 * box_half, 2 * box_half),
+                  np.array([*box_center, box_top]), face_density))
+    return _scene(rects, noise_sigma, seed)
 
 
 def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
@@ -276,24 +258,13 @@ def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
     ox = oy = oz = 0.25
     width, depth = nx * room_size, ny * room_size
 
-    specs: list[tuple[np.ndarray, float, tuple[float, float], np.ndarray]] = []
-    floor_center = np.array([ox + width / 2.0, oy + depth / 2.0, oz])
-    specs.append((np.array([0.0, 0.0, 1.0]), oz, (width, depth), floor_center))
-    ceil_center = np.array([ox + width / 2.0, oy + depth / 2.0, oz + wall_height])
-    specs.append((np.array([0.0, 0.0, 1.0]), oz + wall_height, (width, depth), ceil_center))
     z_mid = oz + wall_height / 2.0
-    for i in range(nx + 1):
-        x = ox + i * room_size
-        specs.append((np.array([1.0, 0.0, 0.0]), x, (depth, wall_height),
-                      np.array([x, oy + depth / 2.0, z_mid])))
-    for j in range(ny + 1):
-        y = oy + j * room_size
-        specs.append((np.array([0.0, 1.0, 0.0]), y, (width, wall_height),
-                      np.array([ox + width / 2.0, y, z_mid])))
-
-    total_area = sum(w * h for _, _, (w, h), _ in specs)
-    density = target_points / total_area
-    seeds = _seed_sequence(seed).spawn(len(specs))
-    parts = [gen_plane(n, d, extent, density, noise_sigma, s, center=c)
-             for (n, d, extent, c), s in zip(specs, seeds)]
-    return _combine(parts)
+    # (normal, extent, center): floor, ceiling, then the walls along x and y
+    specs = [(_unit(2), (width, depth), np.array([ox + width / 2.0, oy + depth / 2.0, z]))
+             for z in (oz, oz + wall_height)]
+    specs += [(_unit(0), (depth, wall_height),
+               np.array([ox + i * room_size, oy + depth / 2.0, z_mid])) for i in range(nx + 1)]
+    specs += [(_unit(1), (width, wall_height),
+               np.array([ox + width / 2.0, oy + j * room_size, z_mid])) for j in range(ny + 1)]
+    density = target_points / sum(w * h for _, (w, h), _ in specs)
+    return _scene([spec + (density,) for spec in specs], noise_sigma, seed)

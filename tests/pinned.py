@@ -65,3 +65,8 @@ CORNER_COMPARE_SHA256 = "85565918529c4ebc7cd593dc25ce3810ca1b1af6211628e718a4b6e
 # in output order, its root key and point indices (int64), then its
 # centroid, normal and eigenvalues (float64), as raw bytes
 RANSAC_PATCHES_SHA256 = "19d2e507523ddbbf86c1e423461a5cabcfb70248bdfa8cf8fd8c41e1c3790f94"
+
+# sha256 over tests/test_synthetic.py::_pinned_scenes() (corner, slab-object,
+# multi-room, false-positive-slab and single-plane calls at fixed seeds and
+# settings): each cloud's points and labels, then every TruthPlane field
+GEN_SCENES_SHA256 = "6ffe11f442a3ea5a536bd144514e0641598f02ca1e6c7b1041f774914751e5c7"

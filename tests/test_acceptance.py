@@ -61,7 +61,7 @@ def test_criterion_1_eigensolver_oracle():
     def body():
         rng = np.random.default_rng(1234)
         mats = [random_symmetric(rng) for _ in range(1000)]
-        start = time.perf_counter()
+        start = time.process_time()  # CPU time: other processes' load does not count
         for m in mats:
             e = eigen_symmetric3(m)
             ref = jacobi_eigenvalues(m)
@@ -69,8 +69,8 @@ def test_criterion_1_eigensolver_oracle():
             assert np.abs(e.eigenvalues - ref).max() <= tol
             recon = (e.eigenvectors * e.eigenvalues) @ e.eigenvectors.T
             assert np.linalg.norm(recon - m) <= 1e-8 * np.linalg.norm(m)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 1.0, f"eigen oracle run took {elapsed:.2f}s"
+        elapsed = time.process_time() - start
+        assert elapsed < 1.0, f"eigen oracle run took {elapsed:.2f}s of CPU time"
 
     _announce("C1", "eigensolver-oracle", body)
 

@@ -163,6 +163,18 @@ def test_eval_hostile_planeset(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
+def test_eval_rejects_nan_normals(tmp_path, capsys):
+    cloud = tmp_path / "c.vxc"
+    planes = tmp_path / "planes.txt"
+    assert run("synth", "corner", "--seed", "0", "--out", str(cloud)) == EXIT_OK
+    assert run("extract", str(cloud), "--out", str(planes)) == EXIT_OK
+    lines = planes.read_text().splitlines()
+    planes.write_text("".join(("normal nan 0.0 0.0" if line.startswith("normal ") else line)
+                              + "\n" for line in lines))
+    assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
+    assert "line 7: non-finite normal" in capsys.readouterr().err
+
+
 def test_eval_requires_labels(tmp_path, capsys):
     xyz = tmp_path / "plain.xyz"
     xyz.write_text("0 0 0\n1 0 0\n0 1 0\n")

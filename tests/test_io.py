@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from voxplane import (
     CloudFormatError,
     InputValidationError,
     extract_plane_groups,
+    gen_corner,
     gen_plane,
 )
 from voxplane.cli import cli_main
@@ -195,6 +197,39 @@ def test_read_back_bit_exact(tmp_path, pts, data):
             assert lab.dtype == np.int32 and np.array_equal(lab, labels)
 
 
+@pytest.mark.parametrize("write", [
+    lambda path, pts: write_cloud(path, pts),
+    lambda path, pts: write_colored_cloud(pts, np.zeros(len(pts), dtype=int), path),
+], ids=["labeled", "colored"])
+@pytest.mark.parametrize("pts", [
+    np.arange(12.0).reshape(3, 4),
+    np.arange(6.0),
+    np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 5.0]]),
+    np.array([[0.0, np.inf, 2.0]]),
+], ids=["four-columns", "flat", "nan", "inf"])
+def test_writers_reject_what_the_readers_reject(tmp_path, write, pts):
+    path = tmp_path / "out"
+    with pytest.raises(InputValidationError):
+        write(path, pts)
+    assert not path.exists()
+
+
+def test_colored_cloud_assignment_length(tmp_path):
+    with pytest.raises(InputValidationError):
+        write_colored_cloud(np.zeros((4, 3)), np.zeros(3, dtype=int), tmp_path / "c.ply")
+
+
+def test_labeled_flag_must_be_zero_or_one(tmp_path, rng):
+    path = tmp_path / "flag.vxc"
+    write_cloud(path, rng.uniform(0, 1, (5, 3)), np.arange(5))
+    raw = bytearray(path.read_bytes())
+    assert raw[16] == 1  # magic, version, count, then the has-labels byte
+    raw[16] = 7
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CloudFormatError, match="has-labels"):
+        read_cloud(path)
+
+
 def test_text_writers_exact_bytes(tmp_path):
     pts = np.array([[0.1, -0.0, 1e-300],
                     [123456789.125, 0.1, -0.0],
@@ -258,9 +293,9 @@ _ONE_GROUP = ("voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 2\n"
 def test_planeset_without_indices(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text(_ONE_GROUP.replace("indices 3 4\n", ""))
-    with pytest.raises(CloudFormatError, match="lacks 'indices'") as err:
+    with pytest.raises(CloudFormatError, match="expected 'indices'") as err:
         read_planes(path, np.zeros((10, 3)))
-    assert err.value.line == 3
+    assert err.value.line == 10
 
 
 def test_read_planes_evaluates(tmp_path, rng):
@@ -288,10 +323,18 @@ def test_planeset_count_mismatch(tmp_path):
         read_planes(path, np.zeros((10, 3)))
 
 
+_TWO_GROUPS = (_ONE_GROUP.replace("groups 1", "groups 2")
+               + "group 1\nroot 1 0 0\ncount 2\ncentroid 1.5 0.0 0.0\n"
+                 "normal 1.0 0.0 0.0\neigenvalues 1.0 1.0 0.0\ndepths 1:1\n"
+                 "indices 5 6\nend\n")
+
+
+# The reader walks the nine-line block that write_planes writes: line k of
+# group i is line 3 + 9 i + k, and anything else is an error on that line.
 @pytest.mark.parametrize("good, bad, line", [
     ("voxplane-planeset 1", "voxplane-planeset x", 1),
     ("voxplane-planeset 1", "voxplane-planeset ", 1),
-    ("groups 1", "groups many", 2),
+    ("groups 2", "groups many", 2),
     ("root 0 0 0", "root 0 0", 4),
     ("centroid 0.0 0.0 0.0", "centroid 0.0 0.0", 6),
     ("normal 0.0 0.0 1.0", "normal 0.0 0.0 1.0 0.0", 7),
@@ -302,18 +345,57 @@ def test_planeset_count_mismatch(tmp_path):
     ("count 2", "count 7", 10),
     ("indices 3 4", "indices 3 3", 10),
     ("count 2", "count 0", 5),
+    ("normal 0.0 0.0 1.0", "normal nan 0.0 0.0", 7),
+    ("normal 1.0 0.0 0.0", "normal 1.0 0.0 -inf", 16),
+    ("normal 0.0 0.0 1.0", "normal 0.0 0.0 1.000001", 7),
+    ("normal 0.0 0.0 1.0", "normal 0.0 0.0 0.0", 7),
+    ("centroid 1.5 0.0 0.0", "centroid 1.5 inf 0.0", 15),
+    ("eigenvalues 1.0 1.0 0.0", "eigenvalues 1.0 nan 0.0", 8),
+    ("indices 3 4\n", "indices 3 4\nindices 3 4\n", 11),
+    ("count 2\n", "count 2\nlabel 7\n", 6),
+    ("group 1", "group 0", 12),
+    ("group 0", "group 5", 3),
+    ("centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0",
+     "normal 0.0 0.0 1.0\ncentroid 0.0 0.0 0.0", 6),
+    ("end\ngroup 1", "end\n\ngroup 1", 12),
+    ("indices 5 6\nend\n", "indices 5 6\nend\n\n", 21),
+    ("indices 5 6\nend\n", "indices 5 6\nend\n" + _ONE_GROUP.split("\n", 2)[2], 21),
+    ("indices 5 6\nend\n", "indices 5 6\n", 20),
+    ("groups 2", "groups -1", 2),
+    ("depths 1:1", "depths", 18),
+    ("depths 0:1", "depths -1:1", 9),
+    ("depths 0:1", "depths 0:0", 9),
 ], ids=["bad-version", "no-version", "bad-group-count", "short-root", "short-centroid",
         "long-normal", "short-eigenvalues", "bad-depth", "index-past-end",
-        "negative-index", "count-above-indices", "duplicate-index", "count-zero"])
+        "negative-index", "count-above-indices", "duplicate-index", "count-zero",
+        "nan-normal", "inf-normal", "non-unit-normal", "zero-normal", "inf-centroid",
+        "nan-eigenvalue", "repeated-indices", "unknown-key", "repeated-group-index",
+        "wrong-group-index", "reordered-keys", "blank-between-groups", "trailing-blank",
+        "trailing-content", "truncated", "negative-group-count", "empty-depths",
+        "negative-depth", "zero-depth-count"])
 def test_planeset_hostile_documents(tmp_path, good, bad, line):
     path = tmp_path / "hostile.txt"
-    text = _ONE_GROUP.replace(good, bad)
+    path.write_text(_TWO_GROUPS)
+    assert len(read_planes(path, np.zeros((10, 3)))) == 2
+    assert good in _TWO_GROUPS
+    text = _TWO_GROUPS.replace(good, bad, 1)
     if bad == "count 0":  # an empty group: no indices either
         text = text.replace("indices 3 4", "indices")
     path.write_text(text)
     with pytest.raises(CloudFormatError) as err:
         read_planes(path, np.zeros((10, 3)))
     assert err.value.line == line
+
+
+def test_golden_planeset_reads_back():
+    golden = Path(__file__).parent / "data" / "corner_planeset.golden.txt"
+    cloud = gen_corner(seed=0)
+    groups = extract_plane_groups(cloud.points).groups
+    back = read_planes(golden, cloud.points)
+    assert len(back) == len(groups) == 27
+    for r, g in zip(back, groups):
+        assert np.array_equal(r.merged.normal, g.merged.normal)
+        assert np.array_equal(r.merged.point_indices, g.merged.point_indices)
 
 
 # ---------------------------------------------------------------------------

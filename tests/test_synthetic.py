@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,44 @@ def test_multi_room_scale_and_labels():
     assert cloud.points.shape[0] == pytest.approx(50_000, rel=0.05)
     assert len(cloud.planes) == 2 + 3 + 3  # floor, ceiling, walls per axis
     assert set(np.unique(cloud.labels)) == set(range(len(cloud.planes)))
+
+
+# ---------------------------------------------------------------------------
+# every generator, byte for byte
+
+
+def _scene_digest(clouds) -> str:
+    """sha256 over each cloud's points (float64) and labels (int32), then
+    every field of each of its TruthPlanes (float64), as raw bytes."""
+    h = hashlib.sha256()
+    for cloud in clouds:
+        h.update(cloud.points.astype("<f8").tobytes())
+        h.update(cloud.labels.astype("<i4").tobytes())
+        for p in cloud.planes:
+            for value in (p.normal, p.offset, p.center, p.axis_u, p.axis_v,
+                          p.half_u, p.half_v, p.noise_sigma):
+                h.update(np.asarray(value, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _pinned_scenes():
+    yield from (gen_corner(seed=s) for s in range(6))
+    yield gen_corner(size=1.5, density=400.0, noise_sigma=0.0, seed=7,
+                     corner=(0.3, -1.2, 2.05), edge_margin=0.1)
+    yield gen_corner(size=3.0, noise_sigma=0.02, seed=[4, 2], edge_margin=0.0)
+    for sigma in (0.005, 0.02):
+        yield gen_slab_with_object(seed=0, noise_sigma=sigma)
+    yield gen_slab_with_object(seed=3, ground_size=3.0, ground_density=500.0,
+                               face_density=900.0)
+    yield from (gen_multi_room(target_points=30_000, seed=[0, s]) for s in range(3))
+    yield gen_multi_room(seed=0)
+    yield gen_multi_room(rooms=(2, 4), room_size=3.0, wall_height=2.5,
+                         target_points=20_000, noise_sigma=0.01, seed=5)
+    yield gen_false_positive_slab(seed=0)
+    yield gen_plane(Z, 0.25, (1.0, 2.0), 800.0, 0.004, seed=2)
+    yield gen_plane(np.array([0.6, 0.0, 0.8]), -0.5, (1.5, 1.0), 300.0, 0.0, seed=6,
+                    center=np.array([1.0, 2.0, -0.125]))
+
+
+def test_generators_match_pinned_digest():
+    assert _scene_digest(_pinned_scenes()) == pinned.GEN_SCENES_SHA256
