@@ -43,8 +43,6 @@ from .plane_test import (
     RejectReason,
     determine_plane,
     flatness_test,
-    quarter_split,
-    split_center,
 )
 from .ransac import RansacPlane, ransac_extract_all, ransac_plane
 from .synthetic import (
@@ -64,8 +62,7 @@ __all__ = [
     "CloudFormatError", "ConfigError", "GenerationError",
     "PointCluster", "EigenDecomposition", "accumulate", "merge_clusters",
     "covariance", "eigen_symmetric3",
-    "PlaneTestParams", "PlaneDecision", "RejectReason", "flatness_test",
-    "split_center", "quarter_split", "determine_plane",
+    "PlaneTestParams", "PlaneDecision", "RejectReason", "flatness_test", "determine_plane",
     "VoxelKey", "NodeState", "OctreeNode", "PlanePatch",
     "build_root_map", "subdivide",
     "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",

@@ -189,16 +189,22 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
 def write_cloud(path, points, labels=None) -> None:
     """Write a cloud in the labeled binary format, which round-trips
     coordinates bit-exactly; labels are optional. The points must be an
-    (N, 3) array of finite coordinates (InputValidationError otherwise)."""
+    (N, 3) array of finite coordinates, and the labels integers within the
+    int32 range (InputValidationError otherwise)."""
     pts = as_points(points)
-    if labels is not None and len(labels) != pts.shape[0]:
-        raise InputValidationError(
-            f"labels length {len(labels)} does not match {pts.shape[0]} points")
     has = labels is not None
+    if has:
+        labels = np.asarray(labels)
+        if len(labels) != pts.shape[0]:
+            raise InputValidationError(
+                f"labels length {len(labels)} does not match {pts.shape[0]} points")
+        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < -2**31
+                            or labels.max() >= 2**31):
+            raise InputValidationError("labels must be integers within the int32 range")
     blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], int(has))
     blob += pts.astype("<f8").tobytes()
     if has:
-        blob += np.asarray(labels, dtype="<i4").tobytes()
+        blob += labels.astype("<i4").tobytes()
     Path(path).write_bytes(blob)
 
 

@@ -3,9 +3,12 @@
 The classic flatness gate (smallest/largest eigenvalue ratio) is necessary
 but not sufficient: a set with a compact outlier blob can still look flat
 overall. The stronger test here splits the candidate set into four quarters
-along the two dominant eigenvectors, through a center pushed off the point
-slab along the normal, and requires every populated quarter to have a
-"thickness" (smallest eigenvalue) comparable to the pooled one.
+along the two dominant eigenvectors, through the centroid, and requires
+every populated quarter to have a "thickness" (smallest eigenvalue)
+comparable to the pooled one. A set that passes the flatness gate but is
+also thin in its second direction is a line, not a plane, and is rejected
+before the split: plane and edge features are kept apart, as feature-based
+LiDAR bundle adjustment does (BALM, Liu and Zhang, RA-L 2021).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "RejectReason",
     "PlaneDecision",
     "flatness_test",
-    "split_center",
     "quarter_split",
     "determine_plane",
     "sparse_quarter_threshold",
@@ -44,19 +46,17 @@ class PlaneTestParams:
     """Tunables of the plane test.
 
     flatness_ratio_max: upper bound on eigenvalue ratio min/max for the
-        flatness gate.
+        flatness gate; a set whose middle/max ratio is below it too is a
+        line and is rejected.
     quarter_ratio_bound: each populated quarter's smallest eigenvalue must
         be within this factor of the pooled one (both directions); > 1.
     min_points: below this count a set is never a plane; an octree node
         with fewer points is discarded without running the test.
-    sigma_shift_multiple: how many standard deviations (sqrt of the
-        smallest eigenvalue) the split center is moved along the normal.
     """
 
     flatness_ratio_max: float = 0.0625
     quarter_ratio_bound: float = 3.0
     min_points: int = 20
-    sigma_shift_multiple: float = 5.0
 
     def __post_init__(self):
         if not 0 < self.flatness_ratio_max < math.inf:
@@ -65,12 +65,11 @@ class PlaneTestParams:
             raise ConfigError("quarter_ratio_bound must exceed 1 and be finite")
         if self.min_points < 4:
             raise ConfigError("min_points must be at least 4")
-        if not 0 <= self.sigma_shift_multiple < math.inf:
-            raise ConfigError("sigma_shift_multiple must be non-negative and finite")
 
 
 class RejectReason(enum.Enum):
     FLATNESS_FAILED = "flatness_failed"
+    LINE_LIKE = "line_like"
     QUARTER_RATIO_FAILED = "quarter_ratio_failed"
     TOO_FEW_POINTS = "too_few_points"
 
@@ -80,8 +79,8 @@ class PlaneDecision:
     """Outcome of determine_plane, carrying the statistics already computed
     so callers can build a plane patch without re-touching points.
 
-    quarter_min_eigenvalues is populated only when the flatness gate passed
-    and all four quarters held enough points for a covariance.
+    quarter_min_eigenvalues is populated only when the flatness and line
+    gates passed and all four quarters held enough points for a covariance.
     sparse_quarter_fallback marks decisions where three or more quarters
     were too sparse to test and the verdict fell back to the flatness gate
     alone.
@@ -114,33 +113,26 @@ def flatness_test(eig: EigenDecomposition, flatness_ratio_max: float) -> bool:
     return lam_min / lam_max < flatness_ratio_max
 
 
-def split_center(centroid: np.ndarray, eig: EigenDecomposition,
-                 sigma_shift_multiple: float) -> np.ndarray:
-    """Centroid pushed along the normal by a multiple of the point-slab
-    standard deviation, placing the split center outside the slab."""
-    sigma = math.sqrt(max(float(eig.eigenvalues[2]), 0.0))
-    return centroid + sigma_shift_multiple * sigma * eig.eigenvectors[:, 2]
+def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
+                  center: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Sort point indices into four quadrants by the signs of the offsets
+    from ``center`` along the two dominant eigenvectors.
 
-
-def quarter_split(points, eig: EigenDecomposition,
-                  center: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Partition point indices into four quadrants by the signs of the
-    offsets from ``center`` along the two dominant eigenvectors.
-
-    Points exactly on a dividing plane go to the non-negative side. Returns
-    four disjoint int arrays of indices into ``points``, each ascending,
-    whose union is the full index range.
+    ``cols`` are the (3, N) rows of the points and ``center`` a point in the
+    same frame, as ``determine_plane`` holds them: the centred rows and the
+    mean. Points exactly on a dividing plane go to the non-negative side.
+    Returns the stable order of the indices by quadrant and the cuts
+    ``[0, a, b, c, N]``: ``order[cuts[k]:cuts[k + 1]]`` is quadrant k, in
+    ascending index order.
     """
-    pts = as_points(points)
-    rel = np.subtract(pts.T, center[:, None], order="C")
+    rel = cols - center[:, None]
     u = eig.eigenvectors
     d0 = rel[0] * u[0, 0] + rel[1] * u[1, 0] + rel[2] * u[2, 0]
     d1 = rel[0] * u[0, 1] + rel[1] * u[1, 1] + rel[2] * u[2, 1]
     # uint8 codes, so the stable argsort is a radix sort
     code = (d0 >= 0.0) * np.uint8(2) + (d1 >= 0.0)
     order = code.argsort(kind="stable")
-    a, b, c = np.bincount(code, minlength=4)[:3].cumsum().tolist()
-    return order[:a], order[a:b], order[b:c], order[c:]
+    return order, [0, *np.bincount(code, minlength=4)[:3].cumsum().tolist(), code.shape[0]]
 
 
 def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
@@ -162,8 +154,10 @@ def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
 def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     """Decide whether a point set forms a single plane.
 
-    Pipeline: size gate, flatness gate on the pooled covariance, then the
-    quarter-thickness comparison. Quarters with fewer than
+    Pipeline: size gate, flatness gate on the pooled covariance, line
+    gate (middle/max eigenvalue ratio below ``flatness_ratio_max`` rejects
+    the set as LINE_LIKE), then the quarter-thickness comparison on
+    quarters split through the centroid. Quarters with fewer than
     sparse_quarter_threshold(min_points) points carry no evidence and are
     skipped; if three or more quarters are skipped the verdict falls back
     to the flatness gate alone (recorded on the decision).
@@ -178,15 +172,19 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
         return PlaneDecision(False, eig, centroid, cluster,
                              reject_reason=RejectReason.TOO_FEW_POINTS)
 
-    cov, centroid = covariance(cluster)
+    cov, mean = _central_moments(n, cluster.sum, cluster.sq_sum)
+    centroid = cluster.origin + mean
     eig = eigen_symmetric3(cov)
 
     if not flatness_test(eig, params.flatness_ratio_max):
         return PlaneDecision(False, eig, centroid, cluster,
                              reject_reason=RejectReason.FLATNESS_FAILED)
+    # flat in its second direction too: an edge, not a plane
+    if float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < params.flatness_ratio_max:
+        return PlaneDecision(False, eig, centroid, cluster,
+                             reject_reason=RejectReason.LINE_LIKE)
 
-    center = split_center(centroid, eig, params.sigma_shift_multiple)
-    quarters = quarter_split(pts, eig, center)
+    order, cuts = quarter_split(cols, eig, mean)
 
     quarter_min = sparse_quarter_threshold(params.min_points)
     pooled = _effective_min_eigenvalue(eig)
@@ -194,13 +192,11 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
 
     # The centred rows in quarter order and their products, once: each
     # quarter's sums are then contiguous slices, bit-equal to summing a copy.
-    q_cols = cols.take(np.concatenate(quarters), axis=1)
+    q_cols = cols.take(order, axis=1)
     q_prod = q_cols[:, None] * q_cols
     quarter_l3: list[float] = []
     failed = False
-    stop = 0
-    for q_idx in quarters:
-        start, stop = stop, stop + q_idx.shape[0]
+    for start, stop in zip(cuts, cuts[1:]):
         if stop - start < quarter_min:
             continue
         q_cov, _ = _central_moments(stop - start, q_cols[:, start:stop].sum(axis=1),

@@ -29,13 +29,12 @@ from voxplane import (
     gen_plane,
     gen_slab_with_object,
     octree_leaves,
-    quarter_split,
     ransac_extract_all,
-    split_center,
 )
 from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate
 from voxplane.io import write_planes
+from voxplane.plane_test import quarter_split
 
 import pinned
 from oracles import jacobi_eigenvalues, random_symmetric
@@ -186,10 +185,9 @@ def test_criterion_6_structural_invariants():
             pts = rng.normal(size=(n, 3)) * rng.uniform(0.05, 2.0, 3)
             cov, cen = covariance(accumulate(pts))
             eig = eigen_symmetric3(cov)
-            quarters = quarter_split(pts, eig, split_center(cen, eig, 5.0))
-            merged_idx = np.concatenate(quarters)
-            assert merged_idx.shape[0] == n
-            assert np.array_equal(np.sort(merged_idx), np.arange(n))
+            order, cuts = quarter_split(np.ascontiguousarray(pts.T), eig, cen)
+            assert cuts[0] == 0 and cuts[-1] == n and cuts == sorted(cuts)
+            assert np.array_equal(np.sort(order), np.arange(n))
 
         # octree conservation, depth bound, leaf planarity; merge partition
         # and root confinement: 200 random scenes

@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voxplane import ConfigError, ExtractionConfig, MergeParams, PlaneTestParams
+from voxplane.cli import EXIT_CONFIG, cli_main
 from voxplane.config import config_from_dict, config_to_dict, load_config
+from voxplane.io import write_cloud
 from voxplane.ransac import DIST_THRESHOLD
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_carry_shipped_values():
@@ -14,7 +20,6 @@ def test_defaults_carry_shipped_values():
     assert cfg.plane_params.min_points == 20
     assert cfg.plane_params.flatness_ratio_max == 0.0625
     assert cfg.plane_params.quarter_ratio_bound == 3.0
-    assert cfg.plane_params.sigma_shift_multiple == 5.0
     assert cfg.merge_params.normal_angle_max_deg == 8.0
     assert cfg.merge_params.separation_angle_tol_deg == 10.0
     assert cfg.merging_enabled
@@ -44,16 +49,13 @@ def test_invariant_violations_raise():
         MergeParams(normal_angle_max_deg=90.0)
     with pytest.raises(ConfigError):
         MergeParams(separation_angle_tol_deg=0.0)
-    # non-finite plane and merge settings: with sigma_shift_multiple=nan the
-    # fp slab passed the quarter test, and with min_separation=inf two
+    # non-finite plane and merge settings: with min_separation=inf two
     # parallel squares in one voxel merged into groups of the wrong points
     inf, nan = float("inf"), float("nan")
     for params, bad in ((PlaneTestParams, {"flatness_ratio_max": inf}),
                         (PlaneTestParams, {"flatness_ratio_max": nan}),
                         (PlaneTestParams, {"quarter_ratio_bound": inf}),
                         (PlaneTestParams, {"quarter_ratio_bound": nan}),
-                        (PlaneTestParams, {"sigma_shift_multiple": inf}),
-                        (PlaneTestParams, {"sigma_shift_multiple": nan}),
                         (MergeParams, {"min_separation": inf}),
                         (MergeParams, {"min_separation": nan})):
         with pytest.raises(ConfigError):
@@ -95,6 +97,25 @@ def test_unknown_keys_rejected():
     cfg = config_from_dict({"root_size": 2, "merging_enabled": False,
                             "merge": {"min_separation": 0}})
     assert cfg.root_size == 2 and cfg.merging_enabled is False
+
+
+def test_removed_split_shift_key_rejected(tmp_path, capsys):
+    # the quarters are split through the centroid; a file that still sets
+    # the old shift along the normal fails like any unknown key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"plane": {"sigma_shift_multiple": 5.0}}))
+    with pytest.raises(ConfigError, match="sigma_shift_multiple"):
+        load_config(path)
+    cloud = tmp_path / "c.vxc"
+    write_cloud(cloud, np.zeros((4, 3)))
+    assert cli_main(["extract", str(cloud), "--config", str(path)]) == EXIT_CONFIG
+    assert "sigma_shift_multiple" in capsys.readouterr().err
+
+
+def test_readme_config_block_is_the_defaults():
+    section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == config_to_dict(ExtractionConfig())
 
 
 def test_hostile_sizes_in_config_file(tmp_path):

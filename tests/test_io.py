@@ -219,6 +219,21 @@ def test_colored_cloud_assignment_length(tmp_path):
         write_colored_cloud(np.zeros((4, 3)), np.zeros(3, dtype=int), tmp_path / "c.ply")
 
 
+def test_labeled_writer_rejects_non_integer_labels(tmp_path):
+    # a cast would truncate them: [0.7, -1.5] once read back as [0, -1]
+    with pytest.raises(InputValidationError, match="integers"):
+        write_cloud(tmp_path / "f.vxc", np.zeros((2, 3)), np.array([0.7, -1.5]))
+
+
+def test_labeled_writer_rejects_labels_outside_int32(tmp_path):
+    # a cast would wrap them: [2**40, 3] once read back as [0, 3]
+    for labels in ([2**40, 3], [-2**31 - 1, 3], np.array([2**31, 3], dtype=np.uint64)):
+        with pytest.raises(InputValidationError, match="int32"):
+            write_cloud(tmp_path / "w.vxc", np.zeros((2, 3)), np.array(labels))
+    write_cloud(tmp_path / "edge.vxc", np.zeros((2, 3)), [-2**31, 2**31 - 1])
+    assert read_cloud(tmp_path / "edge.vxc")[1].tolist() == [-2**31, 2**31 - 1]
+
+
 def test_labeled_flag_must_be_zero_or_one(tmp_path, rng):
     path = tmp_path / "flag.vxc"
     write_cloud(path, rng.uniform(0, 1, (5, 3)), np.arange(5))

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxplane import (
     EigenDecomposition,
+    ExtractionConfig,
     InputValidationError,
     PlaneTestParams,
     RejectReason,
@@ -11,16 +12,16 @@ from voxplane import (
     covariance,
     determine_plane,
     eigen_symmetric3,
+    extract_plane_groups,
     flatness_test,
     gen_false_positive_slab,
-    quarter_split,
-    split_center,
 )
-from voxplane.plane_test import sparse_quarter_threshold
+from voxplane.plane_test import quarter_split, sparse_quarter_threshold
 
 from oracles import random_rotation, two_pass_covariance
 
 PARAMS = PlaneTestParams()
+UTM = np.array([5e5, 4e6, 100.0])
 
 
 def eig_of(points):
@@ -64,34 +65,15 @@ def test_flatness_coincident_points_never_plane():
 
 
 # ---------------------------------------------------------------------------
-# split_center
-
-
-def test_split_center_zero_thickness_is_identity():
-    eig = EigenDecomposition(np.array([1.0, 0.5, 0.0]), np.eye(3))
-    cen = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(split_center(cen, eig, 5.0), cen)
-
-
-def test_split_center_shift_along_normal():
-    eig = EigenDecomposition(np.array([1.0, 0.5, 0.01]), np.eye(3))
-    out = split_center(np.zeros(3), eig, 5.0)
-    assert np.allclose(out, [0.0, 0.0, 0.5])
-
-
-def test_split_center_parallel_to_normal(rng):
-    for _ in range(20):
-        pts = rng.uniform(-1, 1, (200, 3)) * np.array([1.0, 0.7, 0.02])
-        eig, cen = eig_of(pts)
-        shift = split_center(cen, eig, 5.0) - cen
-        lam3 = max(eig.eigenvalues[2], 0.0)
-        assert np.linalg.norm(shift) == pytest.approx(5.0 * np.sqrt(lam3), abs=1e-12)
-        cross = np.cross(shift, eig.eigenvectors[:, 2])
-        assert np.linalg.norm(cross) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
 # quarter_split
+
+
+def quarters_of(pts, eig, center):
+    """Index arrays of the four quadrants of ``pts`` split about ``center``,
+    from quarter_split's order and cuts on the points' (3, N) rows."""
+    order, cuts = quarter_split(np.ascontiguousarray(pts.T), eig, center)
+    assert cuts[0] == 0 and cuts[-1] == pts.shape[0] and len(cuts) == 5
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def test_quarter_split_grid_sizes():
@@ -101,7 +83,7 @@ def test_quarter_split_grid_sizes():
     pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
     eig = EigenDecomposition(np.array([1.0, 0.9, 0.0]), np.eye(3))
     center = pts.mean(axis=0)
-    quarters = quarter_split(pts, eig, center)
+    quarters = quarters_of(pts, eig, center)
     sizes = sorted(q.shape[0] for q in quarters)
     # oracle: count sign pairs directly
     sx = pts[:, 0] >= center[0]
@@ -116,7 +98,7 @@ def test_quarter_split_grid_sizes():
 def test_quarter_split_single_quadrant():
     pts = np.random.default_rng(0).uniform(0.1, 1.0, (50, 3))
     eig = EigenDecomposition(np.array([1.0, 0.9, 0.0]), np.eye(3))
-    quarters = quarter_split(pts, eig, np.zeros(3))
+    quarters = quarters_of(pts, eig, np.zeros(3))
     sizes = [q.shape[0] for q in quarters]
     assert sorted(sizes) == [0, 0, 0, 50]
 
@@ -124,8 +106,8 @@ def test_quarter_split_single_quadrant():
 def test_quarter_split_center_shift_along_normal_is_inert(rng):
     pts = rng.uniform(-1, 1, (300, 3)) * np.array([1.0, 0.6, 0.01])
     eig, cen = eig_of(pts)
-    q1 = quarter_split(pts, eig, cen)
-    q2 = quarter_split(pts, eig, cen + 7.5 * eig.eigenvectors[:, 2])
+    q1 = quarters_of(pts, eig, cen)
+    q2 = quarters_of(pts, eig, cen + 7.5 * eig.eigenvectors[:, 2])
     for a, b in zip(q1, q2):
         assert np.array_equal(a, b)
 
@@ -136,10 +118,12 @@ def test_quarter_split_is_partition(seed, n):
     gen = np.random.default_rng(seed)
     pts = gen.normal(size=(n, 3)) * gen.uniform(0.1, 3.0, 3)
     eig, cen = eig_of(pts)
-    quarters = quarter_split(pts, eig, split_center(cen, eig, 5.0))
+    quarters = quarters_of(pts, eig, cen)
     combined = np.concatenate(quarters)
     assert combined.shape[0] == n
     assert np.array_equal(np.sort(combined), np.arange(n))
+    for q in quarters:
+        assert np.array_equal(q, np.sort(q))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +166,47 @@ def test_too_few_points(rng):
     assert decision.reject_reason is RejectReason.TOO_FEW_POINTS
 
 
+def noisy_line(gen, n, length, sigma):
+    """n points along x over ``length`` meters, with Gaussian noise of
+    ``sigma`` across the line, under a random rotation."""
+    pts = np.column_stack([gen.uniform(-length / 2, length / 2, n),
+                           gen.normal(0, sigma, n), gen.normal(0, sigma, n)])
+    return pts @ random_rotation(gen).T
+
+
+def test_exact_line_rejected_as_line():
+    # flat by the min/max gate (both smaller eigenvalues are zero), but a line
+    pts = np.column_stack([np.linspace(-0.5, 0.6, 40), np.zeros(40), np.zeros(40)])
+    decision = determine_plane(pts, PARAMS)
+    assert not decision.is_plane
+    assert decision.reject_reason is RejectReason.LINE_LIKE
+    assert flatness_test(decision.eig, PARAMS.flatness_ratio_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), at_utm=st.booleans())
+def test_noisy_line_never_plane(seed, at_utm):
+    # a 0.5 m edge with 5 mm noise under a random rigid motion: its quarters,
+    # cut across the noise, can look as thick as the whole
+    gen = np.random.default_rng(seed)
+    pts = noisy_line(gen, 60, 0.5, 0.005) + gen.uniform(-10, 10, 3) + (UTM if at_utm else 0.0)
+    decision = determine_plane(pts, PARAMS)
+    assert not decision.is_plane
+    assert decision.reject_reason in (RejectReason.LINE_LIKE, RejectReason.FLATNESS_FAILED)
+
+
+def test_line_scene_yields_no_line_groups():
+    # a 3 m edge of 900 points at 2 mm noise through the whole pipeline: no
+    # extracted group may be a line by the plane test's own bound
+    bound = PARAMS.flatness_ratio_max
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        pts = noisy_line(gen, 900, 3.0, 0.002) + gen.uniform(-2, 2, 3)
+        groups = extract_plane_groups(pts, ExtractionConfig()).groups
+        lams = [g.merged.eigenvalues for g in groups]
+        assert not [lam for lam in lams if lam[1] < bound * lam[0]], f"seed {seed}"
+
+
 def test_exactly_coplanar_always_plane(rng):
     for _ in range(20):
         n = int(rng.integers(PARAMS.min_points, 500))
@@ -213,8 +238,7 @@ def test_accepted_set_is_subset_of_flatness(rng):
 
 def _quarter_sizes(pts):
     eig, cen = eig_of(pts)
-    quarters = quarter_split(pts, eig, split_center(cen, eig, PARAMS.sigma_shift_multiple))
-    return sorted(q.shape[0] for q in quarters)
+    return sorted(q.shape[0] for q in quarters_of(pts, eig, cen))
 
 
 def test_rigid_motion_invariance(rng):
@@ -252,7 +276,7 @@ def test_sparse_quarter_fallback():
     strays = np.array([[1.226, -17.136, 0.0], [-35.686, -9.330, 0.0]])
     pts = np.concatenate([blob, strays])
     eig, cen = eig_of(pts)
-    quarters = quarter_split(pts, eig, split_center(cen, eig, 5.0))
+    quarters = quarters_of(pts, eig, cen)
     assert sum(1 for q in quarters if q.shape[0] < sparse_quarter_threshold(20)) == 3
     decision = determine_plane(pts, PlaneTestParams(min_points=20))
     assert decision.sparse_quarter_fallback
