@@ -2,12 +2,13 @@
 documents, colored clouds, and the JSON form of evaluation reports.
 
 Clouds are read in all three formats and written in the labeled binary
-one, which round-trips coordinates bit-exactly; the text writers (plane
-sets and colored ply) format whole arrays: one ``tolist()`` per array,
-floats in shortest round-trip ``repr``. Output is byte-stable for
-identical input: field order is fixed, and nothing timing-dependent is
-written except the explicit timing section of reports. Plane sets always
-carry each group's member point indices (the point association).
+one, which round-trips coordinates bit-exactly; the text writers put
+floats in shortest round-trip ``repr``. The plane set is written group by
+group, each group's member indices made text in a few array passes, so
+one group's text at most is held. Output is byte-stable for identical
+input: field order is fixed, and nothing timing-dependent is written
+except the explicit timing section of reports. Plane sets always carry
+each group's member point indices (the point association).
 
 One reader per format, each parsing straight into the library's types:
 ``read_cloud`` tells the cloud formats apart by content and returns
@@ -216,27 +217,60 @@ def _floats(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
 
+# A value in c base-1000 cells is a row of 4 c bytes: three digits and a
+# space per cell. Row w of _KEEP, over the last 4 c of its seven cells (any
+# int64), keeps the last w digits and the final space. The tables are built
+# in plain Python, as numpy code first run at import adds to peak RSS.
+_CELLS = np.frombuffer(b"".join(b"%03d " % k for k in range(1000)), dtype="<u4")
+_POW10 = np.array([10 ** k for k in range(1, 19)], dtype=np.int64)
+_KEEP = np.array([[p == 27 or p % 4 < 3 and 21 - 3 * (p // 4) - p % 4 <= w for p in range(28)]
+                  for w in range(20)])
+
+
+def _index_text(idx: np.ndarray) -> np.ndarray:
+    """The bytes of " ".join(map(str, idx.tolist())) + "\\n" for a non-empty,
+    non-negative int64 array, as uint8, in a few array passes per base-1000
+    cell."""
+    cells = (len(str(int(idx.max()))) + 2) // 3
+    rows, rest = np.empty((idx.size, cells), "<u4"), idx
+    for k in range(cells - 1, 0, -1):
+        rest, low = np.divmod(rest, 1000)
+        rows[:, k] = _CELLS[low]
+    rows[:, 0] = _CELLS[rest]
+    width = sum((idx >= p).view(np.int8) for p in _POW10[:3 * cells - 1]) + 1
+    text = rows.view(np.uint8)[_KEEP[:, -4 * cells:].take(width, axis=0)]
+    text[-1] = ord("\n")
+    return text
+
+
 def write_planes(groups: list[PlaneGroup], path) -> None:
     """Write a plane-set document: for each group its root voxel, point
     count, centroid, normal, eigenvalues, member-depth histogram and member
     point indices. Field order is fixed and floats use shortest round-trip
-    repr, so output is byte-stable across runs."""
-    lines = [f"voxplane-planeset {_VERSION}", f"groups {len(groups)}"]
+    repr, so output is byte-stable across runs. Each group needs
+    ``cluster.n`` >= 1 member indices, all non-negative integers
+    (InputValidationError before the file is opened otherwise)."""
+    members = []
     for i, g in enumerate(groups):
-        m = g.merged
-        depths = sorted(Counter(p.depth for p in g.members).items())
-        lines += [
-            f"group {i}",
-            "root " + " ".join(map(str, m.root_key)),
-            f"count {int(m.cluster.n)}",
-            "centroid " + _floats(m.centroid),
-            "normal " + _floats(m.normal),
-            "eigenvalues " + _floats(m.eigenvalues),
-            "depths " + " ".join(f"{d}:{c}" for d, c in depths),
-            "indices " + " ".join(map(str, m.point_indices.tolist())),
-            "end",
-        ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        idx, n = np.asarray(g.merged.point_indices), int(g.merged.cluster.n)
+        if idx.ndim != 1 or not 0 < idx.size == n:
+            raise InputValidationError(f"group {i}: count {n} with {idx.size} member "
+                                       f"indices; a group needs one or more")
+        if idx.dtype.kind not in "iu" or (idx := idx.astype(np.int64, copy=False)).min() < 0:
+            raise InputValidationError(f"group {i}: member indices must be "
+                                       f"non-negative integers within int64")
+        members.append(idx)
+    with open(path, "wb") as fh:
+        fh.write(f"voxplane-planeset {_VERSION}\ngroups {len(groups)}\n".encode())
+        for i, (g, idx) in enumerate(zip(groups, members)):
+            m = g.merged
+            depths = sorted(Counter(p.depth for p in g.members).items())
+            fh.write((f"group {i}\nroot {' '.join(map(str, m.root_key))}\n"
+                      f"count {idx.size}\ncentroid {_floats(m.centroid)}\n"
+                      f"normal {_floats(m.normal)}\neigenvalues {_floats(m.eigenvalues)}\n"
+                      f"depths {' '.join(f'{d}:{c}' for d, c in depths)}\nindices ").encode())
+            fh.write(_index_text(idx))
+            fh.write(b"end\n")
 
 
 def _depth_pair(pair: str) -> tuple[int, int]:

@@ -5,9 +5,11 @@ is a classical (largest-pivot) Jacobi iteration working on numpy arrays,
 the covariance oracle is a plain two-pass computation over raw points, and
 the scoring oracle counts each group's labels in its own loop. The text
 cloud writers, which make xyz and ascii ply input for the readers, format
-their rows on their own.
+their rows on their own, and the plane-set writer builds the whole
+document as lines with one ``str`` per member index.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +111,24 @@ def write_ply(path, points, labels=None) -> None:
               "property double x", "property double y", "property double z",
               *(["property int label"] if labels is not None else []), "end_header"]
     _write_rows(path, header + rows)
+
+
+def write_planeset(groups, path) -> None:
+    """The plane-set document built as one list of lines: header, then the
+    nine-line block of each group."""
+    lines = ["voxplane-planeset 1", f"groups {len(groups)}"]
+    for i, g in enumerate(groups):
+        m = g.merged
+        depths = sorted(Counter(p.depth for p in g.members).items())
+        lines += [
+            f"group {i}",
+            "root " + " ".join(map(str, m.root_key)),
+            f"count {int(m.cluster.n)}",
+            "centroid " + " ".join(map(repr, m.centroid.tolist())),
+            "normal " + " ".join(map(repr, m.normal.tolist())),
+            "eigenvalues " + " ".join(map(repr, m.eigenvalues.tolist())),
+            "depths " + " ".join(f"{d}:{c}" for d, c in depths),
+            "indices " + " ".join(map(str, m.point_indices.tolist())),
+            "end",
+        ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

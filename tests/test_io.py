@@ -1,17 +1,23 @@
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxplane import (
     CloudFormatError,
     InputValidationError,
+    PlaneGroup,
+    PlanePatch,
+    PointCluster,
+    VoxelKey,
     extract_plane_groups,
     gen_corner,
+    gen_multi_room,
     gen_plane,
 )
 from voxplane.cli import cli_main
@@ -25,7 +31,7 @@ from voxplane.io import (
     write_planes,
 )
 
-from oracles import write_ply, write_xyz
+from oracles import write_planeset, write_ply, write_xyz
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -411,6 +417,82 @@ def test_golden_planeset_reads_back():
     for r, g in zip(back, groups):
         assert np.array_equal(r.merged.normal, g.merged.normal)
         assert np.array_equal(r.merged.point_indices, g.merged.point_indices)
+
+
+def _group(indices, count=None, depth=0) -> PlaneGroup:
+    """A one-member group over the given member indices; ``count`` is the
+    cluster's point count (the number of indices unless given)."""
+    n = len(indices) if count is None else count
+    patch = PlanePatch(cluster=PointCluster(n, np.zeros(3), np.zeros((3, 3)), np.zeros(3)),
+                       centroid=np.array([0.5, -1e-300, 4e6]), normal=np.array([0.0, 0.0, 1.0]),
+                       eigenvalues=np.array([1.0, 0.25, 1e-9]), point_indices=np.asarray(indices),
+                       root_key=VoxelKey(-3, 0, 7), depth=depth)
+    return PlaneGroup(members=[patch], merged=patch)
+
+
+@pytest.mark.parametrize("indices, count", [
+    (np.array([], dtype=np.int64), 0),
+    (np.array([-1, 8193, 8194]), 3),
+    (np.array([3, 4, 5]), 2),
+    (np.array([3, 4]), 3),
+    (np.array([3.0, 4.0]), 2),
+    (np.array([2**63 + 1], dtype=np.uint64), 1),
+], ids=["empty", "negative", "count-below-indices", "count-above-indices",
+        "float-indices", "past-int64"])
+def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count):
+    path = tmp_path / "refused.txt"
+    groups = [_group([0, 1]), _group(indices, count)]
+    with pytest.raises(InputValidationError, match="group 1"):
+        write_planes(groups, path)
+    assert not path.exists()
+
+
+_BOUNDARIES = [0, 10**18, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+_INDICES = st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**63 - 1),
+                              st.integers(0, 10**6)), min_size=1, max_size=40)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_INDICES, min_size=1, max_size=12))
+@example([_BOUNDARIES, [0], [2**63 - 1], [7, 10**6, 42]])
+def test_planeset_index_text_matches_reference(tmp_path, groups):
+    # every index line, in groups of mixed widths, is the one str() per
+    # value gives, and so is the rest of the document
+    groups = [_group(np.array(g, dtype=np.int64), depth=i % 3) for i, g in enumerate(groups)]
+    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+    write_planes(groups, ours)
+    write_planeset(groups, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def room_1m_groups():
+    return extract_plane_groups(gen_multi_room(target_points=1_000_000, seed=0).points).groups
+
+
+def test_planeset_bytes_match_reference_on_room_scenes(tmp_path, room_1m_groups):
+    scenes = [extract_plane_groups(gen_multi_room(target_points=30_000, seed=[0, i]).points)
+              .groups for i in range(3)] + [room_1m_groups]
+    for groups in scenes:
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        write_planes(groups, ours)
+        write_planeset(groups, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_planeset_write_holds_at_most_half_the_document(tmp_path, room_1m_groups):
+    # One group's text at a time: a writer that builds the whole document
+    # first holds it at least once, and is caught here.
+    path = tmp_path / "room.txt"
+    tracemalloc.start()
+    try:
+        write_planes(room_1m_groups, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1_000_000
+    assert peak < size / 2, (peak, size)
 
 
 # ---------------------------------------------------------------------------
