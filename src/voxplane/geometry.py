@@ -78,10 +78,6 @@ class PointCluster:
     sq_sum: np.ndarray   # (3, 3), symmetric
     origin: np.ndarray   # (3,)
 
-    @staticmethod
-    def empty() -> "PointCluster":
-        return PointCluster(0, np.zeros(3), np.zeros((3, 3)), np.zeros(3))
-
 
 def accumulate(points) -> PointCluster:
     """Build a PointCluster from raw points, validating finiteness."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import colorsys
 import logging
+import math
 import struct
 from collections import Counter
 from pathlib import Path
@@ -247,12 +248,19 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
     """Write a plane-set document: for each group its root voxel, point
     count, centroid, normal, eigenvalues, member-depth histogram and member
     point indices. Field order is fixed and floats use shortest round-trip
-    repr, so output is byte-stable across runs. Each group needs
+    repr, so output is byte-stable across runs. Each group needs a finite
+    centroid and eigenvalues, a normal of unit length within 1e-9, and
     ``cluster.n`` >= 1 member indices, all non-negative integers
     (InputValidationError before the file is opened otherwise)."""
     members = []
     for i, g in enumerate(groups):
-        idx, n = np.asarray(g.merged.point_indices), int(g.merged.cluster.n)
+        m = g.merged
+        if not all(map(math.isfinite, [*m.centroid.tolist(), *m.eigenvalues.tolist()])):
+            raise InputValidationError(f"group {i}: non-finite centroid or eigenvalues")
+        # sqrt(n . n) is the reader's np.linalg.norm, bit for bit, at a third of its cost
+        if not abs(math.sqrt(m.normal @ m.normal) - 1.0) <= 1e-9:
+            raise InputValidationError(f"group {i}: normal is not a finite unit vector")
+        idx, n = np.asarray(m.point_indices), int(m.cluster.n)
         if idx.ndim != 1 or not 0 < idx.size == n:
             raise InputValidationError(f"group {i}: count {n} with {idx.size} member "
                                        f"indices; a group needs one or more")

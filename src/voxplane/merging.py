@@ -4,6 +4,7 @@ Octree partition is irreversible and tends to shatter one physical plane
 into many small leaves. Greedy first-fit grouping repairs that: each patch
 joins the first existing group whose merged representative it is coplanar
 with, otherwise it starts a new group. Groups never span root voxels.
+A join takes two patches, the group's representative and the newcomer.
 """
 
 from __future__ import annotations
@@ -81,23 +82,14 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
     return True
 
 
-def merge_patches(members: list[PlanePatch]) -> PlanePatch:
-    """Combine patches into one, recomputing centroid/normal/eigenvalues
-    from the merged moment sums (O(1) in the number of points)."""
-    cluster = members[0].cluster
-    for m in members[1:]:
-        cluster = merge(cluster, m.cluster)
+def merge_patches(a: PlanePatch, b: PlanePatch) -> PlanePatch:
+    """Join two patches, refitting from the merged moment sums in O(1): a's
+    root key, the smaller depth, and a's point indices before b's."""
+    cluster = merge(a.cluster, b.cluster)
     cov, centroid = covariance(cluster)
-    eig = eigen_symmetric3(cov)
-    return PlanePatch(
-        cluster=cluster,
-        centroid=centroid,
-        normal=eig.eigenvectors[:, 2].copy(),
-        eigenvalues=eig.eigenvalues.copy(),
-        point_indices=np.concatenate([m.point_indices for m in members]),
-        root_key=members[0].root_key,
-        depth=min(m.depth for m in members),
-    )
+    return PlanePatch.fit(cluster, centroid, eigen_symmetric3(cov),
+                          np.concatenate([a.point_indices, b.point_indices]),
+                          a.root_key, min(a.depth, b.depth))
 
 
 def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGroup]:
@@ -115,7 +107,7 @@ def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGr
         for group in groups:
             if coplanar_test(group.merged, patch, params):
                 group.members.append(patch)
-                group.merged = merge_patches([group.merged, patch])
+                group.merged = merge_patches(group.merged, patch)
                 break
         else:
             groups.append(PlaneGroup(members=[patch], merged=patch))

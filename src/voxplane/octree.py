@@ -11,6 +11,7 @@ child's rows are a contiguous slice of its parent's, in octant order.
 The tree itself is not kept. Each root voxel resolves to a flat list of
 its leaves (plane leaves and discarded nodes), depth first with octant
 index ascending; merging is first-fit, so that order fixes the output.
+Every computed patch (leaf, join, RANSAC plane) comes from ``PlanePatch.fit``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import PointCluster, as_points
+from .geometry import EigenDecomposition, PointCluster, as_points
 from .plane_test import determine_plane
 
 if TYPE_CHECKING:
@@ -66,6 +67,13 @@ class PlanePatch:
     point_indices: np.ndarray  # indices into the frame's point storage
     root_key: VoxelKey
     depth: int
+
+    @classmethod
+    def fit(cls, cluster: PointCluster, centroid: np.ndarray, eig: EigenDecomposition,
+            point_indices: np.ndarray, root_key: VoxelKey, depth: int) -> "PlanePatch":
+        """A cluster's patch; the normal is eig's smallest-eigenvalue column."""
+        return cls(cluster, centroid, eig.eigenvectors[:, 2].copy(), eig.eigenvalues.copy(),
+                   point_indices, root_key, depth)
 
 
 @dataclass
@@ -153,15 +161,8 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
         decision = determine_plane(points, config.plane_params)
         if decision.is_plane:
             node.state = NodeState.PLANE_LEAF
-            node.patch = PlanePatch(
-                cluster=decision.cluster,
-                centroid=decision.centroid,
-                normal=decision.eig.eigenvectors[:, 2].copy(),
-                eigenvalues=decision.eig.eigenvalues.copy(),
-                point_indices=idx,
-                root_key=root_key,
-                depth=node.depth,
-            )
+            node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,
+                                        idx, root_key, node.depth)
         elif node.half_extent * 2.0 > config.min_voxel_size * (1.0 + 1e-12):
             node.state = NodeState.INTERNAL
     if node.state is not NodeState.INTERNAL:

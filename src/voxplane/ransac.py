@@ -138,17 +138,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
             member_idx = remaining[result.inliers]
             cluster = accumulate(pts[member_idx])
             cov, centroid = covariance(cluster)
-            eig = eigen_symmetric3(cov)
-            patches.append(PlanePatch(
-                cluster=cluster,
-                centroid=centroid,
-                normal=eig.eigenvectors[:, 2].copy(),
-                eigenvalues=eig.eigenvalues.copy(),
-                point_indices=member_idx,
-                root_key=key,
-                depth=0,
-            ))
-            keep = np.ones(remaining.shape[0], dtype=bool)
-            keep[result.inliers] = False
-            remaining = remaining[keep]
+            patches.append(PlanePatch.fit(cluster, centroid, eigen_symmetric3(cov),
+                                          member_idx, key, 0))
+            remaining = np.delete(remaining, result.inliers)
     return patches

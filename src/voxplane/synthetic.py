@@ -110,20 +110,26 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     (points per square meter, Poisson count), Gaussian perpendicular noise.
 
     ``center`` places the rectangle on the plane; it defaults to the point
-    of the plane closest to the origin. Deterministic per seed.
+    of the plane closest to the origin. The normal must be a finite unit
+    vector, offset and center finite, and the extent finite and
+    non-negative. Deterministic per seed.
     """
     n = np.asarray(normal, dtype=np.float64)
-    if abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
-        raise InputValidationError("normal must be unit length")
+    if not abs(float(np.linalg.norm(n)) - 1.0) <= 1e-9:
+        raise InputValidationError("normal must be a finite unit vector")
+    if not np.isfinite(offset):
+        raise InputValidationError(f"offset must be finite, got {offset}")
     if not (np.isfinite(density) and density >= 0):
         raise InputValidationError(f"density must be finite and non-negative, got {density}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InputValidationError(
             f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     w, h = float(extent[0]), float(extent[1])
-    if center is None:
-        center = offset * n
-    center = np.asarray(center, dtype=np.float64)
+    if not (np.isfinite([w, h]).all() and min(w, h) >= 0):
+        raise InputValidationError(f"extent must be finite and non-negative, got {extent}")
+    center = np.asarray(offset * n if center is None else center, dtype=np.float64)
+    if not np.isfinite(center).all():
+        raise InputValidationError("center must be finite")
     u, v = plane_basis(n)
     plane = TruthPlane(normal=n, offset=float(offset), center=center,
                        axis_u=u, axis_v=v, half_u=w / 2.0, half_v=h / 2.0,
@@ -174,19 +180,17 @@ def gen_corner(size: float = 2.0, density: float = 1000.0,
 
 
 def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
-                            noise_sigma: float = 0.005,
-                            params: PlaneTestParams | None = None) -> GroundTruthCloud:
+                            noise_sigma: float = 0.005) -> GroundTruthCloud:
     """A noisy 1x1 m plane plus a compact protrusion in one quadrant, sized
     so the flatness gate still passes while the quarter-thickness test
     rejects.
 
     The protrusion height and population are swept at generation time and
-    the first admissible configuration wins; if the sweep is exhausted the
-    premise of the regression scenario is broken and generation fails
-    loudly. Protrusion points carry label -1.
+    the first admissible configuration wins under the default plane test; if
+    the sweep is exhausted the premise of the regression scenario is broken
+    and generation fails loudly. Protrusion points carry label -1.
     """
-    if params is None:
-        params = PlaneTestParams()
+    params = PlaneTestParams()
     base = gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0),
                      plane_density, noise_sigma, seed)
     blob_rng = np.random.default_rng(_seed_sequence(seed).spawn(1)[0])
@@ -253,8 +257,13 @@ def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
     walls along every grid line, sized so the expected total point count
     matches ``target_points``. Surfaces sit at x/y/z = 0.25 offsets so
     plane noise bands stay inside single voxel layers at the default 1 m
-    root size."""
+    root size. Needs at least one room each way, and a positive, finite
+    room_size and wall_height."""
     nx, ny = rooms
+    if not (nx >= 1 and ny >= 1):
+        raise InputValidationError(f"rooms must be at least 1 each way, got {rooms}")
+    if not (0 < room_size < np.inf and 0 < wall_height < np.inf):
+        raise InputValidationError("room_size and wall_height must be positive and finite")
     ox = oy = oz = 0.25
     width, depth = nx * room_size, ny * room_size
 

@@ -92,6 +92,13 @@ def test_hostile_seed_and_sigma_exit_two(tmp_path, capsys):
     assert not (tmp_path / "x.vxc").exists()
 
 
+def test_fp_slab_without_admissible_protrusion_exits_two(tmp_path, capsys):
+    out = tmp_path / "fp.vxc"
+    assert run("synth", "fp-slab", "--sigma", "0.05", "--out", str(out)) == EXIT_INPUT
+    assert "no protrusion configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_no_merge_and_colored(tmp_path, capsys):
     cloud = tmp_path / "c.vxc"
     assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK

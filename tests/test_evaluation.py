@@ -9,7 +9,6 @@ from voxplane import (
     InputValidationError,
     PlaneGroup,
     PlanePatch,
-    PointCluster,
     TruthPlane,
     VoxelKey,
     accumulate,
@@ -109,7 +108,7 @@ def _scoring_plane(k):
 
 def _scoring_group(gi, members):
     # Only the members, the normal and the centroid matter to the scorer.
-    patch = PlanePatch(cluster=PointCluster.empty(), centroid=np.full(3, 0.3 * gi),
+    patch = PlanePatch(cluster=accumulate(np.empty((0, 3))), centroid=np.full(3, 0.3 * gi),
                        normal=_unit([1.0, gi, 0.5]), eigenvalues=np.zeros(3),
                        point_indices=np.array(members, dtype=np.int64),
                        root_key=VoxelKey(0, 0, 0), depth=0)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from voxplane import (
     EmptyClusterError,
     InputValidationError,
-    PointCluster,
     accumulate,
     covariance,
     eigen_symmetric3,
@@ -88,8 +87,8 @@ def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
 def test_merge_identity():
     # an empty operand on either side leaves the other one, origin included
     a = accumulate([(1, 2, 3), (4, 5, 6)])
-    for merged in (merge_clusters(a, PointCluster.empty()),
-                   merge_clusters(PointCluster.empty(), a)):
+    for merged in (merge_clusters(a, accumulate(np.empty((0, 3)))),
+                   merge_clusters(accumulate(np.empty((0, 3))), a)):
         assert merged.n == a.n
         assert np.array_equal(merged.origin, a.origin)
         assert np.array_equal(merged.sum, a.sum)
@@ -163,7 +162,7 @@ def test_covariance_positive_semidefinite(rng):
 
 def test_covariance_empty_cluster_raises():
     with pytest.raises(EmptyClusterError):
-        covariance(PointCluster.empty())
+        covariance(accumulate(np.empty((0, 3))))
 
 
 def test_cluster_vs_raw_large_far_from_origin(rng):

@@ -447,6 +447,33 @@ def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("centroid", np.array([0.5, np.nan, 4e6]), "non-finite centroid"),
+    ("eigenvalues", np.array([np.inf, 0.25, 1e-9]), "non-finite centroid or eigenvalues"),
+    ("normal", np.array([0.0, 0.0, 2.0]), "unit"),
+    ("normal", np.array([0.0, 0.0, 1.0 + 2e-9]), "unit"),
+    ("normal", np.array([np.nan, 0.0, 1.0]), "unit"),
+], ids=["nan-centroid", "inf-eigenvalue", "normal-length-2", "normal-off-by-2e-9",
+        "nan-normal"])
+def test_write_planes_refuses_floats_read_planes_refuses(tmp_path, field, value, message):
+    path = tmp_path / "refused.txt"
+    bad = _group([2, 3])
+    setattr(bad.merged, field, value)
+    with pytest.raises(InputValidationError, match=f"group 1: .*{message}"):
+        write_planes([_group([0, 1]), bad], path)
+    assert not path.exists()
+
+
+def test_write_planes_accepts_normals_read_planes_accepts(tmp_path, corner_cloud):
+    # a normal within 1e-9 of unit length, off by more than rounding,
+    # is written and read back as it is
+    group = _group([0, 1])
+    group.merged.normal = np.array([0.0, 0.6, 0.8 + 5e-10])
+    write_planes([group], tmp_path / "ok.txt")
+    [back] = read_planes(tmp_path / "ok.txt", corner_cloud.points)
+    assert np.array_equal(back.merged.normal, group.merged.normal)
+
+
 _BOUNDARIES = [0, 10**18, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
 _INDICES = st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**63 - 1),
                               st.integers(0, 10**6)), min_size=1, max_size=40)

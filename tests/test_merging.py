@@ -166,7 +166,7 @@ def test_merged_statistics_match_union(rng):
     pts_b = plane_points(rng, [0, 0, 1], 0.2, (0.5, 0.9), (0.0, 0.9), 250, 0.003)
     pa, _ = make_patch(pts_a)
     pb, _ = make_patch(pts_b, start_index=250)
-    merged = merge_patches([pa, pb])
+    merged = merge_patches(pa, pb)
     cov_m, cen_m = covariance(merged.cluster)
     cov_ref, cen_ref = two_pass_covariance(np.concatenate([pts_a, pts_b]))
     assert merged.cluster.n == 500

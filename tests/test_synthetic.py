@@ -43,6 +43,34 @@ def test_gen_plane_rejects_bad_density_or_sigma(density, sigma):
         gen_plane(Z, 0.0, (1.0, 1.0), density, sigma, seed=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(extent=(NAN, 1.0)), dict(extent=(-1.0, 1.0)), dict(extent=(INF, 1.0)),
+    dict(extent=(-1.0, -1.0)), dict(normal=(NAN, 0.0, 1.0)), dict(normal=(0.0, 0.0, INF)),
+    dict(offset=NAN), dict(offset=INF), dict(center=(0.0, NAN, 0.0)),
+])
+def test_gen_plane_rejects_impossible_geometry(geometry):
+    with pytest.raises(InputValidationError):
+        gen_plane(**dict(normal=Z, offset=0.0, extent=(1.0, 1.0), density=100.0,
+                         noise_sigma=0.005, seed=0) | geometry)
+
+
+def test_gen_corner_rejects_non_finite_margin():
+    with pytest.raises(InputValidationError):
+        gen_corner(edge_margin=NAN)
+
+
+@pytest.mark.parametrize("layout", [
+    dict(rooms=(0, 0)), dict(rooms=(2, 0)), dict(room_size=-4.0), dict(room_size=INF),
+    dict(wall_height=0.0), dict(wall_height=NAN),
+])
+def test_gen_multi_room_rejects_impossible_layouts(layout):
+    with pytest.raises(InputValidationError):
+        gen_multi_room(target_points=1000, **layout)
+
+
 @pytest.mark.parametrize("make", [
     lambda seed: gen_plane(Z, 0.0, (1.0, 1.0), 100.0, 0.005, seed=seed),
     lambda seed: gen_corner(seed=seed),
@@ -163,10 +191,10 @@ def test_fp_slab_deterministic():
 
 
 def test_fp_slab_sweep_exhaustion_fails_loudly():
-    # an absurdly strict flatness gate can never pass, so no sweep
-    # configuration is admissible
+    # at 5 cm noise the slab alone is too thick for the flatness gate, so
+    # no sweep configuration is admissible
     with pytest.raises(GenerationError):
-        gen_false_positive_slab(seed=0, params=PlaneTestParams(flatness_ratio_max=1e-12))
+        gen_false_positive_slab(seed=0, noise_sigma=0.05)
 
 
 # ---------------------------------------------------------------------------
