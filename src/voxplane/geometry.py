@@ -7,7 +7,10 @@ re-touching raw points. Only this module knows that frame. It keeps every
 sum at the scale of the set, so a covariance is as exact at georeferenced
 coordinates (UTM northings near 4e6 m) as at the origin. The eigensolver is
 one call of the LAPACK kernel behind ``np.linalg.eigh`` plus a sign rule
-that makes its eigenvectors deterministic.
+that makes its eigenvectors deterministic. Its finiteness checks and the
+sign rule's comparisons run on the entries as Python floats (``tolist``),
+which for a 3x3 costs less than the numpy calls that would do the same; the
+signs then apply as one multiply by a prebuilt sign vector.
 
 Summation order: the moments are summed along the contiguous rows of the
 centred (3, n) array ``cols = (pts - origin).T``, the first moments in one
@@ -25,6 +28,7 @@ All functions are pure and all returned objects are treated as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +46,12 @@ __all__ = [
     "eigen_symmetric3",
 ]
 
-_COLUMNS = np.arange(3)
 # The gufunc ``np.linalg.eigh`` dispatches to for the lower triangle, called
 # directly to skip its per-call wrapper.
 _eigh_lo = _umath_linalg.eigh_lo
+# Column multipliers of the sign rule, indexed by a bit mask of the columns
+# to flip (bit k for column k).
+_SIGNS = tuple(np.array([-1.0 if flip >> k & 1 else 1.0 for k in range(3)]) for flip in range(8))
 
 
 def as_points(points) -> np.ndarray:
@@ -153,20 +159,25 @@ def eigen_symmetric3(m) -> EigenDecomposition:
     the sign; a flipped zero becomes -0.0).
 
     One direct call of the gufunc behind ``np.linalg.eigh`` computes it, so
-    the bits are eigh's; only the lower triangle is read. LAPACK scales the
-    matrix internally, so the result is accurate at any magnitude, and it
-    handles repeated eigenvalues without a special case. A non-finite
-    eigenvalue means LAPACK did not converge and raises
-    ``np.linalg.LinAlgError``, as eigh would.
+    the bits are eigh's; only the lower triangle is read, so all nine entries
+    are checked for finiteness first. LAPACK scales the matrix internally,
+    so the result is accurate at any magnitude, and it handles repeated
+    eigenvalues without a special case. A non-finite eigenvalue means
+    LAPACK did not converge and raises ``np.linalg.LinAlgError``, as eigh
+    would.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.shape != (3, 3):
         raise InputValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all(map(math.isfinite, a.reshape(9).tolist())):
         raise InputValidationError("matrix contains NaN or infinite entries")
     vals, vecs = _eigh_lo(a, signature="d->dd")
-    if not np.isfinite(vals).all():
+    if not all(map(math.isfinite, vals.tolist())):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    vecs = vecs[:, ::-1]
-    lead = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
-    return EigenDecomposition(vals[::-1], vecs * np.copysign(1.0, lead))
+    # LAPACK's column j is column 2 - j here; a tie keeps the first component
+    flip = 0
+    for bit, (x, y, z) in zip((4, 2, 1), vecs.T.tolist()):
+        lead = y if abs(y) > abs(x) else x
+        if (z if abs(z) > abs(lead) else lead) < 0.0:
+            flip += bit
+    return EigenDecomposition(vals[::-1], vecs[:, ::-1] * _SIGNS[flip])

@@ -9,11 +9,17 @@ comparable to the pooled one. A set that passes the flatness gate but is
 also thin in its second direction is a line, not a plane, and is rejected
 before the split: plane and edge features are kept apart, as feature-based
 LiDAR bundle adjustment does (BALM, Liu and Zhang, RA-L 2021).
+
+Summation order: the quarters' moments are column slices of one C-contiguous
+(12, n) buffer, the centred rows in quarter order and their nine products,
+summed along contiguous rows; so each quarter's sums are bit-equal to those
+of a copy of its points (see the ``geometry`` module docstring).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,14 +131,13 @@ def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
     ``[0, a, b, c, N]``: ``order[cuts[k]:cuts[k + 1]]`` is quadrant k, in
     ascending index order.
     """
-    rel = cols - center[:, None]
-    u = eig.eigenvectors
-    d0 = rel[0] * u[0, 0] + rel[1] * u[1, 0] + rel[2] * u[2, 0]
-    d1 = rel[0] * u[0, 1] + rel[1] * u[1, 1] + rel[2] * u[2, 1]
+    # both offsets from one (3, 2, N) product, summed over axis 0 in 0, 1, 2 order
+    prod = (cols - center[:, None])[:, None, :] * eig.eigenvectors[:, :2, None]
+    d0, d1 = prod[0] + prod[1] + prod[2]
     # uint8 codes, so the stable argsort is a radix sort
     code = (d0 >= 0.0) * np.uint8(2) + (d1 >= 0.0)
     order = code.argsort(kind="stable")
-    return order, [0, *np.bincount(code, minlength=4)[:3].cumsum().tolist(), code.shape[0]]
+    return order, list(itertools.accumulate(np.bincount(code, minlength=4).tolist(), initial=0))
 
 
 def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
@@ -189,24 +194,26 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     quarter_min = sparse_quarter_threshold(params.min_points)
     pooled = _effective_min_eigenvalue(eig)
     bound = params.quarter_ratio_bound
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
 
-    # The centred rows in quarter order and their products, once: each
-    # quarter's sums are then contiguous slices, bit-equal to summing a copy.
-    q_cols = cols.take(order, axis=1)
-    q_prod = q_cols[:, None] * q_cols
-    quarter_l3: list[float] = []
-    failed = False
-    for start, stop in zip(cuts, cuts[1:]):
-        if stop - start < quarter_min:
-            continue
-        q_cov, _ = _central_moments(stop - start, q_cols[:, start:stop].sum(axis=1),
-                                    q_prod[..., start:stop].sum(axis=2))
-        q_l3 = _effective_min_eigenvalue(eigen_symmetric3(q_cov))
-        quarter_l3.append(q_l3)
-        # Zero thickness on either side means exact coplanarity somewhere;
-        # that can never disqualify a plane.
-        if pooled != 0.0 and q_l3 != 0.0 and not (1.0 / bound < pooled / q_l3 < bound):
-            failed = True
+    # The centred rows in quarter order and their nine products in one
+    # (12, n) buffer: each tested quarter's twelve sums are then one
+    # contiguous column slice, bit-equal to summing a copy of the quarter.
+    buf = np.empty((12, n))
+    cols.take(order, axis=1, out=buf[:3], mode="clip")
+    np.multiply(buf[:3, None], buf[:3], out=buf[3:].reshape(3, 3, n))
+    sums = np.empty((len(spans), 12))
+    for row, (a, b) in zip(sums, spans):
+        buf[:, a:b].sum(axis=1, out=row)
+    # _central_moments of every tested quarter at once, the same operations
+    moments = sums / np.array([b - a for a, b in spans], dtype=np.float64)[:, None]
+    means = moments[:, :3]
+    covs = moments[:, 3:].reshape(-1, 3, 3) - means[:, :, None] * means[:, None, :]
+    quarter_l3 = [_effective_min_eigenvalue(eigen_symmetric3(c)) for c in covs]
+    # Zero thickness on either side means exact coplanarity somewhere;
+    # that can never disqualify a plane.
+    failed = pooled != 0.0 and any(q != 0.0 and not 1.0 / bound < pooled / q < bound
+                                   for q in quarter_l3)
 
     # With three or more quarters skipped there is too little quarter
     # evidence either way; the flatness gate already passed, so accept and

@@ -16,6 +16,7 @@ band.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +112,13 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
 
     ``center`` places the rectangle on the plane; it defaults to the point
     of the plane closest to the origin. The normal must be a finite unit
-    vector, offset and center finite, and the extent finite and
-    non-negative. Deterministic per seed.
+    3-vector, offset and the 3-vector center finite, the extent two finite
+    non-negative lengths, and the expected count within numpy's Poisson
+    range. Deterministic per seed.
     """
     n = np.asarray(normal, dtype=np.float64)
-    if not abs(float(np.linalg.norm(n)) - 1.0) <= 1e-9:
-        raise InputValidationError("normal must be a finite unit vector")
+    if not (n.shape == (3,) and abs(float(np.linalg.norm(n)) - 1.0) <= 1e-9):
+        raise InputValidationError("normal must be a finite unit 3-vector")
     if not np.isfinite(offset):
         raise InputValidationError(f"offset must be finite, got {offset}")
     if not (np.isfinite(density) and density >= 0):
@@ -124,18 +126,24 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InputValidationError(
             f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    w, h = float(extent[0]), float(extent[1])
-    if not (np.isfinite([w, h]).all() and min(w, h) >= 0):
-        raise InputValidationError(f"extent must be finite and non-negative, got {extent}")
+    size = np.asarray(extent, dtype=np.float64)
+    if not (size.shape == (2,) and np.isfinite(size).all() and size.min() >= 0):
+        raise InputValidationError(
+            f"extent must be two finite non-negative lengths, got {extent}")
+    w, h = size.tolist()
     center = np.asarray(offset * n if center is None else center, dtype=np.float64)
-    if not np.isfinite(center).all():
-        raise InputValidationError("center must be finite")
+    if not (center.shape == (3,) and np.isfinite(center).all()):
+        raise InputValidationError("center must be a finite 3-vector")
     u, v = plane_basis(n)
     plane = TruthPlane(normal=n, offset=float(offset), center=center,
                        axis_u=u, axis_v=v, half_u=w / 2.0, half_v=h / 2.0,
                        noise_sigma=float(noise_sigma))
     rng = np.random.default_rng(_seed_sequence(seed))
-    count = int(rng.poisson(density * w * h))
+    try:
+        count = int(rng.poisson(density * w * h))
+    except ValueError as exc:
+        raise InputValidationError(
+            f"expected point count {density * w * h:g} is too large to draw") from exc
     pts = _rectangle_points(plane, count, rng)
     return GroundTruthCloud(points=pts,
                             labels=np.zeros(count, dtype=np.int32),
@@ -257,9 +265,12 @@ def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
     walls along every grid line, sized so the expected total point count
     matches ``target_points``. Surfaces sit at x/y/z = 0.25 offsets so
     plane noise bands stay inside single voxel layers at the default 1 m
-    root size. Needs at least one room each way, and a positive, finite
-    room_size and wall_height."""
-    nx, ny = rooms
+    root size. Needs two integer room counts of at least one, and a
+    positive, finite room_size and wall_height."""
+    try:
+        nx, ny = map(operator.index, rooms)
+    except (TypeError, ValueError) as exc:
+        raise InputValidationError(f"rooms must be two integers, got {rooms!r}") from exc
     if not (nx >= 1 and ny >= 1):
         raise InputValidationError(f"rooms must be at least 1 each way, got {rooms}")
     if not (0 < room_size < np.inf and 0 < wall_height < np.inf):

@@ -6,7 +6,9 @@ the covariance oracle is a plain two-pass computation over raw points, and
 the scoring oracle counts each group's labels in its own loop. The text
 cloud writers, which make xyz and ascii ply input for the readers, format
 their rows on their own, and the plane-set writer builds the whole
-document as lines with one ``str`` per member index.
+document as lines with one ``str`` per member index. The plane-test oracle
+splits a set into quarters with one projection per eigenvector and sums each
+quarter's moments in its own loop step.
 """
 
 from collections import Counter
@@ -132,3 +134,79 @@ def write_planeset(groups, path) -> None:
             "end",
         ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def eigh_descending(m) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh reversed to descending order, each eigenvector signed
+    so that its first largest-magnitude component is positive."""
+    vals, vecs = np.linalg.eigh(m)
+    vecs = vecs[:, ::-1]
+    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(3)]
+    return vals[::-1], vecs * np.copysign(1.0, lead)
+
+
+def quarter_split_reference(cols, vecs, center) -> tuple[np.ndarray, list[int]]:
+    """Stable quadrant order and cuts [0, a, b, c, N] of the (3, N) rows
+    ``cols`` by the signs of their offsets from ``center`` along the first
+    two columns of ``vecs``, one projection at a time."""
+    rel = cols - center[:, None]
+    u = vecs
+    d0 = rel[0] * u[0, 0] + rel[1] * u[1, 0] + rel[2] * u[2, 0]
+    d1 = rel[0] * u[0, 1] + rel[1] * u[1, 1] + rel[2] * u[2, 1]
+    code = (d0 >= 0.0) * np.uint8(2) + (d1 >= 0.0)
+    order = code.argsort(kind="stable")
+    return order, [0, *np.bincount(code, minlength=4)[:3].cumsum().tolist(), code.shape[0]]
+
+
+def _min_eigenvalue_flushed(vals) -> float:
+    lam_max, lam_min = float(vals[0]), float(vals[2])
+    return 0.0 if lam_min <= 1e-12 * max(lam_max, 0.0) else lam_min
+
+
+def plane_decision_reference(points, flatness_ratio_max=0.0625, quarter_ratio_bound=3.0,
+                             min_points=20) -> dict:
+    """The quarter-thickness plane test with one loop step per quarter.
+
+    Moments are summed about the first point along contiguous rows, and each
+    quarter's first and second moments come from slices of its own (3, n)
+    and (3, 3, n) arrays. Returns is_plane, reject_reason (the reason's
+    string or None), fallback, eigenvalues, eigenvectors, quarter_min (the
+    four quarter values or None), and the quarter order and cuts (None when
+    the quarter test did not run).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    out = dict(is_plane=False, reject_reason=None, fallback=False, eigenvalues=np.zeros(3),
+               eigenvectors=np.eye(3), quarter_min=None, order=None, cuts=None)
+    if n < min_points:
+        return {**out, "reject_reason": "too_few_points"}
+    cols = np.subtract(pts.T, pts[0][:, None], order="C")
+    mean = cols.sum(axis=1) / n
+    vals, vecs = eigh_descending((cols[:, None] * cols).sum(axis=2) / n - mean[:, None] * mean)
+    out.update(eigenvalues=vals, eigenvectors=vecs)
+    if not (vals[0] > 0.0 and vals[2] / vals[0] < flatness_ratio_max):
+        return {**out, "reject_reason": "flatness_failed"}
+    if vals[1] / vals[0] < flatness_ratio_max:
+        return {**out, "reject_reason": "line_like"}
+
+    order, cuts = quarter_split_reference(cols, vecs, mean)
+    pooled = _min_eigenvalue_flushed(vals)
+    q_cols = cols.take(order, axis=1)
+    q_prod = q_cols[:, None] * q_cols
+    quarter_l3 = []
+    failed = False
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop - start < max(3, min_points // 8):
+            continue
+        q_mean = q_cols[:, start:stop].sum(axis=1) / (stop - start)
+        q_cov = q_prod[..., start:stop].sum(axis=2) / (stop - start) - q_mean[:, None] * q_mean
+        q_l3 = _min_eigenvalue_flushed(eigh_descending(q_cov)[0])
+        quarter_l3.append(q_l3)
+        bound = quarter_ratio_bound
+        if pooled != 0.0 and q_l3 != 0.0 and not (1.0 / bound < pooled / q_l3 < bound):
+            failed = True
+    fallback = len(quarter_l3) <= 1
+    rejected = failed and not fallback
+    return {**out, "is_plane": not rejected, "fallback": fallback, "order": order, "cuts": cuts,
+            "reject_reason": "quarter_ratio_failed" if rejected else None,
+            "quarter_min": np.array(quarter_l3) if len(quarter_l3) == 4 else None}

@@ -354,3 +354,35 @@ def test_eigen_rejects_bad_input():
         eigen_symmetric3(np.full((3, 3), np.nan))
     with pytest.raises(InputValidationError):
         eigen_symmetric3(np.zeros((2, 2)))
+    with pytest.raises(InputValidationError, match=r"got shape \(2, 3\)"):
+        eigen_symmetric3(np.zeros((2, 3)))
+    # LAPACK reads only the lower triangle, so only the check sees these
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(InputValidationError, match="NaN or infinite"):
+            eigen_symmetric3(m)
+
+
+def test_eigen_list_and_stacked_view_inputs_match_eigh(rng):
+    stack = np.array([random_symmetric(rng) for _ in range(4)])
+    for m in stack:
+        vals, vecs = _eigh_reference(m)
+        for arg in (m, m.tolist()):
+            e = eigen_symmetric3(arg)
+            assert _bits(e.eigenvalues) == _bits(vals)
+            assert _bits(e.eigenvectors) == _bits(vecs)
+
+
+def test_eigen_all_eight_sign_patterns_match_eigh(rng):
+    # the sign rule flips any subset of LAPACK's three columns
+    patterns = set()
+    for _ in range(300):
+        m = random_symmetric(rng)
+        raw = np.linalg.eigh(m)[1]
+        patterns.add(tuple(raw[np.abs(raw).argmax(axis=0), [0, 1, 2]] < 0.0))
+        vals, vecs = _eigh_reference(m)
+        e = eigen_symmetric3(m)
+        assert _bits(e.eigenvalues) == _bits(vals)
+        assert _bits(e.eigenvectors) == _bits(vecs)
+    assert len(patterns) == 8

@@ -16,9 +16,15 @@ from voxplane import (
     flatness_test,
     gen_false_positive_slab,
 )
+from voxplane import plane_test
 from voxplane.plane_test import quarter_split, sparse_quarter_threshold
 
-from oracles import random_rotation, two_pass_covariance
+from oracles import (
+    plane_decision_reference,
+    quarter_split_reference,
+    random_rotation,
+    two_pass_covariance,
+)
 
 PARAMS = PlaneTestParams()
 UTM = np.array([5e5, 4e6, 100.0])
@@ -307,3 +313,117 @@ def test_decision_carries_reusable_statistics(rng):
     assert np.allclose(decision.centroid, cen_ref, atol=1e-12)
     lam_ref = np.sort(np.linalg.eigvalsh(cov_ref))[::-1]
     assert np.allclose(decision.eig.eigenvalues, lam_ref, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stacked quarter kernel against the one-quarter-at-a-time oracle
+
+ORACLE_KINDS = ("coplanar", "grid", "line", "noisy_line", "clumps", "ratio")
+
+
+def _oracle_case(kind, seed, at_utm):
+    """Points and min_points of one oracle case. n runs from min_points - 1
+    up; "clumps" keeps n within a few points of min_points, where one to
+    four quarters are sparse, and "ratio" makes one quadrant about 3 or
+    0.52 times as thick as the rest, which puts a quarter near the 1/3 or 3
+    bound of the pooled thickness. A rotated "grid" of odd sides puts whole
+    rows on the dividing lines, where the sign of the projection's roundoff
+    decides the quarter."""
+    gen = np.random.default_rng(seed)
+    min_points = int(gen.choice([4, 8, 20, 40]))
+    n = min_points + int(gen.integers(-1, 12 if kind == "clumps" else 300))
+    if kind == "coplanar":
+        pts = np.column_stack([gen.uniform(-1, 1, n), gen.uniform(-0.6, 0.6, n),
+                               np.full(n, gen.uniform(-1, 1))])[:, gen.permutation(3)]
+    elif kind == "grid":
+        a, b = 2 * gen.integers(2, 8, 2) + 1
+        x, y = np.meshgrid((np.arange(a) - a // 2) * 0.1, (np.arange(b) - b // 2) * 0.07)
+        pts = np.column_stack([x.ravel(), y.ravel(), np.zeros(a * b)]) @ random_rotation(gen).T
+        min_points = min(min_points, a * b)
+    elif kind == "line":
+        t = gen.uniform(-0.5, 0.5, n)
+        pts = np.column_stack([t, t * gen.choice([0.0, 0.5, 2.0]), np.zeros(n)])
+    elif kind == "noisy_line":
+        pts = noisy_line(gen, n, 0.5, 0.005)
+    elif kind == "clumps":
+        centers = gen.uniform(-1, 1, (int(gen.integers(1, 5)), 2))
+        xy = centers[gen.integers(0, centers.shape[0], n)] + gen.normal(0, gen.uniform(0.05, 0.5),
+                                                                         (n, 2))
+        pts = np.column_stack([xy, gen.normal(0, 0.002, n)]) @ random_rotation(gen).T
+    else:
+        xy = np.column_stack([gen.uniform(-1, 1, n), gen.uniform(-0.6, 0.6, n)])
+        f = gen.choice([3.0, 0.522]) * gen.uniform(0.85, 1.15)
+        sigma = np.where((xy[:, 0] >= 0) & (xy[:, 1] >= 0), f, 1.0) * 0.004
+        pts = np.column_stack([xy, gen.normal(0, 1, n) * sigma]) @ random_rotation(gen).T
+    return pts + gen.uniform(-10, 10, 3) + (UTM if at_utm else 0.0), min_points
+
+
+def test_oracle_cases_cover_sparse_quarters_and_ratio_bounds():
+    sparse_counts, reasons, near_bound = set(), set(), 0
+    for kind in ORACLE_KINDS:
+        for seed in range(150):
+            pts, min_points = _oracle_case(kind, seed, seed % 2 == 1)
+            ref = plane_decision_reference(pts, min_points=min_points)
+            reasons.add(ref["reject_reason"])
+            if ref["cuts"] is not None:
+                sizes = np.diff(ref["cuts"])
+                sparse_counts.add(int((sizes < sparse_quarter_threshold(min_points)).sum()))
+            if ref["quarter_min"] is not None and ref["eigenvalues"][2] > 0.0:
+                ratio = ref["eigenvalues"][2] / ref["quarter_min"][ref["quarter_min"] > 0.0]
+                near_bound += bool((np.abs(np.log(ratio * 3.0)) < 0.1).any()
+                                   or (np.abs(np.log(ratio / 3.0)) < 0.1).any())
+    assert sparse_counts == {0, 1, 2, 3, 4}
+    assert reasons == {None, "too_few_points", "line_like", "quarter_ratio_failed"}
+    assert near_bound >= 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**31 - 1), at_utm=st.booleans())
+def test_determine_plane_matches_per_quarter_oracle(kind, seed, at_utm):
+    pts, min_points = _oracle_case(kind, seed, at_utm)
+    splits = []
+
+    def spy(*args):
+        splits.append(quarter_split(*args))
+        return splits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plane_test, "quarter_split", spy)
+        decision = determine_plane(pts, PlaneTestParams(min_points=min_points))
+    ref = plane_decision_reference(pts, min_points=min_points)
+    assert decision.is_plane == ref["is_plane"]
+    assert (decision.reject_reason and decision.reject_reason.value) == ref["reject_reason"]
+    assert decision.sparse_quarter_fallback == ref["fallback"]
+    assert decision.eig.eigenvalues.tobytes() == ref["eigenvalues"].tobytes()
+    assert decision.eig.eigenvectors.tobytes() == ref["eigenvectors"].tobytes()
+    if ref["quarter_min"] is None:
+        assert decision.quarter_min_eigenvalues is None
+    else:
+        assert decision.quarter_min_eigenvalues.tobytes() == ref["quarter_min"].tobytes()
+    if ref["cuts"] is None:
+        assert splits == []
+    else:
+        (order, cuts), = splits
+        assert np.array_equal(order, ref["order"])
+        assert cuts == ref["cuts"]
+
+
+def test_quarter_split_matches_oracle_on_rotated_grids():
+    # Whole grid rows sit on a dividing line, so the offsets' roundoff picks
+    # their quarter: only the oracle's summation order gives its quarters.
+    for seed in range(300):
+        pts, min_points = _oracle_case("grid", seed, seed % 2 == 1)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return quarter_split(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plane_test, "quarter_split", spy)
+            determine_plane(pts, PlaneTestParams(min_points=min_points))
+        for cols, eig, center in calls:
+            order, cuts = quarter_split(cols, eig, center)
+            ref_order, ref_cuts = quarter_split_reference(cols, eig.eigenvectors, center)
+            assert np.array_equal(order, ref_order), f"seed {seed}"
+            assert cuts == ref_cuts, f"seed {seed}"

@@ -50,6 +50,10 @@ NAN, INF = float("nan"), float("inf")
     dict(extent=(NAN, 1.0)), dict(extent=(-1.0, 1.0)), dict(extent=(INF, 1.0)),
     dict(extent=(-1.0, -1.0)), dict(normal=(NAN, 0.0, 1.0)), dict(normal=(0.0, 0.0, INF)),
     dict(offset=NAN), dict(offset=INF), dict(center=(0.0, NAN, 0.0)),
+    dict(normal=(0.6, 0.8)), dict(normal=(0.0, 0.0, 1.0, 0.0)), dict(center=(0.0, 0.0)),
+    dict(extent=(1.0,)), dict(extent=(1.0, 1.0, 1.0)),
+    # finite lengths whose expected count is past numpy's Poisson limit
+    dict(extent=(1e200, 1e200)), dict(extent=(1e9, 1e9)),
 ])
 def test_gen_plane_rejects_impossible_geometry(geometry):
     with pytest.raises(InputValidationError):
@@ -65,6 +69,7 @@ def test_gen_corner_rejects_non_finite_margin():
 @pytest.mark.parametrize("layout", [
     dict(rooms=(0, 0)), dict(rooms=(2, 0)), dict(room_size=-4.0), dict(room_size=INF),
     dict(wall_height=0.0), dict(wall_height=NAN),
+    dict(rooms=(1.5, 1)), dict(rooms=(1, 1, 1)), dict(rooms=3),
 ])
 def test_gen_multi_room_rejects_impossible_layouts(layout):
     with pytest.raises(InputValidationError):
