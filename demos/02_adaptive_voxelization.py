@@ -10,21 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
-from voxplane import ExtractionConfig, NodeState, gen_corner, octree_leaves
+from voxplane import ExtractionConfig, NodeState, extract_plane_groups, gen_corner
 from voxplane.io import write_colored_cloud
-from voxplane.pipeline import extract_plane_groups
 
 cloud = gen_corner(seed=0)
 config = ExtractionConfig()
 print(f"corner scene: {cloud.points.shape[0]} points, "
       f"{len(cloud.planes)} ground-truth planes")
 
-leaves = octree_leaves(cloud.points, config)
-print(f"non-empty root voxels: {len(leaves)}")
+result = extract_plane_groups(cloud.points, config)
+print(f"non-empty root voxels: {len(result.leaves)}")
 
 states = Counter()
 depths = Counter()
-for voxel in leaves.values():
+for voxel in result.leaves.values():
     for leaf in voxel:
         states[leaf.state.value] += 1
         if leaf.state is NodeState.PLANE_LEAF:
@@ -33,7 +32,6 @@ print(f"leaf states: {dict(states)}")
 print(f"plane-leaf depth histogram: {dict(sorted(depths.items()))}")
 print("(depth 1 leaves appear exactly where two walls share a voxel)\n")
 
-result = extract_plane_groups(cloud.points, config)
 print(f"after per-voxel merging: {len(result.groups)} plane groups")
 for stage, seconds in result.timings.as_dict().items():
     print(f"  {stage:>9}: {seconds * 1e3:7.2f} ms")

@@ -6,8 +6,6 @@ plane into several leaves. Greedy per-voxel merging puts them back
 together into one group while the protrusion leaves are discarded.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from voxplane import ExtractionConfig, determine_plane
@@ -28,12 +26,14 @@ decision = determine_plane(points, config.plane_params)
 print(f"root-voxel plane test: is_plane={decision.is_plane} "
       f"({decision.reject_reason.value})")
 
-plain = extract_plane_groups(points, replace(config, merging_enabled=False)).groups
+result = extract_plane_groups(points, config)
+plain = [leaf.patch for voxel in result.leaves.values() for leaf in voxel
+         if leaf.patch is not None]
 print(f"\nwithout merging: {len(plain)} separate patches")
-for g in plain:
-    print(f"  depth {g.merged.depth}, {g.merged.cluster.n} points")
+for p in plain:
+    print(f"  depth {p.depth}, {p.cluster.n} points")
 
-merged = extract_plane_groups(points, config).groups
+merged = result.groups
 print(f"\nwith merging: {len(merged)} group(s)")
 for g in merged:
     normal = g.merged.normal

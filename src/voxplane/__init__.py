@@ -36,7 +36,7 @@ from .octree import (
     build_root_map,
     subdivide,
 )
-from .pipeline import ExtractionResult, StageTimings, extract_plane_groups, octree_leaves
+from .pipeline import ExtractionResult, StageTimings, extract_plane_groups
 from .plane_test import (
     PlaneDecision,
     PlaneTestParams,
@@ -66,7 +66,7 @@ __all__ = [
     "VoxelKey", "NodeState", "OctreeNode", "PlanePatch",
     "build_root_map", "subdivide",
     "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",
-    "StageTimings", "ExtractionResult", "octree_leaves", "extract_plane_groups",
+    "StageTimings", "ExtractionResult", "extract_plane_groups",
     "RansacPlane", "ransac_plane", "ransac_extract_all",
     "GroundTruthCloud", "TruthPlane", "gen_plane", "gen_corner",
     "gen_false_positive_slab", "gen_slab_with_object", "gen_multi_room",

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=f"JSON config file (falls back to ${CONFIG_ENV_VAR})")
     p.add_argument("--out", help="write the plane-set document here")
     p.add_argument("--colored", help="write a colored ply of extracted planes here")
-    p.add_argument("--no-merge", action="store_true", help="skip per-voxel plane merging")
+    p.add_argument("--no-merge", action="store_true", help="write the plane leaves unmerged")
     p.add_argument("--print-config", action="store_true",
                    help="print the effective config as JSON and exit")
 
@@ -129,8 +128,6 @@ def _emit_report(payload: dict, path: str | None) -> None:
 
 def _cmd_extract(args) -> int:
     config = _load_effective_config(args.config)
-    if args.no_merge:
-        config = replace(config, merging_enabled=False)
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2))
         return EXIT_OK
@@ -138,13 +135,16 @@ def _cmd_extract(args) -> int:
         raise InputValidationError("missing input cloud (or use --print-config)")
     points, _ = read_cloud(args.cloud)
     result = extract_plane_groups(points, config)
-    print(f"{len(result.groups)} plane groups from {points.shape[0]} points "
+    groups = result.groups
+    if args.no_merge:
+        groups = [PlaneGroup(members=[leaf.patch], merged=leaf.patch)
+                  for voxel in result.leaves.values() for leaf in voxel if leaf.patch is not None]
+    print(f"{len(groups)} plane groups from {points.shape[0]} points "
           f"in {result.timings.total:.3f}s")
     if args.out:
-        write_planes(result.groups, args.out)
+        write_planes(groups, args.out)
     if args.colored:
-        write_colored_cloud(points, _group_assignment(points.shape[0], result.groups),
-                            args.colored)
+        write_colored_cloud(points, _group_assignment(points.shape[0], groups), args.colored)
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 A config file overrides defaults field by field; anything not mentioned
 keeps its default. Unknown keys are rejected rather than silently ignored.
+Every settable value is a number; a JSON boolean is never taken as one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class ExtractionConfig:
     min_voxel_size: float = 0.25
     plane_params: PlaneTestParams = field(default_factory=PlaneTestParams)
     merge_params: MergeParams = field(default_factory=MergeParams)
-    merging_enabled: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.root_size) and self.root_size > self.min_voxel_size > 0):
@@ -49,8 +49,7 @@ class ExtractionConfig:
 # JSON value types each plain field type takes (field types are strings,
 # as the config modules postpone annotations), and their name in errors.
 # A JSON boolean is never taken as a number.
-_JSON_TYPES = {"bool": (bool, "boolean"), "int": (int, "integer"),
-               "float": ((int, float), "number")}
+_JSON_TYPES = {"int": (int, "integer"), "float": ((int, float), "number")}
 
 
 def _sections(cls) -> dict[str, Field]:
@@ -75,7 +74,7 @@ def _from_dict(cls, data, where: str):
         if f.name in kwargs:
             value = kwargs[f.name]
             accepted, noun = _JSON_TYPES[f.type]
-            if isinstance(value, bool) is not (f.type == "bool") or not isinstance(value, accepted):
+            if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"'{f.name}' in {where} must be a JSON {noun}, "
                                   f"got {value!r}")
     for name, f in sections.items():

@@ -387,9 +387,12 @@ def write_colored_cloud(points, assignment, path) -> None:
     group (palette indexed by group number): double x, y, z in shortest
     round-trip repr and uchar red, green, blue. Points with assignment < 0
     are not part of any plane and are omitted. The points must be an
-    (N, 3) array of finite coordinates with one assignment each."""
+    (N, 3) array of finite coordinates with one integer assignment each."""
     pts = as_points(points)
-    assign = np.asarray(assignment, dtype=np.int64).reshape(-1)
+    assign = np.asarray(assignment).reshape(-1)
+    if assign.size and assign.dtype.kind not in "iu":
+        # a cast would truncate them: -0.5 would color its point as group 0
+        raise InputValidationError("assignment must be integers")
     if assign.shape[0] != pts.shape[0]:
         raise InputValidationError(f"assignment length {assign.shape[0]} does not "
                                    f"match {pts.shape[0]} points")

@@ -94,7 +94,10 @@ def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
     points, the transpose of C-contiguous (3, N) key rows. Uses
     mathematical floor, so -0.3 lands in cell -1 and cell boundaries
     belong to the higher cell (half-open convention). Raises
-    InputValidationError where |x / root_size| >= 2^63 has no int64 key."""
+    InputValidationError unless root_size is finite and positive, and
+    where |x / root_size| >= 2^63 has no int64 key."""
+    if not 0 < root_size < np.inf:
+        raise InputValidationError(f"root_size must be finite and positive, got {root_size!r}")
     cells = np.floor(np.divide(points.T, root_size, order="C"))
     if cells.size and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):
         raise InputValidationError("coordinate too large for the voxel lattice: "
@@ -116,10 +119,9 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     uint64 differences modulo 2^64 before narrowing, so a span beyond
     int64 (keys near +-6e18) still sorts right.
     """
-    pts = as_points(points)
-    if pts.shape[0] == 0:
+    keys = voxel_keys(as_points(points), root_size).T
+    if keys.shape[1] == 0:
         return {}
-    keys = voxel_keys(pts, root_size).T
     lows = keys.min(axis=1).tolist()
     rows = [(row.view(np.uint64) - np.uint64(lo % 2 ** 64)).astype(np.min_scalar_type(hi - lo))
             for row, lo, hi in zip(keys, lows, keys.max(axis=1).tolist())]
@@ -129,7 +131,7 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     starts = np.concatenate(([0], change)).tolist()
     firsts = zip(*(row.take(starts).tolist() for row in rows))
     return {VoxelKey(*(lo + k for lo, k in zip(lows, first))): order[a:b]
-            for first, a, b in zip(firsts, starts, starts[1:] + [pts.shape[0]])}
+            for first, a, b in zip(firsts, starts, starts[1:] + [keys.shape[1]])}
 
 
 # Octant index bit layout: bit0 = x >= center, bit1 = y >= center,

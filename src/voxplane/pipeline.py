@@ -5,8 +5,8 @@ Each root voxel's rows are gathered from the cloud once and resolve to a
 flat list of its octree leaves, depth first with octant index ascending;
 the plane leaves' patches are merged within the voxel. Root voxels are
 resolved and emitted in sorted lattice order, which keeps the output
-identical from run to run. ``octree_leaves`` returns the leaf lists
-themselves, for inspection and tests.
+identical from run to run. The result keeps the leaf lists next to the
+merged groups, so the unmerged patches come from the same run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .geometry import as_points
 __all__ = [
     "StageTimings",
     "ExtractionResult",
-    "octree_leaves",
     "extract_plane_groups",
 ]
 
@@ -44,7 +43,13 @@ class StageTimings:
 
 @dataclass
 class ExtractionResult:
+    """groups: the per-voxel merge results, in sorted lattice-key order.
+    leaves: each root voxel's leaves (plane leaves and discarded nodes,
+        depth first, octant index ascending), in sorted lattice-key order.
+    timings: wall-clock seconds per stage."""
+
     groups: list[PlaneGroup]
+    leaves: dict[VoxelKey, list[OctreeNode]]
     timings: StageTimings
 
 
@@ -57,22 +62,9 @@ def _root_leaves(key: VoxelKey, idx: np.ndarray, pts: np.ndarray,
     return leaves
 
 
-def octree_leaves(points, config: ExtractionConfig) -> dict[VoxelKey, list[OctreeNode]]:
-    """Voxelize and subdivide, returning each root voxel's leaves (plane
-    leaves and discarded nodes, depth first, octant index ascending) in
-    sorted lattice-key order."""
-    pts = as_points(points)
-    return {key: _root_leaves(key, idx, pts, config)
-            for key, idx in build_root_map(pts, config.root_size).items()}
-
-
 def extract_plane_groups(points, config: ExtractionConfig | None = None) -> ExtractionResult:
-    """Full pipeline with per-stage timings.
-
-    With merging enabled the groups are the per-voxel merge results;
-    otherwise every leaf patch becomes its own singleton group. Output is
-    deterministic for identical input and config.
-    """
+    """Full pipeline with per-stage timings. Output is deterministic for
+    identical input and config."""
     if config is None:
         config = ExtractionConfig()
     timings = StageTimings()
@@ -84,19 +76,15 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None) -> Extr
     timings.voxelize = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    leaves = [_root_leaves(key, idx, pts, config) for key, idx in root_map.items()]
+    leaves = {key: _root_leaves(key, idx, pts, config) for key, idx in root_map.items()}
     timings.subdivide = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     groups: list[PlaneGroup] = []
-    for voxel_leaves in leaves:
+    for voxel_leaves in leaves.values():
         patches = [leaf.patch for leaf in voxel_leaves if leaf.patch is not None]
-        if config.merging_enabled:
-            groups.extend(greedy_merge(patches, config.merge_params))
-        else:
-            groups.extend(PlaneGroup(members=[p], merged=p) for p in patches)
+        groups.extend(greedy_merge(patches, config.merge_params))
     timings.merge = time.perf_counter() - t0
 
     timings.total = time.perf_counter() - t_start
-    return ExtractionResult(groups=groups, timings=timings)
-
+    return ExtractionResult(groups=groups, leaves=leaves, timings=timings)

@@ -12,11 +12,13 @@ not depend on processing order. A plane needs the plane test's
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExtractionConfig
+from .errors import InputValidationError
 from .geometry import accumulate, as_points, covariance, eigen_symmetric3
 from .octree import PlanePatch, VoxelKey, build_root_map
 
@@ -107,9 +109,9 @@ def ransac_plane(points, rng: np.random.Generator,
 
 
 def _voxel_rng(seed: int, key: VoxelKey) -> np.random.Generator:
-    # Map signed ints to uint64 words; the stream depends only on
+    # Map signed key ints to uint64 words; the stream depends only on
     # (seed, key), never on voxel processing order.
-    entropy = [seed & _U64, key.ix & _U64, key.iy & _U64, key.iz & _U64]
+    entropy = [seed, key.ix & _U64, key.iy & _U64, key.iz & _U64]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -120,8 +122,15 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
     In each voxel, planes are extracted and their inliers removed until no
     plane reaches ``config.plane_params.min_points`` inliers. Patch
     statistics come from the inlier clusters; inlier sets of successive
-    planes in a voxel are disjoint.
+    planes in a voxel are disjoint. ``seed`` is a non-negative integer,
+    and every seed has its own streams.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        pass
+    if not isinstance(seed, int) or seed < 0:
+        raise InputValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if config is None:
         config = ExtractionConfig()
     min_inliers = config.plane_params.min_points

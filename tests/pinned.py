@@ -60,6 +60,12 @@ CORNER_UTM_GROUPS_SHA256 = "4daa1ca67ce2d1251db84b22cbdf7c888e039a63fd7ae188fcf7
 # evaluator prints for ours and for the RANSAC baseline
 CORNER_COMPARE_SHA256 = "85565918529c4ebc7cd593dc25ce3810ca1b1af6211628e718a4b6e35ceb20c7"
 
+# sha256 of the plane set and of the colored ply that `voxplane extract
+# --no-merge --out ... --colored ...` writes for `voxplane synth corner
+# --seed 0`: one singleton group per plane leaf, in leaf order
+CORNER_NO_MERGE_PLANESET_SHA256 = "ce6796c99f661c6363c05e5041a21cf628acf81fcb6b223d1f08b033fcc85d83"
+CORNER_NO_MERGE_COLORED_SHA256 = "e7812c4206061a9647439b94b14a883621e13c0a2670dde2671d70d12ba927cb"
+
 # sha256 over ransac_extract_all(...) at seed 0 and the default config, on
 # gen_corner(seed=0) and then gen_slab_with_object(seed=0): for each patch
 # in output order, its root key and point indices (int64), then its

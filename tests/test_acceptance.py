@@ -6,7 +6,6 @@ criteria execute.
 
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from voxplane import (
     gen_multi_room,
     gen_plane,
     gen_slab_with_object,
-    octree_leaves,
     ransac_extract_all,
 )
 from voxplane.cli import cli_main
@@ -134,7 +132,8 @@ def test_criterion_4_merging_effectiveness():
         decision = determine_plane(pts, CFG.plane_params)
         assert not decision.is_plane, "protrusion must defeat the depth-0 test"
 
-        merged = extract_plane_groups(pts, CFG).groups
+        result = extract_plane_groups(pts, CFG)
+        merged = result.groups
         assert len(merged) == 1
         group = merged[0]
         assert len(group.members) >= 2
@@ -143,7 +142,8 @@ def test_criterion_4_merging_effectiveness():
         angle = math.acos(min(1.0, abs(float(group.merged.normal @ Z))))
         assert angle < 1e-6
 
-        unmerged = extract_plane_groups(pts, replace(CFG, merging_enabled=False)).groups
+        unmerged = [leaf.patch for voxel in result.leaves.values() for leaf in voxel
+                    if leaf.patch is not None]
         assert len(unmerged) >= 2
 
     _announce("C4", "merging-effectiveness", body)
@@ -217,7 +217,8 @@ def test_criterion_6_structural_invariants():
                                      rng.normal(0.0, 0.002, n - 30)]),
                     rng.uniform(-1, 1, (30, 3)),
                 ])
-            leaves = [leaf for voxel in octree_leaves(pts, CFG).values() for leaf in voxel]
+            result = extract_plane_groups(pts, CFG)
+            leaves = [leaf for voxel in result.leaves.values() for leaf in voxel]
             idx_all = np.concatenate([l.point_indices for l in leaves])
             assert np.array_equal(np.sort(idx_all), np.arange(pts.shape[0]))
             for leaf in leaves:
@@ -226,7 +227,7 @@ def test_criterion_6_structural_invariants():
                     assert determine_plane(pts[leaf.point_indices],
                                            CFG.plane_params).is_plane
 
-            groups = extract_plane_groups(pts, CFG).groups
+            groups = result.groups
             patch_ids = [id(mm) for g in groups for mm in g.members]
             assert len(patch_ids) == len(set(patch_ids))
             n_patches = sum(leaf.patch is not None for leaf in leaves)

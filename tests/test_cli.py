@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from voxplane import PlaneGroup, extract_plane_groups
 from voxplane.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, cli_main
-from voxplane.io import read_cloud, read_planes, write_cloud
+from voxplane.io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 
 import pinned
 
@@ -114,6 +115,31 @@ def test_extract_no_merge_and_colored(tmp_path, capsys):
     assert colored.read_text().startswith("ply")
 
 
+def test_extract_no_merge_writes_the_plane_leaves(tmp_path, capsys):
+    # one singleton group per plane leaf of the same run, in leaf order
+    cloud = tmp_path / "c.vxc"
+    assert run("synth", "corner", "--seed", "0", "--out", str(cloud)) == EXIT_OK
+    plain, colored = tmp_path / "p.txt", tmp_path / "p.ply"
+    assert run("extract", str(cloud), "--no-merge", "--out", str(plain),
+               "--colored", str(colored)) == EXIT_OK
+    capsys.readouterr()
+    points, _ = read_cloud(cloud)
+    patches = [leaf.patch for voxel in extract_plane_groups(points).leaves.values()
+               for leaf in voxel if leaf.patch is not None]
+    ref_plain, ref_colored = tmp_path / "ref.txt", tmp_path / "ref.ply"
+    write_planes([PlaneGroup(members=[p], merged=p) for p in patches], ref_plain)
+    assign = np.full(points.shape[0], -1, dtype=np.int64)
+    for gi, p in enumerate(patches):
+        assign[p.point_indices] = gi
+    write_colored_cloud(points, assign, ref_colored)
+    assert plain.read_bytes() == ref_plain.read_bytes()
+    assert colored.read_bytes() == ref_colored.read_bytes()
+    assert (hashlib.sha256(plain.read_bytes()).hexdigest()
+            == pinned.CORNER_NO_MERGE_PLANESET_SHA256)
+    assert (hashlib.sha256(colored.read_bytes()).hexdigest()
+            == pinned.CORNER_NO_MERGE_COLORED_SHA256)
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"plane": {"min_points": 40}}))
@@ -132,9 +158,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"plane": 5}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"merging_enabled": "no"}))
+    cfg.write_text(json.dumps({"root_size": True}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
-    assert "must be a JSON boolean" in capsys.readouterr().err
+    assert "must be a JSON number" in capsys.readouterr().err
     cfg.write_text("{not json")
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     capsys.readouterr()

@@ -22,7 +22,6 @@ def test_defaults_carry_shipped_values():
     assert cfg.plane_params.quarter_ratio_bound == 3.0
     assert cfg.merge_params.normal_angle_max_deg == 8.0
     assert cfg.merge_params.separation_angle_tol_deg == 10.0
-    assert cfg.merging_enabled
     assert DIST_THRESHOLD == 0.03
 
 
@@ -85,7 +84,6 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"merge": None})
     bad_values = [
-        {"merging_enabled": "no"}, {"merging_enabled": 0},
         {"plane": {"min_points": 20.5}}, {"plane": {"min_points": True}},
         {"plane": {"min_points": "20"}}, {"min_points": 20},
         {"root_size": False}, {"root_size": "1.0"}, {"root_size": None},
@@ -94,9 +92,8 @@ def test_unknown_keys_rejected():
     for data in bad_values:
         with pytest.raises(ConfigError):
             config_from_dict(data)
-    cfg = config_from_dict({"root_size": 2, "merging_enabled": False,
-                            "merge": {"min_separation": 0}})
-    assert cfg.root_size == 2 and cfg.merging_enabled is False
+    cfg = config_from_dict({"root_size": 2, "merge": {"min_separation": 0}})
+    assert cfg.root_size == 2
 
 
 def test_removed_split_shift_key_rejected(tmp_path, capsys):
@@ -110,6 +107,18 @@ def test_removed_split_shift_key_rejected(tmp_path, capsys):
     write_cloud(cloud, np.zeros((4, 3)))
     assert cli_main(["extract", str(cloud), "--config", str(path)]) == EXIT_CONFIG
     assert "sigma_shift_multiple" in capsys.readouterr().err
+
+
+def test_removed_merge_switch_rejected(tmp_path, capsys):
+    # merging always runs (extract --no-merge writes the unmerged leaves of
+    # the same run); a file that still sets the old switch fails like any
+    # unknown key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"merging_enabled": False}))
+    with pytest.raises(ConfigError, match="merging_enabled"):
+        load_config(path)
+    assert cli_main(["extract", "--config", str(path), "--print-config"]) == EXIT_CONFIG
+    assert "merging_enabled" in capsys.readouterr().err
 
 
 def test_readme_config_block_is_the_defaults():

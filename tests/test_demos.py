@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the current library.
+"""Each demo script, and the README's library example, runs to completion
+against the current library.
 
 The demos are copied into a temporary directory first, so demo 02's
 colored cloud, written next to the script, lands there.
@@ -24,3 +25,10 @@ def test_demo_runs(tmp_path, name):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (## Library)", "exec"), {})
+    assert "plane_leaf" in capsys.readouterr().out

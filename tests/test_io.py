@@ -225,6 +225,18 @@ def test_colored_cloud_assignment_length(tmp_path):
         write_colored_cloud(np.zeros((4, 3)), np.zeros(3, dtype=int), tmp_path / "c.ply")
 
 
+def test_colored_cloud_rejects_non_integer_assignments(tmp_path):
+    # a cast once truncated them: -0.5 colored its point as group 0, and a
+    # NaN point was dropped after a cast warning
+    path = tmp_path / "c.ply"
+    for assign in ([0.7, 1.2, -0.5], [0.0, np.nan, 1.0], [True, False, True], ["0", "1", "2"]):
+        with pytest.raises(InputValidationError, match="integers"):
+            write_colored_cloud(np.zeros((3, 3)), assign, path)
+        assert not path.exists()
+    write_colored_cloud(np.zeros((3, 3)), np.array([0, 1, 5], dtype=np.uint8), path)
+    assert "element vertex 3" in path.read_text()
+
+
 def test_labeled_writer_rejects_non_integer_labels(tmp_path):
     # a cast would truncate them: [0.7, -1.5] once read back as [0, -1]
     with pytest.raises(InputValidationError, match="integers"):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,9 +187,9 @@ def test_no_cross_root_groups_and_disable_increases_count(rng):
         plane_points(rng, [0, 0, 1], 0.5, (-1.8, 1.8), (-1.8, 1.8), 6000, 0.004),
         rng.uniform(-1, 1, (800, 3)),
     ])
-    cfg = ExtractionConfig()
-    merged = extract_plane_groups(pts, cfg).groups
-    for g in merged:
+    result = extract_plane_groups(pts, ExtractionConfig())
+    for g in result.groups:
         assert len({m.root_key for m in g.members}) == 1
-    unmerged = extract_plane_groups(pts, replace(cfg, merging_enabled=False)).groups
-    assert len(unmerged) >= len(merged)
+    unmerged = [leaf.patch for voxel in result.leaves.values() for leaf in voxel
+                if leaf.patch is not None]
+    assert len(unmerged) >= len(result.groups)

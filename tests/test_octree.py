@@ -24,7 +24,6 @@ from voxplane import (
     gen_corner,
     gen_multi_room,
     gen_plane,
-    octree_leaves,
     ransac_extract_all,
     subdivide,
 )
@@ -84,6 +83,19 @@ def test_build_root_map_partitions_input(rng):
     # keys come out in sorted lattice order
     keys = list(out.keys())
     assert keys == sorted(keys)
+
+
+def test_bad_root_size_rejected():
+    # -1 once gave a mirrored lattice, inf put every point in voxel (0, 0, 0),
+    # and 0 and nan failed as a coordinate too large for the lattice
+    pts = np.array([[0.5, 0.5, 0.5], [2.5, -1.5, 0.5]])
+    for root_size in (-1.0, math.inf, 0.0, math.nan):
+        with pytest.raises(InputValidationError, match="root_size"):
+            voxel_keys(pts, root_size)
+        with pytest.raises(InputValidationError, match="root_size"):
+            build_root_map(pts, root_size)
+        with pytest.raises(InputValidationError, match="root_size"):
+            build_root_map(np.zeros((0, 3)), root_size)
 
 
 def test_lattice_overflow_rejected():
@@ -269,7 +281,7 @@ def _octant_path(leaf, key, root_size):
 @pytest.fixture(scope="module")
 def room_30k():
     cloud = gen_multi_room(target_points=30_000, seed=0)
-    return cloud.points, octree_leaves(cloud.points, CFG)
+    return cloud.points, extract_plane_groups(cloud.points, CFG).leaves
 
 
 def test_room_leaf_histogram_pinned(room_30k):
@@ -336,7 +348,7 @@ def test_plane_leaf_cluster_sums_its_own_points(room_30k, rng):
     # points than the leaf names. The sums must be those of the named
     # points, bit for bit.
     clutter = _crossing_planes(rng)
-    scenes = (room_30k, (clutter, octree_leaves(clutter, CFG)))
+    scenes = (room_30k, (clutter, extract_plane_groups(clutter, CFG).leaves))
     for pts, leaves in scenes:
         for leaf in (leaf for voxel in leaves.values() for leaf in voxel if leaf.patch):
             got, ref = leaf.patch.cluster, accumulate(pts[leaf.point_indices])
@@ -373,7 +385,7 @@ def test_leaf_octant_paths_strictly_increase(room_30k, rng):
     # leaves come depth first, octant index ascending: within each root
     # voxel their octant paths are strictly increasing, as tuples
     clutter = rng.uniform(-1, 1, (6000, 3))
-    for leaves in (room_30k[1], octree_leaves(clutter, CFG)):
+    for leaves in (room_30k[1], extract_plane_groups(clutter, CFG).leaves):
         for key, voxel in leaves.items():
             paths = [_octant_path(leaf, key, CFG.root_size) for leaf in voxel]
             assert all(a < b for a, b in zip(paths, paths[1:])), key
@@ -420,8 +432,9 @@ def test_extract_translation_by_root_multiples(rng):
         rng.uniform(0, 1, (300, 3)),
     ])
     shift = np.array([3.0, -2.0, 5.0]) * CFG.root_size
-    f0 = octree_leaves(pts, CFG)
-    f1 = octree_leaves(pts + shift, CFG)
+    near = extract_plane_groups(pts, CFG)
+    f0 = near.leaves
+    f1 = extract_plane_groups(pts + shift, CFG).leaves
     k0 = list(f0.keys())
     k1 = list(f1.keys())
     assert [(k.ix + 3, k.iy - 2, k.iz + 5) for k in k0] == [tuple(k) for k in k1]
@@ -434,7 +447,7 @@ def test_extract_translation_by_root_multiples(rng):
 
     # the whole extraction at UTM-like coordinates, also a whole number of
     # root voxels away: the same groups and, within roundoff, the same planes
-    near = extract_plane_groups(pts, CFG).groups
+    near = near.groups
     far = extract_plane_groups(pts + UTM_SHIFT, CFG).groups
     assert _member_sets(near) == _member_sets(far)
     by_members = {frozenset(g.merged.point_indices.tolist()): g.merged for g in far}
@@ -490,12 +503,33 @@ def test_extract_respects_min_points(rng):
         assert p.cluster.n >= CFG.plane_params.min_points
 
 
+def test_result_leaves_are_the_groups_members(room_30k, rng):
+    # One run gives both outputs: the leaves partition the points, and in
+    # each voxel the plane leaves' patches are exactly the groups' members,
+    # first fit: members in leaf order, groups in order of their first member
+    for pts in (room_30k[0], _crossing_planes(rng)):
+        result = extract_plane_groups(pts, CFG)
+        seen = [leaf.point_indices for voxel in result.leaves.values() for leaf in voxel]
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(pts.shape[0]))
+        groups = iter(result.groups)
+        for key, voxel in result.leaves.items():
+            position = {id(leaf.patch): i for i, leaf in enumerate(voxel) if leaf.patch}
+            paths, found = [], set()
+            while len(found) < len(position):
+                paths.append([position[id(m)] for m in next(groups).members])
+                found.update(paths[-1])
+            assert sorted(i for path in paths for i in path) == sorted(position.values()), key
+            assert all(a < b for path in paths for a, b in zip(path, path[1:])), key
+            assert [p[0] for p in paths] == sorted(p[0] for p in paths), key
+        assert next(groups, None) is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_point_conservation_random_scenes(seed):
     gen = np.random.default_rng(seed)
     pts = gen.uniform(-2, 2, (int(gen.integers(50, 1500)), 3))
     seen = [leaf.point_indices
-            for voxel in octree_leaves(pts, CFG).values() for leaf in voxel]
+            for voxel in extract_plane_groups(pts, CFG).leaves.values() for leaf in voxel]
     combined = np.sort(np.concatenate(seen)) if seen else np.zeros(0, dtype=int)
     assert np.array_equal(combined, np.arange(pts.shape[0]))

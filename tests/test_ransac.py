@@ -2,10 +2,12 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from voxplane import (
     ExtractionConfig,
     GroundTruthCloud,
+    InputValidationError,
     PlaneGroup,
     evaluate,
     fit_truth_planes,
@@ -14,7 +16,8 @@ from voxplane import (
     ransac_extract_all,
     ransac_plane,
 )
-from voxplane.ransac import DIST_THRESHOLD
+from voxplane.octree import VoxelKey
+from voxplane.ransac import DIST_THRESHOLD, _voxel_rng
 
 import pinned
 from oracles import point_plane_distance
@@ -170,3 +173,19 @@ def test_extract_all_patches_pinned():
             for arr in (p.centroid, p.normal, p.eigenvalues):
                 h.update(np.asarray(arr, dtype=np.float64).tobytes())
     assert h.hexdigest() == pinned.RANSAC_PATCHES_SHA256
+
+
+def test_extract_all_seed_checked(corner_cloud):
+    # -1 once wrapped to 2^64 - 1, 2^70 reused seed 0's streams, and 1.5
+    # and "7" raised a bare TypeError
+    for seed in (-1, -2 ** 70, 1.5, "7", None):
+        with pytest.raises(InputValidationError, match="seed"):
+            ransac_extract_all(corner_cloud.points, CFG, seed=seed)
+    a = ransac_extract_all(corner_cloud.points, CFG, seed=np.uint64(3))
+    b = ransac_extract_all(corner_cloud.points, CFG, seed=3)
+    assert [p.point_indices.tolist() for p in a] == [p.point_indices.tolist() for p in b]
+    # every seed has its own per-voxel streams, also past 2^64
+    key = VoxelKey(-1, 2, 0)
+    draws = {seed: _voxel_rng(seed, key).integers(2 ** 62, size=4).tolist()
+             for seed in (0, 5, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 5, 2 ** 70)}
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
