@@ -9,10 +9,7 @@ import numpy as np
 
 from voxplane import (
     PlaneTestParams,
-    accumulate,
-    covariance,
     determine_plane,
-    eigen_symmetric3,
     flatness_test,
     gen_false_positive_slab,
     gen_plane,
@@ -24,10 +21,9 @@ print(f"quarter thickness bound: within x{params.quarter_ratio_bound} of pooled\
 
 
 def describe(name, cloud):
-    cov, _ = covariance(accumulate(cloud.points))
-    eig = eigen_symmetric3(cov)
-    lam = eig.eigenvalues
     decision = determine_plane(cloud.points, params)
+    eig = decision.eig
+    lam = eig.eigenvalues
     print(f"{name}: {cloud.points.shape[0]} points")
     print(f"  eigenvalues: {lam[0]:.3g} >= {lam[1]:.3g} >= {lam[2]:.3g}")
     print(f"  flatness ratio {lam[2] / lam[0]:.5f} -> "

@@ -68,12 +68,14 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     same correct points over all labeled points. Either is None when its
     denominator is empty. A point in several groups votes in each.
 
-    Raises InputValidationError unless every label is in
+    Raises InputValidationError unless the labels are integers, every one in
     ``[-1, len(truth.planes))`` and every member index in
     ``[0, len(truth.labels))``.
     """
     labels = truth.labels
     n_planes = len(truth.planes)
+    if labels.dtype.kind not in "iu":
+        raise InputValidationError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < -1 or labels.max() >= n_planes):
         raise InputValidationError(
             f"labels must lie in [-1, {n_planes}) for {n_planes} truth planes, "
@@ -87,7 +89,7 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
             f"member indices must lie in [0, {labels.shape[0]}) for "
             f"{labels.shape[0]} labeled points, got {idx.min()} to {idx.max()}")
     gid = np.repeat(np.arange(len(groups)), sizes)
-    votes = np.bincount(gid * width + labels[idx] + 1,
+    votes = np.bincount(gid * width + labels[idx].astype(np.intp) + 1,
                         minlength=len(groups) * width).reshape(len(groups), width)
     plane = votes.argmax(axis=1) - 1
     matched = np.flatnonzero(plane >= 0)

@@ -12,16 +12,16 @@ sign rule's comparisons run on the entries as Python floats (``tolist``),
 which for a 3x3 costs less than the numpy calls that would do the same; the
 signs then apply as one multiply by a prebuilt sign vector.
 
-Summation order: the moments are summed along the contiguous rows of the
-centred (3, n) array ``cols = (pts - origin).T``, the first moments in one
-reduction and the second in one reduction over the last axis of the (3, 3,
-n) product ``cols[:, None] * cols``. numpy reduces each contiguous row
-pairwise in the same blocks as the strided column ``(pts - origin)[:, j]``,
-so the sums equal the per-column sums bit for bit, whatever the input's
-layout. A slice ``[..., a:b]`` of a wider product has contiguous rows too,
+Summation order: a node's moments are summed along the contiguous rows of
+one C-contiguous (12, n) array, the centred coordinates ``pts - origin``
+transposed and then their nine products, in one reduction over its last
+axis. numpy reduces each contiguous row pairwise in the same blocks as the
+strided column ``(pts - origin)[:, j]``, so the sums equal the per-column
+sums bit for bit, whatever the input's layout. A column slice ``[:, a:b]``
+of these rows, or of ``rows.take(idx, axis=1)``, has contiguous rows too,
 so it sums exactly like a copy of that run of points. A row that is not
-contiguous (an uncopied transpose, ``cols[:, idx]``) or ``np.add.reduceat``,
-which is not pairwise, sums in another order and changes the last bits.
+contiguous (an uncopied transpose) or ``np.add.reduceat``, which is not
+pairwise, sums in another order and changes the last bits.
 
 All functions are pure and all returned objects are treated as immutable.
 """
@@ -91,14 +91,18 @@ def accumulate(points) -> PointCluster:
 
 
 def _accumulate_centred(pts: np.ndarray) -> tuple[PointCluster, np.ndarray]:
-    """The cluster of validated (N, 3) points and the C-contiguous (3, N)
-    rows of pts - origin it was summed from, centred and transposed in one
-    copy. Gather a subset of the rows with ``cols.take(idx, axis=1)``,
-    which keeps them contiguous (see the module docstring)."""
-    origin = pts[0].copy() if pts.shape[0] else np.zeros(3)
-    cols = np.subtract(pts.T, origin[:, None], order="C")
-    return PointCluster(cols.shape[1], cols.sum(axis=1), (cols[:, None] * cols).sum(axis=2),
-                        origin), cols
+    """The cluster of validated (N, 3) points and the C-contiguous (12, N)
+    moment rows it was summed from: the three rows of pts - origin, then
+    their nine products in row-major (i, j) order. Gather a subset with
+    ``rows.take(idx, axis=1)``, which keeps the rows contiguous (see the
+    module docstring)."""
+    n = pts.shape[0]
+    origin = pts[0].copy() if n else np.zeros(3)
+    rows = np.empty((12, n))
+    np.subtract(pts.T, origin[:, None], out=rows[:3])
+    np.multiply(rows[:3, None], rows[:3], out=rows[3:].reshape(3, 3, n))
+    sums = rows.sum(axis=1)
+    return PointCluster(n, sums[:3], sums[3:].reshape(3, 3), origin), rows
 
 
 def merge(a: PointCluster, b: PointCluster) -> PointCluster:
@@ -118,10 +122,12 @@ def merge(a: PointCluster, b: PointCluster) -> PointCluster:
                         a.origin)
 
 
-def _central_moments(n: int, s: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and mean, relative to their origin, of n points' sums."""
+def _central_moments(n, s: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance and mean, relative to their origin, of n points' sums; n,
+    s and ss may carry one leading stack axis, (k,), (k, 3) and (k, 3, 3)."""
+    n = np.asarray(n, dtype=np.float64)[..., None]
     mean = s / n
-    return ss / n - mean[:, None] * mean, mean
+    return ss / n[..., None] - mean[..., :, None] * mean[..., None, :], mean
 
 
 def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:

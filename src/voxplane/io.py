@@ -154,6 +154,8 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
                                        "non-negative integer count", path, lineno)
             in_vertex = tokens[1] == "vertex"
             if in_vertex:
+                if vertex_count is not None:
+                    raise CloudFormatError("repeated element vertex", path, lineno)
                 vertex_count = int(tokens[2])
             elif int(tokens[2]) != 0:
                 raise CloudFormatError(f"unsupported non-empty element "

@@ -28,8 +28,9 @@ class MergeParams:
     normal_angle_max_deg: max angle between the two normals.
     separation_angle_tol_deg: the centroid-difference vector must be within
         this many degrees of perpendicular to both normals.
-    min_separation: centroid distance (meters) below which the direction of
-        the difference vector is meaningless and the second test is skipped.
+    min_separation: centroid distance (meters) at or below which the
+        direction of the difference vector is meaningless and the second
+        test is skipped.
     """
 
     normal_angle_max_deg: float = 8.0
@@ -72,7 +73,7 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
         return False
     d = pi.centroid - pj.centroid
     dist = float(np.linalg.norm(d))
-    if dist < params.min_separation:
+    if dist <= params.min_separation:
         # Coincident centroids with parallel normals: same plane.
         return True
     for u in (pi.normal, pj.normal):

@@ -10,10 +10,11 @@ also thin in its second direction is a line, not a plane, and is rejected
 before the split: plane and edge features are kept apart, as feature-based
 LiDAR bundle adjustment does (BALM, Liu and Zhang, RA-L 2021).
 
-Summation order: the quarters' moments are column slices of one C-contiguous
-(12, n) buffer, the centred rows in quarter order and their nine products,
-summed along contiguous rows; so each quarter's sums are bit-equal to those
-of a copy of its points (see the ``geometry`` module docstring).
+Summation order: the node's (12, n) moment rows from ``geometry`` (the
+centred coordinates and their nine products) are gathered once in quarter
+order, and each tested quarter's sums are one contiguous column slice of
+them, bit-equal to those of a copy of its points (see the ``geometry``
+module docstring).
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
     from ``center`` along the two dominant eigenvectors.
 
     ``cols`` are the (3, N) rows of the points and ``center`` a point in the
-    same frame, as ``determine_plane`` holds them: the centred rows and the
-    mean. Points exactly on a dividing plane go to the non-negative side.
-    Returns the stable order of the indices by quadrant and the cuts
-    ``[0, a, b, c, N]``: ``order[cuts[k]:cuts[k + 1]]`` is quadrant k, in
-    ascending index order.
+    same frame, as ``determine_plane`` holds them: the first three moment
+    rows (the centred coordinates) and the mean. Points exactly on a
+    dividing plane go to the non-negative side. Returns the stable order of
+    the indices by quadrant and the cuts ``[0, a, b, c, N]``:
+    ``order[cuts[k]:cuts[k + 1]]`` is quadrant k, in ascending index order.
     """
     # both offsets from one (3, 2, N) product, summed over axis 0 in 0, 1, 2 order
     prod = (cols - center[:, None])[:, None, :] * eig.eigenvectors[:, :2, None]
@@ -167,60 +168,41 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     skipped; if three or more quarters are skipped the verdict falls back
     to the flatness gate alone (recorded on the decision).
     """
-    pts = as_points(points)
-    n = pts.shape[0]
-    cluster, cols = _accumulate_centred(pts)
-
-    if n < params.min_points:
+    cluster, rows = _accumulate_centred(as_points(points))
+    if cluster.n < params.min_points:
         eig = EigenDecomposition(np.zeros(3), np.eye(3))
-        centroid = covariance(cluster)[1] if n else np.zeros(3)
+        centroid = covariance(cluster)[1] if cluster.n else np.zeros(3)
         return PlaneDecision(False, eig, centroid, cluster,
                              reject_reason=RejectReason.TOO_FEW_POINTS)
 
-    cov, mean = _central_moments(n, cluster.sum, cluster.sq_sum)
-    centroid = cluster.origin + mean
+    cov, mean = _central_moments(cluster.n, cluster.sum, cluster.sq_sum)
     eig = eigen_symmetric3(cov)
-
+    reason, quarter_values, fallback = None, None, False
     if not flatness_test(eig, params.flatness_ratio_max):
-        return PlaneDecision(False, eig, centroid, cluster,
-                             reject_reason=RejectReason.FLATNESS_FAILED)
+        reason = RejectReason.FLATNESS_FAILED
     # flat in its second direction too: an edge, not a plane
-    if float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < params.flatness_ratio_max:
-        return PlaneDecision(False, eig, centroid, cluster,
-                             reject_reason=RejectReason.LINE_LIKE)
-
-    order, cuts = quarter_split(cols, eig, mean)
-
-    quarter_min = sparse_quarter_threshold(params.min_points)
-    pooled = _effective_min_eigenvalue(eig)
-    bound = params.quarter_ratio_bound
-    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
-
-    # The centred rows in quarter order and their nine products in one
-    # (12, n) buffer: each tested quarter's twelve sums are then one
-    # contiguous column slice, bit-equal to summing a copy of the quarter.
-    buf = np.empty((12, n))
-    cols.take(order, axis=1, out=buf[:3], mode="clip")
-    np.multiply(buf[:3, None], buf[:3], out=buf[3:].reshape(3, 3, n))
-    sums = np.empty((len(spans), 12))
-    for row, (a, b) in zip(sums, spans):
-        buf[:, a:b].sum(axis=1, out=row)
-    # _central_moments of every tested quarter at once, the same operations
-    moments = sums / np.array([b - a for a, b in spans], dtype=np.float64)[:, None]
-    means = moments[:, :3]
-    covs = moments[:, 3:].reshape(-1, 3, 3) - means[:, :, None] * means[:, None, :]
-    quarter_l3 = [_effective_min_eigenvalue(eigen_symmetric3(c)) for c in covs]
-    # Zero thickness on either side means exact coplanarity somewhere;
-    # that can never disqualify a plane.
-    failed = pooled != 0.0 and any(q != 0.0 and not 1.0 / bound < pooled / q < bound
-                                   for q in quarter_l3)
-
-    # With three or more quarters skipped there is too little quarter
-    # evidence either way; the flatness gate already passed, so accept and
-    # mark the fallback.
-    fallback = len(quarter_l3) <= 1
-    rejected = failed and not fallback
-    q_values = np.array(quarter_l3) if len(quarter_l3) == 4 else None
-    return PlaneDecision(not rejected, eig, centroid, cluster, quarter_min_eigenvalues=q_values,
-                         reject_reason=RejectReason.QUARTER_RATIO_FAILED if rejected else None,
-                         sparse_quarter_fallback=fallback)
+    elif float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < params.flatness_ratio_max:
+        reason = RejectReason.LINE_LIKE
+    else:
+        order, cuts = quarter_split(rows[:3], eig, mean)
+        quarter_min = sparse_quarter_threshold(params.min_points)
+        spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
+        # one gather, then each tested quarter's sums are a contiguous column slice
+        gathered = rows.take(order, axis=1)
+        sums = np.array([gathered[:, a:b].sum(axis=1) for a, b in spans]).reshape(-1, 12)
+        covs = _central_moments([b - a for a, b in spans], sums[:, :3],
+                                sums[:, 3:].reshape(-1, 3, 3))[0]
+        quarter_l3 = [_effective_min_eigenvalue(eigen_symmetric3(c)) for c in covs]
+        quarter_values = np.array(quarter_l3) if len(quarter_l3) == 4 else None
+        # With three or more quarters skipped there is too little quarter
+        # evidence either way; the flatness gate already passed, so accept
+        # and mark the fallback. Zero thickness on either side means exact
+        # coplanarity somewhere; that can never disqualify a plane.
+        fallback = len(quarter_l3) <= 1
+        pooled = _effective_min_eigenvalue(eig)
+        bound = params.quarter_ratio_bound
+        if not fallback and pooled != 0.0 and any(
+                q != 0.0 and not 1.0 / bound < pooled / q < bound for q in quarter_l3):
+            reason = RejectReason.QUARTER_RATIO_FAILED
+    return PlaneDecision(reason is None, eig, cluster.origin + mean, cluster,
+                         quarter_values, reason, fallback)

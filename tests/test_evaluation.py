@@ -166,6 +166,22 @@ def test_labels_outside_the_plane_range_are_rejected(corner_cloud):
                                  planes=corner_cloud.planes)
         with pytest.raises(InputValidationError, match="labels must lie in"):
             evaluate(groups, truth)
+    # float labels once failed inside np.bincount with a bare TypeError
+    truth = dataclasses.replace(corner_cloud, labels=corner_cloud.labels.astype(np.float64))
+    with pytest.raises(InputValidationError, match="labels must be integers"):
+        evaluate(groups, truth)
+
+
+def test_unsigned_labels_score_like_signed(corner_cloud):
+    # uint64 labels once mixed with the intp group ids into float64 votes
+    # and failed inside np.bincount
+    groups = perfect_extraction(corner_cloud)
+    labels = np.where(corner_cloud.labels >= 0, corner_cloud.labels, 0)
+    ref = evaluate(groups, dataclasses.replace(corner_cloud, labels=labels))
+    for dtype in (np.uint8, np.uint64):
+        report = evaluate(groups, dataclasses.replace(corner_cloud, labels=labels.astype(dtype)))
+        assert (report.precision, report.recall) == (ref.precision, ref.recall)
+        assert report.matched_planes == ref.matched_planes
 
 
 def test_member_indices_outside_the_cloud_are_rejected(corner_cloud):

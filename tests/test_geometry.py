@@ -84,6 +84,42 @@ def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
                                      for i in range(3)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2000), k=st.integers(1, 4), offset=st.sampled_from([0.0, 4e6]),
+       seed=st.integers(0, 2**31 - 1))
+def test_moment_row_slices_and_stacked_moments_bitwise(n, k, offset, seed):
+    # The plane test gathers a node's (12, n) moment rows once in quarter
+    # order and sums a column slice per quarter: each slice must sum like a
+    # copy of its points, and the stacked central moments of k slices must
+    # equal k single calls, bit for bit.
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(-5.0, 5.0, (n, 3)) + offset
+    cluster, rows = geometry._accumulate_centred(pts)
+    assert rows.shape == (12, n) and rows.flags.c_contiguous
+    assert _bits(rows.sum(axis=1)) == _bits([*cluster.sum, *cluster.sq_sum.reshape(9)])
+    code = gen.integers(0, k, n)
+    order = code.argsort(kind="stable")
+    cuts = [0, *np.bincount(code, minlength=k).cumsum().tolist()]
+    gathered = rows.take(order, axis=1)
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    sums = np.array([gathered[:, a:b].sum(axis=1) for a, b in spans])
+    for (a, b), row in zip(spans, sums):
+        copy = pts[order[a:b]]
+        if order[a] == 0:
+            # the slice led by the node's origin: accumulate's own frame
+            c = accumulate(copy)
+            assert _bits(row) == _bits([*c.sum, *c.sq_sum.reshape(9)])
+        rel = copy - pts[0]
+        assert _bits(row[:3]) == _bits([rel[:, j].sum() for j in range(3)])
+        assert _bits(row[3:]) == _bits([(rel[:, i] * rel[:, j]).sum()
+                                        for i in range(3) for j in range(3)])
+    counts = [b - a for a, b in spans]
+    covs, means = geometry._central_moments(counts, sums[:, :3], sums[:, 3:].reshape(-1, 3, 3))
+    for m, row, cov, mean in zip(counts, sums, covs, means):
+        cov_1, mean_1 = geometry._central_moments(m, row[:3], row[3:].reshape(3, 3))
+        assert _bits(cov) == _bits(cov_1) and _bits(mean) == _bits(mean_1)
+
+
 def test_merge_identity():
     # an empty operand on either side leaves the other one, origin included
     a = accumulate([(1, 2, 3), (4, 5, 6)])

@@ -140,8 +140,10 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
     ("element vertex 1", "element", 3),
     ("property double y", "property double", 5),
     ("end_header\n", "end_header\n0 0 0 4294967296\n", 9),
+    ("end_header\n", "element vertex 1\nproperty double x\nproperty double y\n"
+                     "property double z\nend_header\n0 0 0 7 1 1 1\n", 8),
 ], ids=["count-not-a-number", "count-missing", "count-negative", "element-bare",
-        "property-no-name", "label-past-int32"])
+        "property-no-name", "label-past-int32", "second-vertex-element"])
 def test_ply_hostile_input(tmp_path, good, bad, line):
     path = tmp_path / "hostile.ply"
     path.write_text(_PLY_HEAD.replace(good, bad))
