@@ -8,8 +8,6 @@ this script (corner_planes.ply, viewable in any point-cloud viewer).
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from voxplane import ExtractionConfig, NodeState, extract_plane_groups, gen_corner
 from voxplane.io import write_colored_cloud
 
@@ -36,9 +34,6 @@ print(f"after per-voxel merging: {len(result.groups)} plane groups")
 for stage, seconds in result.timings.as_dict().items():
     print(f"  {stage:>9}: {seconds * 1e3:7.2f} ms")
 
-assign = np.full(cloud.points.shape[0], -1, dtype=np.int64)
-for gi, g in enumerate(result.groups):
-    assign[g.merged.point_indices] = gi
 out = Path(__file__).parent / "corner_planes.ply"
-write_colored_cloud(cloud.points, assign, out)
+write_colored_cloud(cloud.points, result.groups, out)
 print(f"\ncolored plane cloud written to {out}")

@@ -1,15 +1,16 @@
-"""Command-line surface: extract / synth / eval / compare.
+"""Command-line surface: extract / synth / eval / compare. Each command
+parses its arguments and calls the library; ``extract`` and ``compare``
+share one ``--config FILE`` option (the shipped defaults without it).
 
 Exit codes: 0 success, 2 input errors (missing or malformed files, bad
-values), 3 configuration errors, 4 output I/O errors. Unknown flags are
-rejected by the parser (exit 2).
+values), 3 configuration errors, 4 output I/O errors (an unwritable output
+path). Unknown flags are rejected by the parser (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,9 +44,14 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-CONFIG_ENV_VAR = "VOXPLANE_CONFIG"
-
-_SCENES = ("plane", "corner", "fp-slab", "slab-object")
+# scene name -> generator of (seed, noise sigma)
+_SCENES = {
+    "plane": lambda seed, sigma: gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0),
+                                           400.0, sigma, seed),
+    "corner": lambda seed, sigma: gen_corner(noise_sigma=sigma, seed=seed),
+    "fp-slab": lambda seed, sigma: gen_false_positive_slab(seed=seed, noise_sigma=sigma),
+    "slab-object": lambda seed, sigma: gen_slab_with_object(seed=seed, noise_sigma=sigma),
+}
 
 
 def non_negative_int(text: str) -> int:
@@ -61,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Voxel-based plane extraction for LiDAR point clouds.")
     parser.add_argument("--version", action="version", version=f"voxplane {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="JSON config file (else the defaults)")
 
-    p = sub.add_parser("extract", help="extract planes from a point cloud")
+    p = sub.add_parser("extract", parents=[config], help="extract planes from a point cloud")
     p.add_argument("cloud", nargs="?", help="input cloud (labeled/xyz/ply)")
-    p.add_argument("--config", help=f"JSON config file (falls back to ${CONFIG_ENV_VAR})")
     p.add_argument("--out", help="write the plane-set document here")
     p.add_argument("--colored", help="write a colored ply of extracted planes here")
     p.add_argument("--no-merge", action="store_true", help="write the plane leaves unmerged")
@@ -82,40 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="labeled cloud file")
     p.add_argument("--report", help="write the JSON report here (default stdout)")
 
-    p = sub.add_parser("compare", help="run ours and the RANSAC baseline side by side")
-    p.add_argument("target", help=f"labeled cloud file or scene name {_SCENES}")
+    p = sub.add_parser("compare", parents=[config],
+                       help="run ours and the RANSAC baseline side by side")
+    p.add_argument("target", help=f"labeled cloud file or scene name {tuple(_SCENES)}")
     p.add_argument("--methods", default="ours,ransac",
                    help="comma-separated subset of: ours, ransac")
     p.add_argument("--seed", type=non_negative_int, default=0, help="seed when target is a scene")
     p.add_argument("--report", help="write the JSON report here (default stdout)")
     return parser
-
-
-def _load_effective_config(path_arg: str | None) -> ExtractionConfig:
-    path = path_arg or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        return load_config(path)
-    return ExtractionConfig()
-
-
-def _generate_scene(scene: str, seed: int, sigma: float) -> GroundTruthCloud:
-    if scene == "plane":
-        return gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0),
-                         400.0, sigma, seed)
-    if scene == "corner":
-        return gen_corner(noise_sigma=sigma, seed=seed)
-    if scene == "fp-slab":
-        return gen_false_positive_slab(seed=seed, noise_sigma=sigma)
-    if scene == "slab-object":
-        return gen_slab_with_object(seed=seed, noise_sigma=sigma)
-    raise InputValidationError(f"unknown scene {scene!r}")
-
-
-def _group_assignment(n_points: int, groups: list[PlaneGroup]) -> np.ndarray:
-    assign = np.full(n_points, -1, dtype=np.int64)
-    for gi, g in enumerate(groups):
-        assign[g.merged.point_indices] = gi
-    return assign
 
 
 def _emit_report(payload: dict, path: str | None) -> None:
@@ -127,7 +108,7 @@ def _emit_report(payload: dict, path: str | None) -> None:
 
 
 def _cmd_extract(args) -> int:
-    config = _load_effective_config(args.config)
+    config = load_config(args.config) if args.config else ExtractionConfig()
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2))
         return EXIT_OK
@@ -144,12 +125,12 @@ def _cmd_extract(args) -> int:
     if args.out:
         write_planes(groups, args.out)
     if args.colored:
-        write_colored_cloud(points, _group_assignment(points.shape[0], groups), args.colored)
+        write_colored_cloud(points, groups, args.colored)
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    cloud = _generate_scene(args.scene, args.seed, args.sigma)
+    cloud = _SCENES[args.scene](args.seed, args.sigma)
     out = args.out or f"{args.scene}.vxc"
     write_cloud(out, cloud.points, cloud.labels)
     print(f"{cloud.points.shape[0]} points, {len(cloud.planes)} planes -> {out}")
@@ -177,17 +158,17 @@ def _cmd_compare(args) -> int:
     unknown = set(methods) - {"ours", "ransac"}
     if unknown:
         raise InputValidationError(f"unknown methods: {sorted(unknown)}")
+    config = load_config(args.config) if args.config else ExtractionConfig()
 
     if Path(args.target).exists():
         points, truth = _truth_from_file(args.target)
     elif args.target in _SCENES:
-        truth = _generate_scene(args.target, args.seed, 0.005)
+        truth = _SCENES[args.target](args.seed, 0.005)
         points = truth.points
     else:
         raise InputValidationError(f"{args.target!r} is neither a file nor a "
-                                   f"scene name {_SCENES}")
+                                   f"scene name {tuple(_SCENES)}")
 
-    config = _load_effective_config(None)
     payload: dict = {"target": args.target}
     if "ours" in methods:
         result = extract_plane_groups(points, config)
@@ -219,8 +200,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CloudFormatError, InputValidationError, GenerationError,
-            FileNotFoundError) as exc:
+    except (CloudFormatError, InputValidationError, GenerationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

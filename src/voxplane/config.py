@@ -8,7 +8,7 @@ Every settable value is a number; a JSON boolean is never taken as one.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -39,7 +39,8 @@ class ExtractionConfig:
     merge_params: MergeParams = field(default_factory=MergeParams)
 
     def __post_init__(self):
-        if not (math.isfinite(self.root_size) and self.root_size > self.min_voxel_size > 0):
+        # compared, not converted: an int past the float range has no float
+        if not 0 < self.min_voxel_size < self.root_size <= sys.float_info.max:
             raise ConfigError("require finite root_size > min_voxel_size > 0")
         if self.root_size / self.min_voxel_size > 2.0 ** 52:
             raise ConfigError("root_size / min_voxel_size must be at most 2^52 "
@@ -92,7 +93,7 @@ def load_config(path) -> ExtractionConfig:
     """Read a JSON config file; missing fields keep shipped defaults."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)

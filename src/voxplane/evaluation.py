@@ -82,8 +82,12 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
             f"got {labels.min()} to {labels.max()}")
     width = n_planes + 1  # column 0 counts label -1
     sizes = [g.merged.point_indices.shape[0] for g in groups]
-    idx = np.concatenate([np.empty(0, dtype=np.intp)]
-                         + [g.merged.point_indices for g in groups])
+    try:  # uint64 indices past int64 wrap negative here and are refused below
+        idx = np.concatenate([np.empty(0, dtype=np.intp)]
+                             + [g.merged.point_indices for g in groups],
+                             dtype=np.intp, casting="same_kind")
+    except TypeError as exc:
+        raise InputValidationError(f"member indices must be integers: {exc}") from exc
     if idx.size and (idx.min() < 0 or idx.max() >= labels.shape[0]):
         raise InputValidationError(
             f"member indices must lie in [0, {labels.shape[0]}) for "

@@ -329,7 +329,7 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CloudFormatError(f"cannot read file: {exc}", path) from exc
     [version] = _line_values(lines, 1, "voxplane-planeset", int, 1, path)
     if version != _VERSION:
@@ -384,25 +384,25 @@ def group_color(index: int) -> tuple[int, int, int]:
     return int(r * 255), int(g * 255), int(b * 255)
 
 
-def write_colored_cloud(points, assignment, path) -> None:
-    """ASCII ply of the points assigned to groups, one distinct color per
-    group (palette indexed by group number): double x, y, z in shortest
-    round-trip repr and uchar red, green, blue. Points with assignment < 0
-    are not part of any plane and are omitted. The points must be an
-    (N, 3) array of finite coordinates with one integer assignment each."""
+def write_colored_cloud(points, groups: list[PlaneGroup], path) -> None:
+    """ASCII ply of the points in plane groups, group i in palette color
+    ``group_color(i)``: double x, y, z in shortest round-trip repr and uchar
+    red, green, blue. A point in several groups takes the last one's color;
+    points in no group are omitted. The points must be an (N, 3) array of
+    finite coordinates and every member index an integer in [0, N)
+    (InputValidationError before the file is opened otherwise)."""
     pts = as_points(points)
-    assign = np.asarray(assignment).reshape(-1)
-    if assign.size and assign.dtype.kind not in "iu":
-        # a cast would truncate them: -0.5 would color its point as group 0
-        raise InputValidationError("assignment must be integers")
-    if assign.shape[0] != pts.shape[0]:
-        raise InputValidationError(f"assignment length {assign.shape[0]} does not "
-                                   f"match {pts.shape[0]} points")
+    assign = np.full(pts.shape[0], -1, dtype=np.int64)
+    for i, g in enumerate(groups):
+        idx = np.asarray(g.merged.point_indices)
+        if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= len(pts)):
+            raise InputValidationError(f"group {i}: member indices must be integers "
+                                       f"in [0, {pts.shape[0]})")
+        assign[idx] = i
     keep = np.flatnonzero(assign >= 0)
-    groups, member_of = np.unique(assign[keep], return_inverse=True)
-    palette = np.array([group_color(g) for g in groups.tolist()],
+    palette = np.array([group_color(i) for i in range(len(groups))],
                        dtype=np.int64).reshape(-1, 3)
-    kept, colors = pts[keep], palette[member_of]
+    kept, colors = pts[keep], palette[assign[keep]]
     cols = [map(repr, kept[:, k].tolist()) for k in range(3)]
     cols += [map(str, colors[:, k].tolist()) for k in range(3)]
     header = ["ply", "format ascii 1.0", f"element vertex {keep.shape[0]}",

@@ -10,6 +10,7 @@ A join takes two patches, the group's representative and the newcomer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class MergeParams:
             raise ConfigError("normal_angle_max_deg must be in (0, 90)")
         if not 0 < self.separation_angle_tol_deg < 90:
             raise ConfigError("separation_angle_tol_deg must be in (0, 90)")
-        if not 0 <= self.min_separation < math.inf:
+        if not 0 <= self.min_separation <= sys.float_info.max:
             raise ConfigError("min_separation must be non-negative and finite")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +66,9 @@ class PlaneTestParams:
     min_points: int = 20
 
     def __post_init__(self):
-        if not 0 < self.flatness_ratio_max < math.inf:
+        if not 0 < self.flatness_ratio_max <= sys.float_info.max:
             raise ConfigError("flatness_ratio_max must be positive and finite")
-        if not 1 < self.quarter_ratio_bound < math.inf:
+        if not 1 < self.quarter_ratio_bound <= sys.float_info.max:
             raise ConfigError("quarter_ratio_bound must exceed 1 and be finite")
         if self.min_points < 4:
             raise ConfigError("min_points must be at least 4")

@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from voxplane import PlaneGroup, extract_plane_groups
-from voxplane.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, cli_main
+from voxplane.cli import _SCENES, EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, cli_main
 from voxplane.io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 
 import pinned
@@ -26,6 +28,21 @@ def test_subcommand_help(capsys):
         capsys.readouterr()
 
 
+def test_readme_cli_section_matches_the_parser():
+    # a flag or scene cannot be added or removed without the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    [commands] = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.items():
+        for option in (o for a in sub._actions for o in a.option_strings):
+            if option.startswith("--") and option != "--help":
+                assert re.search(rf"{option}(?![\w-])", cli), (name, option)
+    scenes = re.search(r"^Scenes:.*?\n\n", cli, re.M | re.S).group()
+    assert all(f"`{scene}`" in scenes for scene in _SCENES)
+    assert "VOXPLANE_" not in readme
+
+
 def test_unknown_flag_rejected(capsys):
     assert run("extract", "cloud.xyz", "--frobnicate") == 2
     assert run("extract", "--print-config", "--threads", "2") == 2
@@ -37,6 +54,22 @@ def test_unknown_flag_rejected(capsys):
 def test_missing_file_input_error(tmp_path, capsys):
     assert run("extract", str(tmp_path / "nope.xyz")) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_four(tmp_path, capsys):
+    # an output path in a missing directory once exited 2 as an input error
+    cloud, missing = tmp_path / "c.vxc", tmp_path / "missing_dir"
+    assert run("synth", "plane", "--out", str(cloud)) == EXIT_OK
+    planes = tmp_path / "p.txt"
+    assert run("extract", str(cloud), "--out", str(planes)) == EXIT_OK
+    capsys.readouterr()
+    for argv in (("extract", str(cloud), "--out", str(missing / "p.txt")),
+                 ("synth", "plane", "--out", str(missing / "x.vxc")),
+                 ("eval", "--planes", str(planes), "--truth", str(cloud),
+                  "--report", str(missing / "r.json"))):
+        assert run(*argv) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_print_config(capsys):
@@ -128,10 +161,8 @@ def test_extract_no_merge_writes_the_plane_leaves(tmp_path, capsys):
                for leaf in voxel if leaf.patch is not None]
     ref_plain, ref_colored = tmp_path / "ref.txt", tmp_path / "ref.ply"
     write_planes([PlaneGroup(members=[p], merged=p) for p in patches], ref_plain)
-    assign = np.full(points.shape[0], -1, dtype=np.int64)
-    for gi, p in enumerate(patches):
-        assign[p.point_indices] = gi
-    write_colored_cloud(points, assign, ref_colored)
+    write_colored_cloud(points, [PlaneGroup(members=[p], merged=p) for p in patches],
+                        ref_colored)
     assert plain.read_bytes() == ref_plain.read_bytes()
     assert colored.read_bytes() == ref_colored.read_bytes()
     assert (hashlib.sha256(plain.read_bytes()).hexdigest()
@@ -140,14 +171,21 @@ def test_extract_no_merge_writes_the_plane_leaves(tmp_path, capsys):
             == pinned.CORNER_NO_MERGE_COLORED_SHA256)
 
 
-def test_config_file_and_env(tmp_path, capsys, monkeypatch):
+def test_config_file_reaches_extract_and_compare(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"plane": {"min_points": 40}}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_OK
     assert json.loads(capsys.readouterr().out)["plane"]["min_points"] == 40
-    monkeypatch.setenv("VOXPLANE_CONFIG", str(cfg))
-    assert run("extract", "--print-config") == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["plane"]["min_points"] == 40
+    # 0.5 m root voxels split the corner's planes into more groups
+    cfg.write_text(json.dumps({"root_size": 0.5}))
+    counts = []
+    for extra in ((), ("--config", str(cfg))):
+        report = tmp_path / "cmp.json"
+        assert run("compare", "corner", "--methods", "ours", "--report", str(report),
+                   *extra) == EXIT_OK
+        counts.append(json.loads(report.read_text())["ours"]["extracted_count"])
+    capsys.readouterr()
+    assert counts[1] > counts[0]
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -164,6 +202,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg.write_text("{not json")
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     capsys.readouterr()
+    # these once escaped as a UnicodeDecodeError and OverflowErrors
+    huge = b"1" + b"0" * 400
+    for raw in (b'{"root_size": 1.0}\xff', b'{"root_size": ' + huge + b"}",
+                b'{"plane": {"quarter_ratio_bound": ' + huge + b"}}"):
+        cfg.write_bytes(raw)
+        for argv in (("extract", "--print-config"), ("compare", "corner")):
+            assert run(*argv, "--config", str(cfg)) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
 
 
 def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
@@ -190,8 +236,9 @@ def test_eval_hostile_planeset(tmp_path, capsys):
                  "depths 0:1\nindices 99999999\nend\n",
                  "voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 0\n"
                  "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
-                 "depths 0:0\nindices\nend\n"):
-        planes.write_text(text)
+                 "depths 0:0\nindices\nend\n",
+                 "voxplane-planeset 1\ngroups 0\n\xff"):
+        planes.write_text(text, encoding="latin-1")
         assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 

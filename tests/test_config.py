@@ -34,7 +34,8 @@ def test_invariant_violations_raise():
     for sizes in ({"root_size": float("inf")}, {"root_size": float("nan")},
                   {"root_size": float("inf"), "min_voxel_size": float("inf")},
                   {"root_size": 1e300, "min_voxel_size": 1e-300},
-                  {"root_size": 1.0, "min_voxel_size": 2.0 ** -53}):
+                  {"root_size": 1.0, "min_voxel_size": 2.0 ** -53},
+                  {"root_size": 10 ** 400}):  # once an OverflowError
         with pytest.raises(ConfigError):
             ExtractionConfig(**sizes)
     assert ExtractionConfig(root_size=1.0, min_voxel_size=2.0 ** -52).min_voxel_size > 0
@@ -49,14 +50,18 @@ def test_invariant_violations_raise():
     with pytest.raises(ConfigError):
         MergeParams(separation_angle_tol_deg=0.0)
     # non-finite plane and merge settings: with min_separation=inf two
-    # parallel squares in one voxel merged into groups of the wrong points
-    inf, nan = float("inf"), float("nan")
+    # parallel squares in one voxel merged into groups of the wrong points,
+    # and quarter_ratio_bound=10**400 raised an OverflowError in the plane test
+    inf, nan, huge = float("inf"), float("nan"), 10 ** 400
     for params, bad in ((PlaneTestParams, {"flatness_ratio_max": inf}),
                         (PlaneTestParams, {"flatness_ratio_max": nan}),
+                        (PlaneTestParams, {"flatness_ratio_max": huge}),
                         (PlaneTestParams, {"quarter_ratio_bound": inf}),
                         (PlaneTestParams, {"quarter_ratio_bound": nan}),
+                        (PlaneTestParams, {"quarter_ratio_bound": huge}),
                         (MergeParams, {"min_separation": inf}),
-                        (MergeParams, {"min_separation": nan})):
+                        (MergeParams, {"min_separation": nan}),
+                        (MergeParams, {"min_separation": huge})):
         with pytest.raises(ConfigError):
             params(**bad)
 

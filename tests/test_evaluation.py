@@ -184,13 +184,28 @@ def test_unsigned_labels_score_like_signed(corner_cloud):
         assert report.matched_planes == ref.matched_planes
 
 
+def test_unsigned_member_indices_score_like_signed(corner_cloud):
+    # uint64 indices once mixed with the intp seed array into float64 and
+    # failed as indices with a bare IndexError
+    groups = perfect_extraction(corner_cloud)
+    ref = evaluate(groups, corner_cloud)
+    for dtype in (np.uint32, np.uint64):
+        unsigned = [dataclasses.replace(g.merged, point_indices=g.merged.point_indices
+                                        .astype(dtype)) for g in groups]
+        report = evaluate([PlaneGroup(members=[p], merged=p) for p in unsigned], corner_cloud)
+        assert (report.precision, report.recall) == (ref.precision, ref.recall)
+        assert report.matched_planes == ref.matched_planes
+
+
 def test_member_indices_outside_the_cloud_are_rejected(corner_cloud):
     # negative indices once wrapped round to the cloud's last points and
-    # scored precision 0.667; one past the end raised a bare IndexError
+    # scored precision 0.667; one past the end, or a float, raised a bare
+    # IndexError
     patch = group_from_indices(corner_cloud.points, [0, 1, 5]).merged
-    for bad in ([-1, -2, 5], [0, 1, 10**7]):
+    for bad in ([-1, -2, 5], [0, 1, 10**7], np.array([0, 2**63 + 1], dtype=np.uint64),
+                [0.0, 1.0]):
         bad_patch = dataclasses.replace(patch, point_indices=np.array(bad))
-        with pytest.raises(InputValidationError, match="member indices must lie in"):
+        with pytest.raises(InputValidationError, match="member indices must"):
             evaluate([PlaneGroup(members=[bad_patch], merged=bad_patch)], corner_cloud)
 
 

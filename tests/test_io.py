@@ -207,7 +207,7 @@ def test_read_back_bit_exact(tmp_path, pts, data):
 
 @pytest.mark.parametrize("write", [
     lambda path, pts: write_cloud(path, pts),
-    lambda path, pts: write_colored_cloud(pts, np.zeros(len(pts), dtype=int), path),
+    lambda path, pts: write_colored_cloud(pts, [_group([0])], path),
 ], ids=["labeled", "colored"])
 @pytest.mark.parametrize("pts", [
     np.arange(12.0).reshape(3, 4),
@@ -222,21 +222,16 @@ def test_writers_reject_what_the_readers_reject(tmp_path, write, pts):
     assert not path.exists()
 
 
-def test_colored_cloud_assignment_length(tmp_path):
-    with pytest.raises(InputValidationError):
-        write_colored_cloud(np.zeros((4, 3)), np.zeros(3, dtype=int), tmp_path / "c.ply")
-
-
-def test_colored_cloud_rejects_non_integer_assignments(tmp_path):
-    # a cast once truncated them: -0.5 colored its point as group 0, and a
-    # NaN point was dropped after a cast warning
+def test_colored_cloud_rejects_bad_member_indices(tmp_path):
+    # a negative index once colored the point it wrapped round to, and a
+    # float index cast to an integer colored the wrong point
     path = tmp_path / "c.ply"
-    for assign in ([0.7, 1.2, -0.5], [0.0, np.nan, 1.0], [True, False, True], ["0", "1", "2"]):
-        with pytest.raises(InputValidationError, match="integers"):
-            write_colored_cloud(np.zeros((3, 3)), assign, path)
+    for bad in ([-1], [0, 3], [0.0, 1.0], [True, False], ["0", "1"], np.array([], dtype=float)):
+        with pytest.raises(InputValidationError, match="group 1: member indices"):
+            write_colored_cloud(np.zeros((3, 3)), [_group([0]), _group(bad)], path)
         assert not path.exists()
-    write_colored_cloud(np.zeros((3, 3)), np.array([0, 1, 5], dtype=np.uint8), path)
-    assert "element vertex 3" in path.read_text()
+    write_colored_cloud(np.zeros((3, 3)), [_group(np.array([0, 2], dtype=np.uint8))], path)
+    assert "element vertex 2" in path.read_text()
 
 
 def test_labeled_writer_rejects_non_integer_labels(tmp_path):
@@ -270,7 +265,8 @@ def test_text_writers_exact_bytes(tmp_path):
                     [123456789.125, 0.1, -0.0],
                     [-1e-300, 123456789.125, -0.1]])
     colored = tmp_path / "c.ply"
-    write_colored_cloud(pts, np.array([0, -1, 2]), colored)
+    # group i takes color i, and a point in two groups the later one's
+    write_colored_cloud(pts, [_group([0]), _group([2]), _group([2])], colored)
     assert colored.read_text() == (
         "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
         "property double y\nproperty double z\nproperty uchar red\n"
@@ -542,9 +538,9 @@ def test_planeset_write_holds_at_most_half_the_document(tmp_path, room_1m_groups
 
 def test_colored_cloud_palette(tmp_path, rng):
     pts = rng.uniform(0, 1, (30, 3))
-    assign = np.array([0] * 10 + [1] * 10 + [2] * 5 + [-1] * 5)
+    groups = [_group(np.arange(0, 10)), _group(np.arange(10, 20)), _group(np.arange(20, 25))]
     path = tmp_path / "colored.ply"
-    write_colored_cloud(pts, assign, path)
+    write_colored_cloud(pts, groups, path)
     lines = path.read_text().splitlines()
     n = int(next(l for l in lines if l.startswith("element vertex")).split()[-1])
     assert n == 25  # unassigned points omitted
@@ -556,7 +552,7 @@ def test_colored_cloud_palette(tmp_path, rng):
 def test_colored_cloud_single_group(tmp_path, rng):
     pts = rng.uniform(0, 1, (10, 3))
     path = tmp_path / "one.ply"
-    write_colored_cloud(pts, np.zeros(10, dtype=int), path)
+    write_colored_cloud(pts, [_group(np.arange(10))], path)
     body = path.read_text().splitlines()
     body = body[body.index("end_header") + 1:]
     assert len({tuple(l.split()[3:6]) for l in body if l.strip()}) == 1
@@ -564,7 +560,7 @@ def test_colored_cloud_single_group(tmp_path, rng):
 
 def test_colored_cloud_empty(tmp_path):
     path = tmp_path / "none.ply"
-    write_colored_cloud(np.zeros((0, 3)), np.zeros(0, dtype=int), path)
+    write_colored_cloud(np.zeros((0, 3)), [], path)
     assert "element vertex 0" in path.read_text()
 
 
