@@ -222,11 +222,20 @@ def test_writers_reject_what_the_readers_reject(tmp_path, write, pts):
     assert not path.exists()
 
 
-def test_colored_cloud_rejects_bad_member_indices(tmp_path):
-    # a negative index once colored the point it wrapped round to, and a
-    # float index cast to an integer colored the wrong point
+def test_colored_cloud_assignment_length(tmp_path):
+    # a member index must name a point of the cloud: a negative one once
+    # colored the point it wrapped round to
     path = tmp_path / "c.ply"
-    for bad in ([-1], [0, 3], [0.0, 1.0], [True, False], ["0", "1"], np.array([], dtype=float)):
+    for bad in ([-1], [0, 3]):
+        with pytest.raises(InputValidationError, match="group 1: member indices"):
+            write_colored_cloud(np.zeros((3, 3)), [_group([0]), _group(bad)], path)
+        assert not path.exists()
+
+
+def test_colored_cloud_rejects_non_integer_assignments(tmp_path):
+    # a float index cast to an integer once colored the wrong point
+    path = tmp_path / "c.ply"
+    for bad in ([0.0, 1.0], [True, False], ["0", "1"], np.array([], dtype=float)):
         with pytest.raises(InputValidationError, match="group 1: member indices"):
             write_colored_cloud(np.zeros((3, 3)), [_group([0]), _group(bad)], path)
         assert not path.exists()
