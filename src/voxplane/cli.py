@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -160,7 +161,7 @@ def _cmd_compare(args) -> int:
         raise InputValidationError(f"unknown methods: {sorted(unknown)}")
     config = load_config(args.config) if args.config else ExtractionConfig()
 
-    if Path(args.target).exists():
+    if os.path.exists(args.target):  # False, not OSError, for a name too long
         points, truth = _truth_from_file(args.target)
     elif args.target in _SCENES:
         truth = _SCENES[args.target](args.seed, 0.005)

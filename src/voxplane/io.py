@@ -251,10 +251,11 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
     count, centroid, normal, eigenvalues, member-depth histogram and member
     point indices. Field order is fixed and floats use shortest round-trip
     repr, so output is byte-stable across runs. Each group needs a finite
-    centroid and eigenvalues, a normal of unit length within 1e-9, and
-    ``cluster.n`` >= 1 member indices, all non-negative integers
+    centroid and eigenvalues, a normal of unit length within 1e-9,
+    ``cluster.n`` >= 1 distinct member indices, all non-negative integers,
+    and one or more members, none at a negative depth
     (InputValidationError before the file is opened otherwise)."""
-    members = []
+    blocks = []
     for i, g in enumerate(groups):
         m = g.merged
         if not all(map(math.isfinite, [*m.centroid.tolist(), *m.eigenvalues.tolist()])):
@@ -269,12 +270,16 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
         if idx.dtype.kind not in "iu" or (idx := idx.astype(np.int64, copy=False)).min() < 0:
             raise InputValidationError(f"group {i}: member indices must be "
                                        f"non-negative integers within int64")
-        members.append(idx)
+        if ((ordered := np.sort(idx))[1:] == ordered[:-1]).any():
+            raise InputValidationError(f"group {i}: member indices must be distinct")
+        depths = sorted(Counter(p.depth for p in g.members).items())
+        if not depths or depths[0][0] < 0:
+            raise InputValidationError(f"group {i}: needs members, none at a negative depth")
+        blocks.append((idx, depths))
     with open(path, "wb") as fh:
         fh.write(f"voxplane-planeset {_VERSION}\ngroups {len(groups)}\n".encode())
-        for i, (g, idx) in enumerate(zip(groups, members)):
+        for i, (g, (idx, depths)) in enumerate(zip(groups, blocks)):
             m = g.merged
-            depths = sorted(Counter(p.depth for p in g.members).items())
             fh.write((f"group {i}\nroot {' '.join(map(str, m.root_key))}\n"
                       f"count {idx.size}\ncentroid {_floats(m.centroid)}\n"
                       f"normal {_floats(m.normal)}\neigenvalues {_floats(m.eigenvalues)}\n"

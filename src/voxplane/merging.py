@@ -10,7 +10,6 @@ A join takes two patches, the group's representative and the newcomer.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,10 @@ from .octree import PlanePatch
 
 __all__ = ["MergeParams", "PlaneGroup", "coplanar_test", "merge_patches", "greedy_merge"]
 
+# Centroid distance (meters) at or below which the direction of the
+# difference vector is meaningless and the separation test is skipped.
+MIN_SEPARATION = 1e-6
+
 
 @dataclass(frozen=True)
 class MergeParams:
@@ -28,23 +31,18 @@ class MergeParams:
 
     normal_angle_max_deg: max angle between the two normals.
     separation_angle_tol_deg: the centroid-difference vector must be within
-        this many degrees of perpendicular to both normals.
-    min_separation: centroid distance (meters) at or below which the
-        direction of the difference vector is meaningless and the second
-        test is skipped.
+        this many degrees of perpendicular to both normals, unless the
+        centroids lie within MIN_SEPARATION of each other.
     """
 
     normal_angle_max_deg: float = 8.0
     separation_angle_tol_deg: float = 10.0
-    min_separation: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.normal_angle_max_deg < 90:
             raise ConfigError("normal_angle_max_deg must be in (0, 90)")
         if not 0 < self.separation_angle_tol_deg < 90:
             raise ConfigError("separation_angle_tol_deg must be in (0, 90)")
-        if not 0 <= self.min_separation <= sys.float_info.max:
-            raise ConfigError("min_separation must be non-negative and finite")
 
 
 @dataclass
@@ -74,7 +72,7 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
         return False
     d = pi.centroid - pj.centroid
     dist = float(np.linalg.norm(d))
-    if dist <= params.min_separation:
+    if dist <= MIN_SEPARATION:
         # Coincident centroids with parallel normals: same plane.
         return True
     for u in (pi.normal, pj.normal):

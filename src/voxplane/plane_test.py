@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -58,7 +59,8 @@ class PlaneTestParams:
     quarter_ratio_bound: each populated quarter's smallest eigenvalue must
         be within this factor of the pooled one (both directions); > 1.
     min_points: below this count a set is never a plane; an octree node
-        with fewer points is discarded without running the test.
+        with fewer points is discarded without running the test. An
+        integer of at least 4.
     """
 
     flatness_ratio_max: float = 0.0625
@@ -70,7 +72,11 @@ class PlaneTestParams:
             raise ConfigError("flatness_ratio_max must be positive and finite")
         if not 1 < self.quarter_ratio_bound <= sys.float_info.max:
             raise ConfigError("quarter_ratio_bound must exceed 1 and be finite")
-        if self.min_points < 4:
+        try:
+            min_points = operator.index(self.min_points)
+        except TypeError as exc:
+            raise ConfigError(f"min_points must be an integer, got {self.min_points!r}") from exc
+        if min_points < 4:
             raise ConfigError("min_points must be at least 4")
 
 

@@ -16,7 +16,6 @@ band.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +111,8 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
 
     ``center`` places the rectangle on the plane; it defaults to the point
     of the plane closest to the origin. The normal must be a finite unit
-    3-vector, offset and the 3-vector center finite, the extent two finite
+    3-vector, offset and the 3-vector center finite, the center on the
+    plane (normal . center = offset up to rounding), the extent two finite
     non-negative lengths, and the expected count within numpy's Poisson
     range. Deterministic per seed.
     """
@@ -134,6 +134,9 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     center = np.asarray(offset * n if center is None else center, dtype=np.float64)
     if not (center.shape == (3,) and np.isfinite(center).all()):
         raise InputValidationError("center must be a finite 3-vector")
+    # n . c may drift by 2e-9 |c|: the normal's length is checked to 1e-9
+    if abs(float(np.dot(n, center)) - offset) > 4e-9 * max(1.0, float(np.linalg.norm(center))):
+        raise InputValidationError(f"center must lie on the plane normal . p = {offset}")
     u, v = plane_basis(n)
     plane = TruthPlane(normal=n, offset=float(offset), center=center,
                        axis_u=u, axis_v=v, half_u=w / 2.0, half_v=h / 2.0,
@@ -168,30 +171,28 @@ def _unit(axis: int, sign: float = 1.0) -> np.ndarray:
     return np.where(np.arange(3) == axis, float(sign), 0.0)
 
 
-def gen_corner(size: float = 2.0, density: float = 1000.0,
-               noise_sigma: float = 0.005, seed=0,
-               corner=(-0.75, -0.75, -0.75), edge_margin: float = 0.25) -> GroundTruthCloud:
-    """Three mutually orthogonal planes around a corner point.
+def gen_corner(noise_sigma: float = 0.005, seed=0) -> GroundTruthCloud:
+    """Three mutually orthogonal 2 x 2 m planes around the corner point
+    (-0.75, -0.75, -0.75), sampled at 1000 points per square meter.
 
-    Each plane keeps the full ``size`` x ``size`` extent but starts
-    ``edge_margin`` away from the other two planes, so no point is ambiguous
-    between planes. The default placement aligns plane edges with octant
-    boundaries of the default 1 m / 0.25 m voxel lattice: voxels containing
-    two walls then resolve into clean leaves after one subdivision instead
-    of leaving sub-minimum slivers. Labels are 0, 1, 2 for the planes
-    perpendicular to x, y, z respectively.
+    Each plane starts 0.25 m away from the other two planes, so no point is
+    ambiguous between planes. This placement aligns plane edges with
+    octant boundaries of the default 1 m / 0.25 m voxel lattice: voxels
+    containing two walls then resolve into clean leaves after one
+    subdivision instead of leaving sub-minimum slivers. Labels are 0, 1, 2
+    for the planes perpendicular to x, y, z respectively.
     """
-    c = np.asarray(corner, dtype=np.float64)
+    size, density, corner, margin = 2.0, 1000.0, np.full(3, -0.75), 0.25
     return _scene([(_unit(axis), (size, size),
-                    np.where(np.arange(3) == axis, c, c + edge_margin + size / 2.0), density)
+                    np.where(np.arange(3) == axis, corner, corner + margin + size / 2.0),
+                    density)
                    for axis in range(3)], noise_sigma, seed)
 
 
-def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
-                            noise_sigma: float = 0.005) -> GroundTruthCloud:
-    """A noisy 1x1 m plane plus a compact protrusion in one quadrant, sized
-    so the flatness gate still passes while the quarter-thickness test
-    rejects.
+def gen_false_positive_slab(seed=0, noise_sigma: float = 0.005) -> GroundTruthCloud:
+    """A noisy 1x1 m plane at 400 points per square meter plus a compact
+    protrusion in one quadrant, sized so the flatness gate still passes
+    while the quarter-thickness test rejects.
 
     The protrusion height and population are swept at generation time and
     the first admissible configuration wins under the default plane test; if
@@ -199,8 +200,7 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
     and generation fails loudly. Protrusion points carry label -1.
     """
     params = PlaneTestParams()
-    base = gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0),
-                     plane_density, noise_sigma, seed)
+    base = gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0), 400.0, noise_sigma, seed)
     blob_rng = np.random.default_rng(_seed_sequence(seed).spawn(1)[0])
     footprint = np.array([[0.15, 0.35], [0.15, 0.35]])  # one (+,+) quadrant corner
 
@@ -226,11 +226,9 @@ def gen_false_positive_slab(seed=0, plane_density: float = 400.0,
         "the quarter test; the regression scenario premise does not hold")
 
 
-def gen_slab_with_object(seed=0, ground_size: float = 2.0,
-                         ground_density: float = 1000.0,
-                         face_density: float = 2000.0,
-                         noise_sigma: float = 0.005) -> GroundTruthCloud:
-    """Ground plane with a box resting on it.
+def gen_slab_with_object(seed=0, noise_sigma: float = 0.005) -> GroundTruthCloud:
+    """A 2 x 2 m ground plane at 1000 points per square meter with a box
+    resting on it, whose faces hold 2000 points per square meter.
 
     The box bottom sits 0.01 m above the ground plane (well inside a
     0.03 m inlier band), so the lowest side-face points are within reach
@@ -243,9 +241,9 @@ def gen_slab_with_object(seed=0, ground_size: float = 2.0,
     box_bottom = ground_z + 0.01
     box_height = 0.3
     box_top = box_bottom + box_height
+    face_density = 2000.0
 
-    rects = [(_unit(2), (ground_size, ground_size),
-              np.array([0.0, 0.0, ground_z]), ground_density)]
+    rects = [(_unit(2), (2.0, 2.0), np.array([0.0, 0.0, ground_z]), 1000.0)]
     z_mid = (box_bottom + box_top) / 2.0
     # Four vertical side faces, then the top.
     for axis, sign in ((0, -1), (0, 1), (1, -1), (1, 1)):
@@ -258,33 +256,21 @@ def gen_slab_with_object(seed=0, ground_size: float = 2.0,
     return _scene(rects, noise_sigma, seed)
 
 
-def gen_multi_room(rooms: tuple[int, int] = (3, 3), room_size: float = 4.0,
-                   wall_height: float = 3.0, target_points: int = 1_000_000,
-                   noise_sigma: float = 0.005, seed=0) -> GroundTruthCloud:
-    """Grid of rooms sharing walls: one floor, one ceiling, and full-length
-    walls along every grid line, sized so the expected total point count
-    matches ``target_points``. Surfaces sit at x/y/z = 0.25 offsets so
-    plane noise bands stay inside single voxel layers at the default 1 m
-    root size. Needs two integer room counts of at least one, and a
-    positive, finite room_size and wall_height."""
-    try:
-        nx, ny = map(operator.index, rooms)
-    except (TypeError, ValueError) as exc:
-        raise InputValidationError(f"rooms must be two integers, got {rooms!r}") from exc
-    if not (nx >= 1 and ny >= 1):
-        raise InputValidationError(f"rooms must be at least 1 each way, got {rooms}")
-    if not (0 < room_size < np.inf and 0 < wall_height < np.inf):
-        raise InputValidationError("room_size and wall_height must be positive and finite")
-    ox = oy = oz = 0.25
-    width, depth = nx * room_size, ny * room_size
-
-    z_mid = oz + wall_height / 2.0
+def gen_multi_room(target_points: int = 1_000_000, seed=0) -> GroundTruthCloud:
+    """Grid of 3 x 3 rooms of 4 m sharing 3 m high walls: one floor, one
+    ceiling, and full-length walls along every grid line (10 planes), sized
+    so the expected total point count matches ``target_points``, with 5 mm
+    noise. Surfaces sit at x/y/z = 0.25 offsets so plane noise bands stay
+    inside single voxel layers at the default 1 m root size."""
+    rooms, room_size, wall_height, o = 3, 4.0, 3.0, 0.25
+    width = rooms * room_size
+    z_mid = o + wall_height / 2.0
     # (normal, extent, center): floor, ceiling, then the walls along x and y
-    specs = [(_unit(2), (width, depth), np.array([ox + width / 2.0, oy + depth / 2.0, z]))
-             for z in (oz, oz + wall_height)]
-    specs += [(_unit(0), (depth, wall_height),
-               np.array([ox + i * room_size, oy + depth / 2.0, z_mid])) for i in range(nx + 1)]
+    specs = [(_unit(2), (width, width), np.array([o + width / 2.0, o + width / 2.0, z]))
+             for z in (o, o + wall_height)]
+    specs += [(_unit(0), (width, wall_height),
+               np.array([o + i * room_size, o + width / 2.0, z_mid])) for i in range(rooms + 1)]
     specs += [(_unit(1), (width, wall_height),
-               np.array([ox + width / 2.0, oy + j * room_size, z_mid])) for j in range(ny + 1)]
+               np.array([o + width / 2.0, o + j * room_size, z_mid])) for j in range(rooms + 1)]
     density = target_points / sum(w * h for _, (w, h), _ in specs)
-    return _scene([spec + (density,) for spec in specs], noise_sigma, seed)
+    return _scene([spec + (density,) for spec in specs], 0.005, seed)

@@ -75,4 +75,4 @@ RANSAC_PATCHES_SHA256 = "19d2e507523ddbbf86c1e423461a5cabcfb70248bdfa8cf8fd8c41e
 # sha256 over tests/test_synthetic.py::_pinned_scenes() (corner, slab-object,
 # multi-room, false-positive-slab and single-plane calls at fixed seeds and
 # settings): each cloud's points and labels, then every TruthPlane field
-GEN_SCENES_SHA256 = "6ffe11f442a3ea5a536bd144514e0641598f02ca1e6c7b1041f774914751e5c7"
+GEN_SCENES_SHA256 = "6f62d2e49aff944f3f0e29b893acbf1a8082d0008f9c6aeb24cdca2bf67025f2"

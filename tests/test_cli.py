@@ -213,14 +213,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
-    # the sizes once recursed until RecursionError on NaN octant centres;
-    # an infinite min_separation once merged points into the wrong groups
+    # the sizes once recursed until RecursionError on NaN octant centres
     cloud = tmp_path / "c.vxc"
     assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
     cfg = tmp_path / "bad.json"
     for text in ('{"root_size": Infinity}',
                  '{"root_size": 1e300, "min_voxel_size": 1e-300}',
-                 '{"merge": {"min_separation": Infinity}}'):
+                 '{"merge": {"normal_angle_max_deg": Infinity}}'):
         cfg.write_text(text)
         assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -311,3 +310,7 @@ def test_compare_unknown_method(capsys):
 def test_compare_bad_target(capsys):
     assert run("compare", "no-such-thing") == EXIT_INPUT
     capsys.readouterr()
+    # a name past the file-system limit once raised OSError in the file
+    # check and exited 4, the output-error code
+    assert run("compare", "x" * 5000) == EXIT_INPUT
+    assert "neither a file nor a scene name" in capsys.readouterr().err

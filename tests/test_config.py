@@ -49,9 +49,8 @@ def test_invariant_violations_raise():
         MergeParams(normal_angle_max_deg=90.0)
     with pytest.raises(ConfigError):
         MergeParams(separation_angle_tol_deg=0.0)
-    # non-finite plane and merge settings: with min_separation=inf two
-    # parallel squares in one voxel merged into groups of the wrong points,
-    # and quarter_ratio_bound=10**400 raised an OverflowError in the plane test
+    # non-finite plane and merge settings: quarter_ratio_bound=10**400 raised
+    # an OverflowError in the plane test
     inf, nan, huge = float("inf"), float("nan"), 10 ** 400
     for params, bad in ((PlaneTestParams, {"flatness_ratio_max": inf}),
                         (PlaneTestParams, {"flatness_ratio_max": nan}),
@@ -59,11 +58,19 @@ def test_invariant_violations_raise():
                         (PlaneTestParams, {"quarter_ratio_bound": inf}),
                         (PlaneTestParams, {"quarter_ratio_bound": nan}),
                         (PlaneTestParams, {"quarter_ratio_bound": huge}),
-                        (MergeParams, {"min_separation": inf}),
-                        (MergeParams, {"min_separation": nan}),
-                        (MergeParams, {"min_separation": huge})):
+                        (MergeParams, {"normal_angle_max_deg": inf}),
+                        (MergeParams, {"separation_angle_tol_deg": nan})):
         with pytest.raises(ConfigError):
             params(**bad)
+
+
+@pytest.mark.parametrize("min_points", [float("inf"), 20.5, 20.0, "20", None])
+def test_min_points_must_be_an_integer(min_points):
+    # the config loader refused these, but the dataclass took them: an
+    # infinite min_points silently extracted no group at all
+    with pytest.raises(ConfigError, match="min_points"):
+        PlaneTestParams(min_points=min_points)
+    assert PlaneTestParams(min_points=np.int64(20)).min_points == 20
 
 
 def test_field_by_field_override(tmp_path):
@@ -97,33 +104,27 @@ def test_unknown_keys_rejected():
     for data in bad_values:
         with pytest.raises(ConfigError):
             config_from_dict(data)
-    cfg = config_from_dict({"root_size": 2, "merge": {"min_separation": 0}})
+    cfg = config_from_dict({"root_size": 2, "merge": {"normal_angle_max_deg": 5}})
     assert cfg.root_size == 2
 
 
-def test_removed_split_shift_key_rejected(tmp_path, capsys):
-    # the quarters are split through the centroid; a file that still sets
-    # the old shift along the normal fails like any unknown key
+@pytest.mark.parametrize("section, key, value", [
+    # the quarters are split through the centroid, not shifted along the normal
+    ("plane", "sigma_shift_multiple", 5.0),
+    # merging always runs (extract --no-merge writes the unmerged leaves)
+    (None, "merging_enabled", False),
+    # coincident centroids are judged against the fixed merging.MIN_SEPARATION
+    ("merge", "min_separation", 1e-6),
+], ids=["sigma_shift_multiple", "merging_enabled", "min_separation"])
+def test_removed_keys_rejected(tmp_path, capsys, section, key, value):
+    # a file that still sets a removed setting fails like any unknown key
+    document = {key: value} if section is None else {section: {key: value}}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"plane": {"sigma_shift_multiple": 5.0}}))
-    with pytest.raises(ConfigError, match="sigma_shift_multiple"):
-        load_config(path)
-    cloud = tmp_path / "c.vxc"
-    write_cloud(cloud, np.zeros((4, 3)))
-    assert cli_main(["extract", str(cloud), "--config", str(path)]) == EXIT_CONFIG
-    assert "sigma_shift_multiple" in capsys.readouterr().err
-
-
-def test_removed_merge_switch_rejected(tmp_path, capsys):
-    # merging always runs (extract --no-merge writes the unmerged leaves of
-    # the same run); a file that still sets the old switch fails like any
-    # unknown key
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"merging_enabled": False}))
-    with pytest.raises(ConfigError, match="merging_enabled"):
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError, match=key):
         load_config(path)
     assert cli_main(["extract", "--config", str(path), "--print-config"]) == EXIT_CONFIG
-    assert "merging_enabled" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_readme_config_block_is_the_defaults():

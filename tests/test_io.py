@@ -449,18 +449,21 @@ def _group(indices, count=None, depth=0) -> PlaneGroup:
     return PlaneGroup(members=[patch], merged=patch)
 
 
-@pytest.mark.parametrize("indices, count", [
-    (np.array([], dtype=np.int64), 0),
-    (np.array([-1, 8193, 8194]), 3),
-    (np.array([3, 4, 5]), 2),
-    (np.array([3, 4]), 3),
-    (np.array([3.0, 4.0]), 2),
-    (np.array([2**63 + 1], dtype=np.uint64), 1),
+@pytest.mark.parametrize("indices, count, depth", [
+    (np.array([], dtype=np.int64), 0, 0),
+    (np.array([-1, 8193, 8194]), 3, 0),
+    (np.array([3, 4, 5]), 2, 0),
+    (np.array([3, 4]), 3, 0),
+    (np.array([3.0, 4.0]), 2, 0),
+    (np.array([2**63 + 1], dtype=np.uint64), 1, 0),
+    # the reader refuses these at the indices and the depths line
+    (np.array([5, 3, 5]), 3, 0),
+    (np.array([3, 4]), 2, -1),
 ], ids=["empty", "negative", "count-below-indices", "count-above-indices",
-        "float-indices", "past-int64"])
-def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count):
+        "float-indices", "past-int64", "repeated-index", "negative-depth"])
+def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count, depth):
     path = tmp_path / "refused.txt"
-    groups = [_group([0, 1]), _group(indices, count)]
+    groups = [_group([0, 1]), _group(indices, count, depth)]
     with pytest.raises(InputValidationError, match="group 1"):
         write_planes(groups, path)
     assert not path.exists()
@@ -493,9 +496,10 @@ def test_write_planes_accepts_normals_read_planes_accepts(tmp_path, corner_cloud
     assert np.array_equal(back.merged.normal, group.merged.normal)
 
 
-_BOUNDARIES = [0, 10**18, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+# distinct within each group, as the writer requires
+_BOUNDARIES = [0, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
 _INDICES = st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**63 - 1),
-                              st.integers(0, 10**6)), min_size=1, max_size=40)
+                              st.integers(0, 10**6)), min_size=1, max_size=40, unique=True)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -99,12 +99,12 @@ def test_coincident_centroids_pass(rng):
     pa, _ = make_patch(pts)
     pb, _ = make_patch(pts[::-1])
     assert coplanar_test(pa, pb, PARAMS)
-    # exactly coincident centroids, (0.5, 0.5, 0) both, with min_separation
-    # 0: the distance guard once let dist == 0 through to a division
+    # exactly coincident centroids, (0.5, 0.5, 0) both: dist == 0 stops at
+    # the MIN_SEPARATION guard and never reaches the division by dist
     pa, _ = make_patch([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     pb, _ = make_patch([(0.5, 0, 0), (0.5, 1, 0), (0, 0.5, 0), (1, 0.5, 0)])
     assert np.array_equal(pa.centroid, pb.centroid)
-    assert coplanar_test(pa, pb, MergeParams(min_separation=0.0))
+    assert coplanar_test(pa, pb, PARAMS)
 
 
 # ---------------------------------------------------------------------------

@@ -369,15 +369,14 @@ def scale_scenes(room_30k):
 @pytest.mark.parametrize("k", range(-4, 5))
 @pytest.mark.parametrize("scene", ["room_30k", "corner"])
 def test_extract_scale_invariance(scale_scenes, scene, k):
-    # Scaling the points and every length parameter by 2^k is exact in
-    # binary floating point, so no decision may move: same root keys, same
-    # groups, same member indices.
+    # Scaling the points and both voxel sizes by 2^k is exact in binary
+    # floating point, so no decision may move: same root keys, same groups,
+    # same member indices. The merge's fixed 1 um separation floor is not
+    # scaled: no merge decision in these scenes comes near it.
     points, members_sha = scale_scenes[scene]
     s = 2.0 ** k
-    cfg = dataclasses.replace(
-        CFG, root_size=CFG.root_size * s, min_voxel_size=CFG.min_voxel_size * s,
-        merge_params=dataclasses.replace(CFG.merge_params,
-                                         min_separation=CFG.merge_params.min_separation * s))
+    cfg = dataclasses.replace(CFG, root_size=CFG.root_size * s,
+                              min_voxel_size=CFG.min_voxel_size * s)
     assert _groups_sha256(points * s, floats=False, config=cfg) == members_sha
 
 
