@@ -57,9 +57,13 @@ _SIGNS = tuple(np.array([-1.0 if flip >> k & 1 else 1.0 for k in range(3)]) for 
 def as_points(points) -> np.ndarray:
     """Coerce input to an (N, 3) float64 array of finite coordinates.
 
-    Raises InputValidationError on wrong shape or NaN/Inf entries.
+    Raises InputValidationError on complex values, wrong shape or NaN/Inf
+    entries.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
+    if pts.dtype.kind == "c":
+        raise InputValidationError("points must be real, got complex values")
+    pts = np.asarray(pts, dtype=np.float64)
     if pts.size == 0:
         return pts.reshape(0, 3)
     if pts.ndim == 1 and pts.shape == (3,):

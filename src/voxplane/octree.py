@@ -2,6 +2,8 @@
 
 Space is cut into fixed-size root voxels on an integer lattice; only
 non-empty voxels are kept, in a hash map keyed by lattice coordinates.
+The keys are built one axis at a time, so one float row, one int64 row
+and the narrow sort rows are alive at once, never a (3, N) key array.
 Each root voxel is then subdivided: a node whose points pass the plane
 test becomes a plane leaf, a node that is too small or too sparse is
 discarded, and anything else splits into eight octants. A node carries its
@@ -89,20 +91,33 @@ class OctreeNode:
     patch: PlanePatch | None = None
 
 
-def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
-    """(N, 3) int64 lattice addresses of the root voxels holding (N, 3)
-    points, the transpose of C-contiguous (3, N) key rows. Uses
-    mathematical floor, so -0.3 lands in cell -1 and cell boundaries
-    belong to the higher cell (half-open convention). Raises
+def _axis_keys(column: np.ndarray, root_size: float) -> np.ndarray:
+    """int64 lattice coordinates of one (N,) coordinate column: the floor
+    of column / root_size, so -0.3 lands in cell -1 and a cell boundary
+    belongs to the higher cell (half-open convention). One float row is
+    allocated, floored in place and cast to a new int64 row. Raises
     InputValidationError unless root_size is finite and positive, and
-    where |x / root_size| >= 2^63 has no int64 key."""
+    where |x / root_size| >= 2^63 has no int64 key; a quotient that
+    overflows to inf is rejected by that check, without a warning."""
     if not 0 < root_size < np.inf:
         raise InputValidationError(f"root_size must be finite and positive, got {root_size!r}")
-    cells = np.floor(np.divide(points.T, root_size, order="C"))
+    with np.errstate(over="ignore"):
+        cells = np.divide(column, root_size)
+    np.floor(cells, out=cells)
     if cells.size and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):
         raise InputValidationError("coordinate too large for the voxel lattice: "
                                    "|x / root_size| must be below 2^63")
-    return cells.astype(np.int64).T
+    return cells.astype(np.int64)
+
+
+def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
+    """(N, 3) int64 lattice addresses of the root voxels holding (N, 3)
+    points, the transpose of C-contiguous (3, N) key rows stacked from
+    ``_axis_keys``, the one key formula. The axes go one at a time, so
+    one float row is alive next to the int64 rows, then the stacked
+    copy; ``build_root_map`` keeps only narrow rows instead. Raises as
+    ``_axis_keys`` does."""
+    return np.stack([_axis_keys(column, root_size) for column in points.T]).T
 
 
 def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
@@ -112,26 +127,34 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     Keys are in sorted lattice order so downstream iteration is
     deterministic.
 
-    The sort keys are each lattice row's offsets from its minimum, stored
-    in the narrowest unsigned type that holds the row's span (uint8 on a
-    room-sized scene), which gives the order of the int64 keys with a
-    faster ``lexsort``. The span is a Python int and the offsets are
-    uint64 differences modulo 2^64 before narrowing, so a span beyond
-    int64 (keys near +-6e18) still sorts right.
+    The keys are built one axis at a time by ``_axis_keys``. Each axis's
+    int64 row becomes its offsets from the row's minimum, in place as
+    uint64 differences modulo 2^64, then a copy in the narrowest unsigned
+    type that holds the row's span (uint8 on a room-sized scene); the
+    wide rows are dropped before the next axis. So at most one float row,
+    one int64 row and the narrow rows are alive at once. The narrow rows
+    give the order of the int64 keys with a faster ``lexsort``; the span
+    is a Python int, so a span beyond int64 (keys near +-6e18) still
+    sorts right.
     """
-    keys = voxel_keys(as_points(points), root_size).T
-    if keys.shape[1] == 0:
-        return {}
-    lows = keys.min(axis=1).tolist()
-    rows = [(row.view(np.uint64) - np.uint64(lo % 2 ** 64)).astype(np.min_scalar_type(hi - lo))
-            for row, lo, hi in zip(keys, lows, keys.max(axis=1).tolist())]
+    lows, rows = [], []
+    for column in as_points(points).T:
+        keys = _axis_keys(column, root_size)
+        if not keys.size:
+            return {}
+        lo, hi = int(keys.min()), int(keys.max())
+        offsets = keys.view(np.uint64)
+        offsets -= np.uint64(lo % 2 ** 64)
+        lows.append(lo)
+        rows.append(offsets.astype(np.min_scalar_type(hi - lo)))
+        del keys, offsets
     order = np.lexsort(rows[::-1])
     rows = [row.take(order) for row in rows]
     change = np.flatnonzero(np.logical_or.reduce([row[1:] != row[:-1] for row in rows])) + 1
     starts = np.concatenate(([0], change)).tolist()
     firsts = zip(*(row.take(starts).tolist() for row in rows))
     return {VoxelKey(*(lo + k for lo, k in zip(lows, first))): order[a:b]
-            for first, a, b in zip(firsts, starts, starts[1:] + [keys.shape[1]])}
+            for first, a, b in zip(firsts, starts, starts[1:] + [len(order)])}
 
 
 # Octant index bit layout: bit0 = x >= center, bit1 = y >= center,

@@ -8,6 +8,7 @@ from voxplane import (
     accumulate,
     covariance,
     eigen_symmetric3,
+    extract_plane_groups,
     geometry,
     merge_clusters,
 )
@@ -52,6 +53,18 @@ def test_accumulate_rejects_non_finite():
         accumulate([(0.0, 0.0, np.nan)])
     with pytest.raises(InputValidationError):
         accumulate([(np.inf, 0.0, 0.0)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_points_rejected():
+    # a cast to float64 would drop the imaginary part (with a
+    # ComplexWarning) and extract planes from the real parts alone
+    pts = np.ones((30, 3), complex)
+    for call in (geometry.as_points, accumulate, extract_plane_groups):
+        with pytest.raises(InputValidationError, match="complex"):
+            call(pts)
+    with pytest.raises(InputValidationError, match="complex"):
+        geometry.as_points([(1.0, 2.0, 3j)])
 
 
 def _bits(x):

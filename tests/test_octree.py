@@ -121,6 +121,16 @@ def test_lattice_overflow_rejected():
     assert [v.tolist() for v in out.values()] == [[1], [0]]
 
 
+@pytest.mark.filterwarnings("error")
+def test_lattice_overflow_raises_without_warning():
+    # x / root_size overflows to inf, which the range check rejects: the
+    # error is the only signal, with no "overflow encountered" warning
+    pts = np.array([[1.7e308, 0.0, 0.0]])
+    for call in (build_root_map, voxel_keys):
+        with pytest.raises(InputValidationError, match="too large"):
+            call(pts, 0.5)
+
+
 def _root_map_reference(points, root_size):
     """build_root_map written plainly: a stable lexsort of the wide int64
     keys, x first, then one index array per run of equal keys."""
@@ -166,17 +176,48 @@ def test_build_root_map_span_beyond_int64():
     _assert_root_map_matches_reference(pts, 1.0)
 
 
-def test_build_root_map_peak_memory():
-    # The float quotient and the int64 key rows are the only arrays the
-    # size of the cloud alive at once; the sort keys are narrow copies.
-    pts = gen_multi_room(target_points=200_000, seed=0).points
+@pytest.mark.parametrize("layout", ["fortran", "column_strided", "utm_shifted"])
+def test_build_root_map_any_memory_layout(room_30k, layout):
+    # The keys are built from the columns pts[:, j], whose strides follow
+    # the input's layout; every layout must give the same map.
+    pts = room_30k[0]
+    if layout == "fortran":
+        pts = np.asfortranarray(pts)
+    elif layout == "column_strided":
+        wide = np.zeros((len(pts), 6))
+        wide[:, ::2] = pts
+        pts = wide[:, ::2]
+    else:
+        pts = pts + UTM_SHIFT
+    _assert_root_map_matches_reference(pts, CFG.root_size)
+
+
+@pytest.fixture(scope="module")
+def room_200k():
+    return gen_multi_room(target_points=200_000, seed=0).points
+
+
+def _traced_peak(call, *args):
     tracemalloc.start()
     try:
-        build_root_map(pts, CFG.root_size)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * pts.nbytes
+
+
+def test_build_root_map_peak_memory(room_200k):
+    # The keys are built one axis at a time: one float row (8 B a point),
+    # one int64 row (8 B) and the uint8 sort rows (1 B each) are alive at
+    # once, 0.75x the points' 24 B a point; the lexsort order (8 B) and
+    # the sorted narrow rows come after the wide rows are gone.
+    assert _traced_peak(build_root_map, room_200k, CFG.root_size) <= 1.0 * room_200k.nbytes
+
+
+def test_extract_plane_groups_peak_memory(room_200k):
+    # The whole extraction peaks at about 1.3x the points' bytes, nearly
+    # all of it the result it returns (leaves, patches, member indices).
+    assert _traced_peak(extract_plane_groups, room_200k, CFG) <= 1.6 * room_200k.nbytes
 
 
 # ---------------------------------------------------------------------------
