@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import accumulate, covariance, eigen_symmetric3
+from .geometry import accumulate, as_integers, covariance, eigen_symmetric3
 from .merging import PlaneGroup
 from .pipeline import StageTimings
 from .synthetic import GroundTruthCloud, TruthPlane
@@ -72,28 +72,14 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     ``[-1, len(truth.planes))`` and every member index in
     ``[0, len(truth.labels))``.
     """
-    labels = truth.labels
     n_planes = len(truth.planes)
-    if labels.dtype.kind not in "iu":
-        raise InputValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and (labels.min() < -1 or labels.max() >= n_planes):
-        raise InputValidationError(
-            f"labels must lie in [-1, {n_planes}) for {n_planes} truth planes, "
-            f"got {labels.min()} to {labels.max()}")
+    labels = as_integers(truth.labels, -1, n_planes, "labels")
     width = n_planes + 1  # column 0 counts label -1
-    sizes = [g.merged.point_indices.shape[0] for g in groups]
-    try:  # uint64 indices past int64 wrap negative here and are refused below
-        idx = np.concatenate([np.empty(0, dtype=np.intp)]
-                             + [g.merged.point_indices for g in groups],
-                             dtype=np.intp, casting="same_kind")
-    except TypeError as exc:
-        raise InputValidationError(f"member indices must be integers: {exc}") from exc
-    if idx.size and (idx.min() < 0 or idx.max() >= labels.shape[0]):
-        raise InputValidationError(
-            f"member indices must lie in [0, {labels.shape[0]}) for "
-            f"{labels.shape[0]} labeled points, got {idx.min()} to {idx.max()}")
-    gid = np.repeat(np.arange(len(groups)), sizes)
-    votes = np.bincount(gid * width + labels[idx].astype(np.intp) + 1,
+    members = [as_integers(g.merged.point_indices, 0, labels.shape[0], "member indices")
+               for g in groups]
+    idx = np.concatenate([np.empty(0, dtype=np.int64)] + members)
+    gid = np.repeat(np.arange(len(groups)), [m.shape[0] for m in members])
+    votes = np.bincount(gid * width + labels[idx] + 1,
                         minlength=len(groups) * width).reshape(len(groups), width)
     plane = votes.argmax(axis=1) - 1
     matched = np.flatnonzero(plane >= 0)

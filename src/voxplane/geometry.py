@@ -1,4 +1,7 @@
-"""Moment statistics of point sets and a 3x3 symmetric eigensolver.
+"""Moment statistics of point sets, a 3x3 symmetric eigensolver, and the
+one owner of the rules on arrays from outside: ``as_points`` for points and
+``as_integers`` for member indices and labels, for the extractor, every
+writer and the scorer (the file readers keep checks that name a line).
 
 A point cluster stores (count, sum of points, sum of outer products) about
 its first point, enough to get the covariance of any point set and to merge
@@ -40,6 +43,7 @@ __all__ = [
     "PointCluster",
     "EigenDecomposition",
     "as_points",
+    "as_integers",
     "accumulate",
     "merge",
     "covariance",
@@ -56,14 +60,16 @@ _SIGNS = tuple(np.array([-1.0 if flip >> k & 1 else 1.0 for k in range(3)]) for 
 
 def as_points(points) -> np.ndarray:
     """Coerce input to an (N, 3) float64 array of finite coordinates.
-
-    Raises InputValidationError on complex values, wrong shape or NaN/Inf
-    entries.
-    """
-    pts = np.asarray(points)
-    if pts.dtype.kind == "c":
-        raise InputValidationError("points must be real, got complex values")
-    pts = np.asarray(pts, dtype=np.float64)
+    Raises InputValidationError on anything else: complex, datetime or
+    non-numeric values, ragged nesting, another shape, NaN or Inf."""
+    try:
+        pts = np.asarray(points)
+        if pts.dtype.kind not in "cmM":
+            pts = np.asarray(pts, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputValidationError(f"points must be real numbers: {exc}") from None
+    if pts.dtype != np.float64:
+        raise InputValidationError(f"points must be real numbers, got {pts.dtype} values")
     if pts.size == 0:
         return pts.reshape(0, 3)
     if pts.ndim == 1 and pts.shape == (3,):
@@ -73,6 +79,26 @@ def as_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InputValidationError("points contain NaN or infinite coordinates")
     return pts
+
+
+def as_integers(values, lo: int, hi: int, what: str, size: int | None = None) -> np.ndarray:
+    """A 1-D array of ``size`` (if given) integers of dtype kind ``i`` or
+    ``u`` in [lo, hi), hi <= 2^63, as int64, uncopied if it already is.
+    Raises InputValidationError naming ``what`` on anything else: bool,
+    float, object or text values, ragged nesting, another shape, or a value
+    out of range (a uint64 at or above 2^63 included)."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise InputValidationError(f"{what} must be a 1-D integer array: {exc}") from None
+    if arr.dtype.kind not in "iu" or arr.ndim != 1 or size not in (None, arr.shape[0]):
+        raise InputValidationError(f"{what} must be integers in a 1-D array of "
+                                   f"{'any number of' if size is None else size} values, "
+                                   f"got {arr.dtype} of shape {arr.shape}")
+    if arr.size and not lo <= int(arr.min()) <= int(arr.max()) < hi:
+        raise InputValidationError(f"{what} must lie in [{lo}, {hi}), got "
+                                   f"{arr.min()} to {arr.max()}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

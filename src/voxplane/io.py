@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CloudFormatError, InputValidationError
 from .evaluation import EvalReport
-from .geometry import accumulate, as_points
+from .geometry import accumulate, as_integers, as_points
 from .merging import PlaneGroup
 from .octree import PlanePatch, VoxelKey
 
@@ -193,22 +193,14 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
 def write_cloud(path, points, labels=None) -> None:
     """Write a cloud in the labeled binary format, which round-trips
     coordinates bit-exactly; labels are optional. The points must be an
-    (N, 3) array of finite coordinates, and the labels integers within the
-    int32 range (InputValidationError otherwise)."""
+    (N, 3) array of finite coordinates, and the labels N integers within
+    the int32 range (InputValidationError otherwise)."""
     pts = as_points(points)
-    has = labels is not None
-    if has:
-        labels = np.asarray(labels)
-        if len(labels) != pts.shape[0]:
-            raise InputValidationError(
-                f"labels length {len(labels)} does not match {pts.shape[0]} points")
-        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < -2**31
-                            or labels.max() >= 2**31):
-            raise InputValidationError("labels must be integers within the int32 range")
-    blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], int(has))
+    blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], labels is not None)
     blob += pts.astype("<f8").tobytes()
-    if has:
-        blob += labels.astype("<i4").tobytes()
+    if labels is not None:
+        blob += as_integers(labels, -2**31, 2**31, "int32 labels",
+                            size=pts.shape[0]).astype("<i4").tobytes()
     Path(path).write_bytes(blob)
 
 
@@ -250,37 +242,36 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
     """Write a plane-set document: for each group its root voxel, point
     count, centroid, normal, eigenvalues, member-depth histogram and member
     point indices. Field order is fixed and floats use shortest round-trip
-    repr, so output is byte-stable across runs. Each group needs a finite
-    centroid and eigenvalues, a normal of unit length within 1e-9,
-    ``cluster.n`` >= 1 distinct member indices, all non-negative integers,
-    and one or more members, none at a negative depth
-    (InputValidationError before the file is opened otherwise)."""
+    repr, so output is byte-stable across runs. Each group needs 3 int64
+    in its root key, 3 values in a finite centroid and eigenvalues and in a
+    normal of unit length within 1e-9, ``cluster.n`` >= 1 distinct member
+    indices, all non-negative integers, and one or more members, none at a
+    negative depth (InputValidationError before the file is opened otherwise)."""
     blocks = []
     for i, g in enumerate(groups):
         m = g.merged
-        if not all(map(math.isfinite, [*m.centroid.tolist(), *m.eigenvalues.tolist()])):
-            raise InputValidationError(f"group {i}: non-finite centroid or eigenvalues")
+        if not (np.shape(m.centroid) == np.shape(m.normal) == np.shape(m.eigenvalues) == (3,)
+                and all(map(math.isfinite, [*m.centroid.tolist(), *m.eigenvalues.tolist()]))):
+            raise InputValidationError(f"group {i}: non-finite centroid or eigenvalues, or "
+                                       f"a centroid, normal or eigenvalues not of 3 values")
         # sqrt(n . n) is the reader's np.linalg.norm, bit for bit, at a third of its cost
         if not abs(math.sqrt(m.normal @ m.normal) - 1.0) <= 1e-9:
             raise InputValidationError(f"group {i}: normal is not a finite unit vector")
-        idx, n = np.asarray(m.point_indices), int(m.cluster.n)
-        if idx.ndim != 1 or not 0 < idx.size == n:
-            raise InputValidationError(f"group {i}: count {n} with {idx.size} member "
-                                       f"indices; a group needs one or more")
-        if idx.dtype.kind not in "iu" or (idx := idx.astype(np.int64, copy=False)).min() < 0:
-            raise InputValidationError(f"group {i}: member indices must be "
-                                       f"non-negative integers within int64")
-        if ((ordered := np.sort(idx))[1:] == ordered[:-1]).any():
-            raise InputValidationError(f"group {i}: member indices must be distinct")
+        root = as_integers(m.root_key, -2**63, 2**63, f"group {i}: root key", size=3)
+        idx = as_integers(m.point_indices, 0, 2**63, f"group {i}: member indices",
+                          size=int(m.cluster.n))
+        if not idx.size or ((ordered := np.sort(idx))[1:] == ordered[:-1]).any():
+            raise InputValidationError(f"group {i}: member indices must be one or more "
+                                       f"distinct values")
         depths = sorted(Counter(p.depth for p in g.members).items())
         if not depths or depths[0][0] < 0:
             raise InputValidationError(f"group {i}: needs members, none at a negative depth")
-        blocks.append((idx, depths))
+        blocks.append((root, idx, depths))
     with open(path, "wb") as fh:
         fh.write(f"voxplane-planeset {_VERSION}\ngroups {len(groups)}\n".encode())
-        for i, (g, (idx, depths)) in enumerate(zip(groups, blocks)):
+        for i, (g, (root, idx, depths)) in enumerate(zip(groups, blocks)):
             m = g.merged
-            fh.write((f"group {i}\nroot {' '.join(map(str, m.root_key))}\n"
+            fh.write((f"group {i}\nroot {' '.join(map(str, root.tolist()))}\n"
                       f"count {idx.size}\ncentroid {_floats(m.centroid)}\n"
                       f"normal {_floats(m.normal)}\neigenvalues {_floats(m.eigenvalues)}\n"
                       f"depths {' '.join(f'{d}:{c}' for d, c in depths)}\nindices ").encode())
@@ -399,11 +390,8 @@ def write_colored_cloud(points, groups: list[PlaneGroup], path) -> None:
     pts = as_points(points)
     assign = np.full(pts.shape[0], -1, dtype=np.int64)
     for i, g in enumerate(groups):
-        idx = np.asarray(g.merged.point_indices)
-        if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= len(pts)):
-            raise InputValidationError(f"group {i}: member indices must be integers "
-                                       f"in [0, {pts.shape[0]})")
-        assign[idx] = i
+        assign[as_integers(g.merged.point_indices, 0, pts.shape[0],
+                           f"group {i}: member indices")] = i
     keep = np.flatnonzero(assign >= 0)
     palette = np.array([group_color(i) for i in range(len(groups))],
                        dtype=np.int64).reshape(-1, 3)

@@ -36,7 +36,6 @@ __all__ = [
     "NodeState",
     "PlanePatch",
     "OctreeNode",
-    "voxel_keys",
     "build_root_map",
     "subdivide",
 ]
@@ -108,16 +107,6 @@ def _axis_keys(column: np.ndarray, root_size: float) -> np.ndarray:
         raise InputValidationError("coordinate too large for the voxel lattice: "
                                    "|x / root_size| must be below 2^63")
     return cells.astype(np.int64)
-
-
-def voxel_keys(points: np.ndarray, root_size: float) -> np.ndarray:
-    """(N, 3) int64 lattice addresses of the root voxels holding (N, 3)
-    points, the transpose of C-contiguous (3, N) key rows stacked from
-    ``_axis_keys``, the one key formula. The axes go one at a time, so
-    one float row is alive next to the int64 rows, then the stacked
-    copy; ``build_root_map`` keeps only narrow rows instead. Raises as
-    ``_axis_keys`` does."""
-    return np.stack([_axis_keys(column, root_size) for column in points.T]).T
 
 
 def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:

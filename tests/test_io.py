@@ -475,8 +475,15 @@ def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count,
     ("normal", np.array([0.0, 0.0, 2.0]), "unit"),
     ("normal", np.array([0.0, 0.0, 1.0 + 2e-9]), "unit"),
     ("normal", np.array([np.nan, 0.0, 1.0]), "unit"),
+    # the reader refuses these at their line: "expected 3 values", "bad value"
+    ("centroid", np.array([0.5, 0.0, 4e6, 1.0]), "3 values"),
+    ("normal", np.array([0.6, 0.8]), "3 values"),
+    ("eigenvalues", np.array([1.0, 0.25]), "3 values"),
+    ("root_key", (-3, 0), "root key"),
+    ("root_key", (-3.0, 0.0, 7.0), "root key"),
 ], ids=["nan-centroid", "inf-eigenvalue", "normal-length-2", "normal-off-by-2e-9",
-        "nan-normal"])
+        "nan-normal", "centroid-of-4", "normal-of-2", "eigenvalues-of-2", "root-key-of-2",
+        "float-root-key"])
 def test_write_planes_refuses_floats_read_planes_refuses(tmp_path, field, value, message):
     path = tmp_path / "refused.txt"
     bad = _group([2, 3])

@@ -27,7 +27,6 @@ from voxplane import (
     ransac_extract_all,
     subdivide,
 )
-from voxplane.octree import voxel_keys
 
 import pinned
 from oracles import two_pass_covariance
@@ -38,22 +37,35 @@ UTM_SHIFT = np.array([5e5, 4e6, 100.0])
 
 
 # ---------------------------------------------------------------------------
-# voxel_keys / build_root_map
+# build_root_map
+
+
+def _point_keys(out):
+    """(members, keys): every member index of a root map and, row for row,
+    the key of the voxel holding it, as an int64 array."""
+    keys = np.array(list(out), dtype=np.int64).reshape(-1, 3)
+    members = np.concatenate([np.empty(0, dtype=np.int64)] + list(out.values()))
+    return members, np.repeat(keys, [v.shape[0] for v in out.values()], axis=0)
 
 
 def test_voxel_key_basic():
-    assert voxel_keys(np.array([[0.5, 0.5, 0.5]]), 1.0)[0].tolist() == [0, 0, 0]
+    out = build_root_map(np.array([[0.5, 0.5, 0.5]]), 1.0)
+    assert {k: v.tolist() for k, v in out.items()} == {VoxelKey(0, 0, 0): [0]}
 
 
 def test_voxel_key_floor_semantics():
-    assert voxel_keys(np.array([[-0.01, 2.0, 0.99]]), 1.0)[0].tolist() == [-1, 2, 0]
+    out = build_root_map(np.array([[-0.01, 2.0, 0.99]]), 1.0)
+    assert [tuple(k) for k in out] == [(-1, 2, 0)]
 
 
 @pytest.mark.parametrize("root_size", [1.0, 0.5, 2.0])
 def test_voxel_key_interval_membership(rng, root_size):
     pts = rng.uniform(-20, 20, (100_000, 3))
-    keys = voxel_keys(pts, root_size)
-    assert keys.dtype == np.int64
+    out = build_root_map(pts, root_size)
+    assert all(type(c) is int for key in out for c in key)
+    members, keys = _point_keys(out)
+    assert np.array_equal(np.sort(members), np.arange(pts.shape[0]))
+    pts = pts[members]
     assert np.array_equal(keys, np.floor(pts / root_size))
     # oracle: every point must lie in the half-open cube its key names
     lo = keys * root_size
@@ -91,9 +103,9 @@ def test_bad_root_size_rejected():
     pts = np.array([[0.5, 0.5, 0.5], [2.5, -1.5, 0.5]])
     for root_size in (-1.0, math.inf, 0.0, math.nan):
         with pytest.raises(InputValidationError, match="root_size"):
-            voxel_keys(pts, root_size)
-        with pytest.raises(InputValidationError, match="root_size"):
             build_root_map(pts, root_size)
+        with pytest.raises(InputValidationError, match="root_size"):
+            build_root_map(pts[:1], root_size)
         with pytest.raises(InputValidationError, match="root_size"):
             build_root_map(np.zeros((0, 3)), root_size)
 
@@ -106,7 +118,7 @@ def test_lattice_overflow_rejected():
         with pytest.raises(InputValidationError):
             build_root_map(pts, 1.0)
         with pytest.raises(InputValidationError):
-            voxel_keys(pts[:1], 1.0)
+            build_root_map(pts[:1], 1.0)
         with pytest.raises(InputValidationError):
             ransac_extract_all(pts, CFG, seed=0)
     # the quotient, not the coordinate, must fit
@@ -115,7 +127,7 @@ def test_lattice_overflow_rejected():
     # the largest double below 2^63 is accepted and keeps its exact key
     x = np.nextafter(2.0 ** 63, 0)
     pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
-    assert voxel_keys(pts[:1], 1.0)[0].tolist() == [2 ** 63 - 1024, 0, 0]
+    assert list(build_root_map(pts[:1], 1.0)) == [VoxelKey(2 ** 63 - 1024, 0, 0)]
     out = build_root_map(pts, 1.0)
     assert list(out) == [VoxelKey(0, 0, 0), VoxelKey(2 ** 63 - 1024, 0, 0)]
     assert [v.tolist() for v in out.values()] == [[1], [0]]
@@ -125,10 +137,9 @@ def test_lattice_overflow_rejected():
 def test_lattice_overflow_raises_without_warning():
     # x / root_size overflows to inf, which the range check rejects: the
     # error is the only signal, with no "overflow encountered" warning
-    pts = np.array([[1.7e308, 0.0, 0.0]])
-    for call in (build_root_map, voxel_keys):
+    for pts in (np.array([[1.7e308, 0.0, 0.0]]), np.array([[0.0, 0.0, -1.7e308]])):
         with pytest.raises(InputValidationError, match="too large"):
-            call(pts, 0.5)
+            build_root_map(pts, 0.5)
 
 
 def _root_map_reference(points, root_size):
@@ -458,8 +469,7 @@ def test_extract_plane_spanning_four_roots(rng):
     cloud = gen_plane(np.array([0.0, 0.0, 1.0]), 0.5, (2.0, 2.0), 1500.0,
                       0.002, seed=3, center=np.array([0.0, 0.0, 0.5]))
     # generator bounding box covers 4 root cells in x,y
-    keys = {tuple(k) for k in voxel_keys(cloud.points, CFG.root_size).tolist()}
-    assert len(keys) >= 4
+    assert len(build_root_map(cloud.points, CFG.root_size)) >= 4
     patches = _planes(cloud.points)
     assert len(patches) >= 4
     assert len({p.root_key for p in patches}) >= 4
