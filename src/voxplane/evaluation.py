@@ -68,12 +68,12 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     same correct points over all labeled points. Either is None when its
     denominator is empty. A point in several groups votes in each.
 
-    Raises InputValidationError unless the labels are integers, every one in
-    ``[-1, len(truth.planes))`` and every member index in
+    Raises InputValidationError unless the labels are one integer per
+    point, every one in ``[-1, len(truth.planes))``, and every member index in
     ``[0, len(truth.labels))``.
     """
     n_planes = len(truth.planes)
-    labels = as_integers(truth.labels, -1, n_planes, "labels")
+    labels = as_integers(truth.labels, -1, n_planes, "labels", size=len(truth.points))
     width = n_planes + 1  # column 0 counts label -1
     members = [as_integers(g.merged.point_indices, 0, labels.shape[0], "member indices")
                for g in groups]

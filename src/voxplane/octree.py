@@ -9,6 +9,9 @@ test becomes a plane leaf, a node that is too small or too sparse is
 discarded, and anything else splits into eight octants. A node carries its
 own rows of the cloud: the caller gathers each root's rows once, and every
 child's rows are a contiguous slice of its parent's, in octant order.
+The point indices are stored once per root voxel: a split reorders its
+node's indices in place into octant order and each child's indices are a
+slice of them, so every leaf's indices view its root's index array.
 
 The tree itself is not kept. Each root voxel resolves to a flat list of
 its leaves (plane leaves and discarded nodes), depth first with octant
@@ -163,6 +166,12 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     ``node.point_indices[i]``. Each child gets a contiguous slice of its
     parent's rows in octant order, so the cloud is read once per root.
 
+    ``node.point_indices`` is reordered in place, and ``points`` is left as
+    it was: after this returns, an internal node's indices are in octant
+    order, each octant's in its child's order, so they are the node's
+    leaves' indices concatenated, and every leaf's indices are a slice of
+    them. A plane leaf or discarded node keeps its indices as given.
+
     Terminal conditions: too few points (discard), plane test passed
     (plane leaf, reusing the statistics computed by the test), or node
     edge already at the minimum voxel size (discard). Otherwise the node
@@ -187,7 +196,8 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     # points in their current order; the octants are then consecutive slices.
     code = (points >= node.center) @ _OCTANT_BITS
     order = code.argsort(kind="stable")
-    by_octant, block = idx.take(order), points.take(order, axis=0)
+    idx[:] = idx.take(order)
+    block = points.take(order, axis=0)
     child_he = node.half_extent / 2.0
     centers = node.center + _OCTANT_SIGNS * child_he
     stop = 0
@@ -196,6 +206,6 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
             start, stop = stop, stop + count
             subdivide(OctreeNode(center=centers[k], half_extent=child_he,
                                  depth=node.depth + 1,
-                                 point_indices=by_octant[start:stop]),
+                                 point_indices=idx[start:stop]),
                       block[start:stop], config, root_key, leaves)
     return node

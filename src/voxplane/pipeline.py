@@ -5,8 +5,10 @@ Each root voxel's rows are gathered from the cloud once and resolve to a
 flat list of its octree leaves, depth first with octant index ascending;
 the plane leaves' patches are merged within the voxel. Root voxels are
 resolved and emitted in sorted lattice order, which keeps the output
-identical from run to run. The result keeps the leaf lists next to the
-merged groups, so the unmerged patches come from the same run.
+identical from run to run. Subdivision reorders the root map's index
+arrays in place, so every leaf's indices are a slice of one array of N
+indices. The result keeps the leaf lists next to the merged groups, so
+the unmerged patches come from the same run.
 """
 
 from __future__ import annotations

@@ -88,8 +88,11 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
             f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from exc
 
 
-def _rectangle_points(plane: TruthPlane, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _rectangle_points(plane: TruthPlane, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the rectangle's (count, 3) rows ``out`` from its stream: uniform
+    a, uniform b, clipped normal e, and each point ((center + a u) + b v) +
+    e n, summed one column at a time so no (count, 3) temporary is made."""
+    count = out.shape[0]
     a = rng.uniform(-plane.half_u, plane.half_u, count)
     b = rng.uniform(-plane.half_v, plane.half_v, count)
     if plane.noise_sigma > 0.0:
@@ -97,25 +100,17 @@ def _rectangle_points(plane: TruthPlane, count: int,
         np.clip(e, -6.0 * plane.noise_sigma, 6.0 * plane.noise_sigma, out=e)
     else:
         e = np.zeros(count)
-    return (plane.center
-            + a[:, None] * plane.axis_u
-            + b[:, None] * plane.axis_v
-            + e[:, None] * plane.normal)
+    for j, column in enumerate(out.T):
+        np.multiply(a, plane.axis_u[j], out=column)
+        column += plane.center[j]
+        column += b * plane.axis_v[j]
+        column += e * plane.normal[j]
 
 
-def gen_plane(normal, offset: float, extent: tuple[float, float],
-              density: float, noise_sigma: float, seed,
-              center=None) -> GroundTruthCloud:
-    """One noisy rectangle: uniform in-plane sampling at the given density
-    (points per square meter, Poisson count), Gaussian perpendicular noise.
-
-    ``center`` places the rectangle on the plane; it defaults to the point
-    of the plane closest to the origin. The normal must be a finite unit
-    3-vector, offset and the 3-vector center finite, the center on the
-    plane (normal . center = offset up to rounding), the extent two finite
-    non-negative lengths, and the expected count within numpy's Poisson
-    range. Deterministic per seed.
-    """
+def _drawn_rectangle(normal, offset: float, extent, density: float, noise_sigma: float,
+                     seed, center=None) -> tuple[TruthPlane, np.random.Generator, int]:
+    """gen_plane's checks, then the rectangle, its stream after the Poisson
+    count draw, and that count."""
     n = np.asarray(normal, dtype=np.float64)
     if not (n.shape == (3,) and abs(float(np.linalg.norm(n)) - 1.0) <= 1e-9):
         raise InputValidationError("normal must be a finite unit 3-vector")
@@ -147,24 +142,49 @@ def gen_plane(normal, offset: float, extent: tuple[float, float],
     except ValueError as exc:
         raise InputValidationError(
             f"expected point count {density * w * h:g} is too large to draw") from exc
-    pts = _rectangle_points(plane, count, rng)
-    return GroundTruthCloud(points=pts,
-                            labels=np.zeros(count, dtype=np.int32),
-                            planes=(plane,))
+    return plane, rng, count
+
+
+def _cloud(drawn) -> GroundTruthCloud:
+    """One cloud of the rectangles ``_drawn_rectangle`` returned, rectangle
+    k with label k. The (N, 3) points and (N,) int32 labels are allocated
+    once and each rectangle fills its own slice, so no part is copied."""
+    counts = [count for _, _, count in drawn]
+    points = np.empty((sum(counts), 3))
+    stop = 0
+    for plane, rng, count in drawn:
+        start, stop = stop, stop + count
+        _rectangle_points(plane, rng, points[start:stop])
+    return GroundTruthCloud(points=points,
+                            labels=np.repeat(np.arange(len(drawn), dtype=np.int32), counts),
+                            planes=tuple(plane for plane, _, _ in drawn))
+
+
+def gen_plane(normal, offset: float, extent: tuple[float, float],
+              density: float, noise_sigma: float, seed,
+              center=None) -> GroundTruthCloud:
+    """One noisy rectangle: uniform in-plane sampling at the given density
+    (points per square meter, Poisson count), Gaussian perpendicular noise.
+
+    ``center`` places the rectangle on the plane; it defaults to the point
+    of the plane closest to the origin. The normal must be a finite unit
+    3-vector, offset and the 3-vector center finite, the center on the
+    plane (normal . center = offset up to rounding), the extent two finite
+    non-negative lengths, and the expected count within numpy's Poisson
+    range. Deterministic per seed.
+    """
+    return _cloud([_drawn_rectangle(normal, offset, extent, density, noise_sigma, seed,
+                                    center)])
 
 
 def _scene(rects, noise_sigma: float, seed) -> GroundTruthCloud:
     """Rectangles listed as (normal, extent, center, density), each on the
     plane through its center (offset normal . center) and drawn from its
-    own child stream; rectangle k carries label k."""
+    own child stream; rectangle k carries label k. Every rectangle is
+    checked and its count drawn before any point is made."""
     seeds = _seed_sequence(seed).spawn(len(rects))
-    parts = [gen_plane(n, float(np.dot(n, c)), extent, density, noise_sigma, s, center=c)
-             for (n, extent, c, density), s in zip(rects, seeds)]
-    return GroundTruthCloud(
-        points=np.concatenate([part.points for part in parts]),
-        labels=np.concatenate([np.full(len(part.points), k, dtype=np.int32)
-                               for k, part in enumerate(parts)]),
-        planes=tuple(part.planes[0] for part in parts))
+    return _cloud([_drawn_rectangle(n, float(np.dot(n, c)), extent, density, noise_sigma, s, c)
+                   for (n, extent, c, density), s in zip(rects, seeds)])
 
 
 def _unit(axis: int, sign: float = 1.0) -> np.ndarray:

@@ -8,9 +8,11 @@ cloud writers, which make xyz and ascii ply input for the readers, format
 their rows on their own, and the plane-set writer builds the whole
 document as lines with one ``str`` per member index. The plane-test oracle
 splits a set into quarters with one projection per eigenvector and sums each
-quarter's moments in its own loop step.
+quarter's moments in its own loop step. ``traced_peak`` measures a call's
+peak of traced memory for the memory bounds.
 """
 
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -210,3 +212,14 @@ def plane_decision_reference(points, flatness_ratio_max=0.0625, quarter_ratio_bo
     return {**out, "is_plane": not rejected, "fallback": fallback, "order": order, "cuts": cuts,
             "reject_reason": "quarter_ratio_failed" if rejected else None,
             "quarter_min": np.array(quarter_l3) if len(quarter_l3) == 4 else None}
+
+
+def traced_peak(call, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``call(*args)``,
+    its result included."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

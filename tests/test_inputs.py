@@ -75,6 +75,9 @@ MEMBER_ENTRIES = {
                                                   _truth(cloud, np.array([0, 1, -1]))),
 }
 
+# Refused as labels: one more label than points for every label entry.
+LABELS = {**INTEGERS, "one-extra": [0, 1, -1, 0]}
+
 LABEL_ENTRIES = {
     "write_cloud": lambda path, cloud, labels: write_cloud(path, np.zeros((2, 3)), labels),
     "evaluate": lambda path, cloud, labels: evaluate([], _truth(cloud, labels)),
@@ -95,7 +98,7 @@ def test_hostile_member_indices_are_refused(tmp_path, corner_cloud, entry, value
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("values", INTEGERS.values(), ids=INTEGERS.keys())
+@pytest.mark.parametrize("values", LABELS.values(), ids=LABELS.keys())
 @pytest.mark.parametrize("entry", LABEL_ENTRIES.values(), ids=LABEL_ENTRIES.keys())
 def test_hostile_labels_are_refused(tmp_path, corner_cloud, entry, values):
     with pytest.raises(InputValidationError, match="labels"):

@@ -1,6 +1,5 @@
 import json
 import logging
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from voxplane.io import (
     write_planes,
 )
 
-from oracles import write_planeset, write_ply, write_xyz
+from oracles import traced_peak, write_planeset, write_ply, write_xyz
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -541,12 +540,7 @@ def test_planeset_write_holds_at_most_half_the_document(tmp_path, room_1m_groups
     # One group's text at a time: a writer that builds the whole document
     # first holds it at least once, and is caught here.
     path = tmp_path / "room.txt"
-    tracemalloc.start()
-    try:
-        write_planes(room_1m_groups, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_planes, room_1m_groups, path)
     size = path.stat().st_size
     assert size >= 1_000_000
     assert peak < size / 2, (peak, size)

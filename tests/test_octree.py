@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +28,7 @@ from voxplane import (
 )
 
 import pinned
-from oracles import two_pass_covariance
+from oracles import traced_peak, two_pass_covariance
 
 CFG = ExtractionConfig()
 # a UTM-like easting, northing and height: a whole number of root voxels
@@ -208,27 +207,21 @@ def room_200k():
     return gen_multi_room(target_points=200_000, seed=0).points
 
 
-def _traced_peak(call, *args):
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_build_root_map_peak_memory(room_200k):
     # The keys are built one axis at a time: one float row (8 B a point),
     # one int64 row (8 B) and the uint8 sort rows (1 B each) are alive at
     # once, 0.75x the points' 24 B a point; the lexsort order (8 B) and
     # the sorted narrow rows come after the wide rows are gone.
-    assert _traced_peak(build_root_map, room_200k, CFG.root_size) <= 1.0 * room_200k.nbytes
+    assert traced_peak(build_root_map, room_200k, CFG.root_size) <= 1.0 * room_200k.nbytes
 
 
 def test_extract_plane_groups_peak_memory(room_200k):
-    # The whole extraction peaks at about 1.3x the points' bytes, nearly
-    # all of it the result it returns (leaves, patches, member indices).
-    assert _traced_peak(extract_plane_groups, room_200k, CFG) <= 1.6 * room_200k.nbytes
+    # The whole extraction peaks at about 1.06x the points' bytes, nearly
+    # all of it the result it returns: one int64 index per point, which
+    # every leaf views, then the patches, the groups' member indices and
+    # their Python objects. A copy of the indices per internal node, kept
+    # alive by its leaves, would read 1.31x.
+    assert traced_peak(extract_plane_groups, room_200k, CFG) <= 1.2 * room_200k.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +268,20 @@ def test_subdivide_two_parallel_planes(rng):
     assert all(leaf.depth >= 1 for leaf in leaves)
     plane_leaves = [l for l in leaves if l.state is NodeState.PLANE_LEAF]
     assert plane_leaves and all(l.depth >= 1 for l in plane_leaves)
+
+
+def test_subdivide_leaves_indices_in_octant_order(rng):
+    # an internal node's indices are reordered in place: grouped by octant
+    # code, ascending, and equal to its leaves' indices in leaf order, each
+    # leaf's a slice of them
+    pts = rng.uniform(0, 1, (4000, 3))
+    node, leaves = _resolve(pts)
+    assert node.state is NodeState.INTERNAL
+    code = (pts[node.point_indices] >= node.center) @ np.array([1, 2, 4])
+    assert (np.diff(code) >= 0).all()
+    assert np.array_equal(node.point_indices,
+                          np.concatenate([leaf.point_indices for leaf in leaves]))
+    assert all(leaf.point_indices.base is node.point_indices for leaf in leaves)
 
 
 def test_subdivide_too_few_points(rng):
@@ -358,6 +365,17 @@ def _groups_sha256(points, floats=True, config=CFG):
         for arr in (patch.centroid, patch.normal, patch.eigenvalues) if floats else ():
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def test_room_leaves_view_one_index_array(room_30k):
+    # every point's index is held once: each leaf's indices are a slice of
+    # one array of N indices, and the leaves partition the cloud
+    pts, leaves = room_30k
+    indices = [leaf.point_indices for voxel in leaves.values() for leaf in voxel]
+    base = indices[0].base
+    assert base is not None and base.shape == (len(pts),)
+    assert all(idx.base is base for idx in indices)
+    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(len(pts)))
 
 
 def test_room_groups_byte_identical(room_30k):
