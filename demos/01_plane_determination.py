@@ -7,31 +7,27 @@ still looks flat. The quarter-split test tells them apart.
 
 import numpy as np
 
-from voxplane import (
-    PlaneTestParams,
-    determine_plane,
-    flatness_test,
-    gen_false_positive_slab,
-    gen_plane,
-)
+from voxplane import determine_plane, flatness_test, gen_false_positive_slab, gen_plane
+from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
 
-params = PlaneTestParams()
-print(f"flatness threshold: ratio < {params.flatness_ratio_max}")
-print(f"quarter thickness bound: within x{params.quarter_ratio_bound} of pooled\n")
+print(f"flatness threshold: ratio < {FLATNESS_RATIO_MAX}")
+print(f"quarter thickness bound: within x{QUARTER_RATIO_BOUND} of pooled\n")
 
 
 def describe(name, cloud):
-    decision = determine_plane(cloud.points, params)
+    decision = determine_plane(cloud.points)
     eig = decision.eig
     lam = eig.eigenvalues
     print(f"{name}: {cloud.points.shape[0]} points")
     print(f"  eigenvalues: {lam[0]:.3g} >= {lam[1]:.3g} >= {lam[2]:.3g}")
     print(f"  flatness ratio {lam[2] / lam[0]:.5f} -> "
-          f"{'flat' if flatness_test(eig, params.flatness_ratio_max) else 'not flat'}")
+          f"{'flat' if flatness_test(eig) else 'not flat'}")
     if decision.quarter_min_eigenvalues is not None:
         ratios = lam[2] / decision.quarter_min_eigenvalues
-        print(f"  pooled/quarter thickness ratios: "
-              + " ".join(f"{r:.2f}" for r in ratios))
+        marks = ["" if 1 / QUARTER_RATIO_BOUND < r < QUARTER_RATIO_BOUND else "!"
+                 for r in ratios]
+        print(f"  pooled/quarter thickness ratios (! outside x{QUARTER_RATIO_BOUND}): "
+              + " ".join(f"{r:.2f}{m}" for r, m in zip(ratios, marks)))
     verdict = "PLANE" if decision.is_plane else f"REJECTED ({decision.reject_reason.value})"
     print(f"  verdict: {verdict}\n")
 

@@ -9,7 +9,11 @@ together into one group while the protrusion leaves are discarded.
 import numpy as np
 
 from voxplane import ExtractionConfig, determine_plane
+from voxplane.merging import NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG
 from voxplane.pipeline import extract_plane_groups
+
+print(f"coplanar: normals within {NORMAL_ANGLE_MAX_DEG} deg, and the centroid offset "
+      f"within {SEPARATION_ANGLE_TOL_DEG} deg of both planes\n")
 
 rng = np.random.default_rng(11)
 n_plane, n_blob = 2000, 500
@@ -22,7 +26,7 @@ blob = np.column_stack([rng.uniform(0.05, 0.20, n_blob),
 points = np.concatenate([plane, blob])
 
 config = ExtractionConfig()
-decision = determine_plane(points, config.plane_params)
+decision = determine_plane(points, config.min_points)
 print(f"root-voxel plane test: is_plane={decision.is_plane} "
       f"({decision.reject_reason.value})")
 

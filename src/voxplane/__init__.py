@@ -27,7 +27,7 @@ from .geometry import (
     eigen_symmetric3,
 )
 from .geometry import merge as merge_clusters
-from .merging import MergeParams, PlaneGroup, coplanar_test, greedy_merge
+from .merging import PlaneGroup, coplanar_test, greedy_merge
 from .octree import (
     NodeState,
     OctreeNode,
@@ -39,7 +39,6 @@ from .octree import (
 from .pipeline import ExtractionResult, StageTimings, extract_plane_groups
 from .plane_test import (
     PlaneDecision,
-    PlaneTestParams,
     RejectReason,
     determine_plane,
     flatness_test,
@@ -62,10 +61,10 @@ __all__ = [
     "CloudFormatError", "ConfigError", "GenerationError",
     "PointCluster", "EigenDecomposition", "accumulate", "merge_clusters",
     "covariance", "eigen_symmetric3",
-    "PlaneTestParams", "PlaneDecision", "RejectReason", "flatness_test", "determine_plane",
+    "PlaneDecision", "RejectReason", "flatness_test", "determine_plane",
     "VoxelKey", "NodeState", "OctreeNode", "PlanePatch",
     "build_root_map", "subdivide",
-    "MergeParams", "PlaneGroup", "coplanar_test", "greedy_merge",
+    "PlaneGroup", "coplanar_test", "greedy_merge",
     "StageTimings", "ExtractionResult", "extract_plane_groups",
     "RansacPlane", "ransac_plane", "ransac_extract_all",
     "GroundTruthCloud", "TruthPlane", "gen_plane", "gen_corner",

@@ -5,6 +5,9 @@ into many small leaves. Greedy first-fit grouping repairs that: each patch
 joins the first existing group whose merged representative it is coplanar
 with, otherwise it starts a new group. Groups never span root voxels.
 A join takes two patches, the group's representative and the newcomer.
+Coplanarity is judged by fixed angles (NORMAL_ANGLE_MAX_DEG,
+SEPARATION_ANGLE_TOL_DEG), which hold at any scale, and the fixed
+MIN_SEPARATION distance; nothing in the merge is settable.
 """
 
 from __future__ import annotations
@@ -14,35 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import covariance, eigen_symmetric3, merge
 from .octree import PlanePatch
 
-__all__ = ["MergeParams", "PlaneGroup", "coplanar_test", "merge_patches", "greedy_merge"]
+__all__ = ["PlaneGroup", "coplanar_test", "merge_patches", "greedy_merge"]
 
+# Largest angle (degrees) between the normals of two coplanar patches.
+NORMAL_ANGLE_MAX_DEG = 8.0
+# The centroid-difference vector of two coplanar patches is within this many
+# degrees of perpendicular to both normals, unless the centroids lie within
+# MIN_SEPARATION of each other.
+SEPARATION_ANGLE_TOL_DEG = 10.0
 # Centroid distance (meters) at or below which the direction of the
 # difference vector is meaningless and the separation test is skipped.
 MIN_SEPARATION = 1e-6
-
-
-@dataclass(frozen=True)
-class MergeParams:
-    """Coplanarity thresholds.
-
-    normal_angle_max_deg: max angle between the two normals.
-    separation_angle_tol_deg: the centroid-difference vector must be within
-        this many degrees of perpendicular to both normals, unless the
-        centroids lie within MIN_SEPARATION of each other.
-    """
-
-    normal_angle_max_deg: float = 8.0
-    separation_angle_tol_deg: float = 10.0
-
-    def __post_init__(self):
-        if not 0 < self.normal_angle_max_deg < 90:
-            raise ConfigError("normal_angle_max_deg must be in (0, 90)")
-        if not 0 < self.separation_angle_tol_deg < 90:
-            raise ConfigError("separation_angle_tol_deg must be in (0, 90)")
 
 
 @dataclass
@@ -58,7 +46,7 @@ def _angle_deg(cos_abs: float) -> float:
     return math.degrees(math.acos(min(1.0, max(0.0, cos_abs))))
 
 
-def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
+def coplanar_test(pi: PlanePatch, pj: PlanePatch) -> bool:
     """True when two patches lie on one plane.
 
     Two conditions: near-parallel normals, and a centroid-difference vector
@@ -68,7 +56,7 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
     hence symmetric in its arguments.
     """
     normal_angle = _angle_deg(abs(float(np.dot(pi.normal, pj.normal))))
-    if normal_angle >= params.normal_angle_max_deg:
+    if normal_angle >= NORMAL_ANGLE_MAX_DEG:
         return False
     d = pi.centroid - pj.centroid
     dist = float(np.linalg.norm(d))
@@ -77,7 +65,7 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch, params: MergeParams) -> bool:
         return True
     for u in (pi.normal, pj.normal):
         ang = _angle_deg(abs(float(np.dot(d, u))) / dist)
-        if abs(ang - 90.0) >= params.separation_angle_tol_deg:
+        if abs(ang - 90.0) >= SEPARATION_ANGLE_TOL_DEG:
             return False
     return True
 
@@ -92,7 +80,7 @@ def merge_patches(a: PlanePatch, b: PlanePatch) -> PlanePatch:
                           a.root_key, min(a.depth, b.depth))
 
 
-def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGroup]:
+def greedy_merge(patches: list[PlanePatch]) -> list[PlaneGroup]:
     """First-fit grouping of patches from one root voxel.
 
     Patches are taken in the order given (octree traversal order); each is
@@ -105,7 +93,7 @@ def greedy_merge(patches: list[PlanePatch], params: MergeParams) -> list[PlaneGr
     groups: list[PlaneGroup] = []
     for patch in patches:
         for group in groups:
-            if coplanar_test(group.merged, patch, params):
+            if coplanar_test(group.merged, patch):
                 group.members.append(patch)
                 group.merged = merge_patches(group.merged, patch)
                 break

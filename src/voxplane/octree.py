@@ -180,8 +180,8 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     """
     idx = node.point_indices
     node.state = NodeState.DISCARDED
-    if idx.shape[0] >= config.plane_params.min_points:
-        decision = determine_plane(points, config.plane_params)
+    if idx.shape[0] >= config.min_points:
+        decision = determine_plane(points, config.min_points)
         if decision.is_plane:
             node.state = NodeState.PLANE_LEAF
             node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,

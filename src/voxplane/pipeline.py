@@ -85,7 +85,7 @@ def extract_plane_groups(points, config: ExtractionConfig | None = None) -> Extr
     groups: list[PlaneGroup] = []
     for voxel_leaves in leaves.values():
         patches = [leaf.patch for leaf in voxel_leaves if leaf.patch is not None]
-        groups.extend(greedy_merge(patches, config.merge_params))
+        groups.extend(greedy_merge(patches))
     timings.merge = time.perf_counter() - t0
 
     timings.total = time.perf_counter() - t_start

@@ -10,6 +10,11 @@ also thin in its second direction is a line, not a plane, and is rejected
 before the split: plane and edge features are kept apart, as feature-based
 LiDAR bundle adjustment does (BALM, Liu and Zhang, RA-L 2021).
 
+Both gates are eigenvalue ratios, independent of the input's scale and
+density, so they are constants (FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND);
+the smallest plane, ``min_points``, depends on the density and is an
+argument.
+
 Summation order: the node's (12, n) moment rows from ``geometry`` (the
 centred coordinates and their nine products) are gathered once in quarter
 order, and each tested quarter's sums are one contiguous column slice of
@@ -22,7 +27,6 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +43,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "PlaneTestParams",
     "RejectReason",
     "PlaneDecision",
     "flatness_test",
@@ -48,36 +51,25 @@ __all__ = [
     "sparse_quarter_threshold",
 ]
 
+# Flatness gate: a set is flat when its smallest/largest eigenvalue ratio is
+# below this, and a line when its middle/largest ratio is below it too.
+FLATNESS_RATIO_MAX = 0.0625
+# Each populated quarter's smallest eigenvalue must be within this factor of
+# the pooled one, in both directions.
+QUARTER_RATIO_BOUND = 3.0
+# Default smallest plane: below it a set is never a plane, and an octree
+# node with fewer points is discarded without running the test.
+MIN_POINTS = 20
 
-@dataclass(frozen=True)
-class PlaneTestParams:
-    """Tunables of the plane test.
 
-    flatness_ratio_max: upper bound on eigenvalue ratio min/max for the
-        flatness gate; a set whose middle/max ratio is below it too is a
-        line and is rejected.
-    quarter_ratio_bound: each populated quarter's smallest eigenvalue must
-        be within this factor of the pooled one (both directions); > 1.
-    min_points: below this count a set is never a plane; an octree node
-        with fewer points is discarded without running the test. An
-        integer of at least 4.
-    """
-
-    flatness_ratio_max: float = 0.0625
-    quarter_ratio_bound: float = 3.0
-    min_points: int = 20
-
-    def __post_init__(self):
-        if not 0 < self.flatness_ratio_max <= sys.float_info.max:
-            raise ConfigError("flatness_ratio_max must be positive and finite")
-        if not 1 < self.quarter_ratio_bound <= sys.float_info.max:
-            raise ConfigError("quarter_ratio_bound must exceed 1 and be finite")
-        try:
-            min_points = operator.index(self.min_points)
-        except TypeError as exc:
-            raise ConfigError(f"min_points must be an integer, got {self.min_points!r}") from exc
-        if min_points < 4:
-            raise ConfigError("min_points must be at least 4")
+def check_min_points(min_points) -> None:
+    """Raise ConfigError unless ``min_points`` is an integer of at least 4."""
+    try:
+        value = operator.index(min_points)
+    except TypeError as exc:
+        raise ConfigError(f"min_points must be an integer, got {min_points!r}") from exc
+    if value < 4:
+        raise ConfigError("min_points must be at least 4")
 
 
 class RejectReason(enum.Enum):
@@ -113,8 +105,8 @@ def sparse_quarter_threshold(min_points: int) -> int:
     return max(3, min_points // 8)
 
 
-def flatness_test(eig: EigenDecomposition, flatness_ratio_max: float) -> bool:
-    """Eigenvalue-ratio flatness gate: smallest/largest < threshold.
+def flatness_test(eig: EigenDecomposition) -> bool:
+    """Eigenvalue-ratio flatness gate: smallest/largest < FLATNESS_RATIO_MAX.
 
     A degenerate spectrum with largest eigenvalue <= 0 (all points
     coincident) is never flat.
@@ -123,7 +115,7 @@ def flatness_test(eig: EigenDecomposition, flatness_ratio_max: float) -> bool:
     lam_min = float(eig.eigenvalues[2])
     if lam_max <= 0.0:
         return False
-    return lam_min / lam_max < flatness_ratio_max
+    return lam_min / lam_max < FLATNESS_RATIO_MAX
 
 
 def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
@@ -163,19 +155,21 @@ def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
     return lam_min
 
 
-def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
+def determine_plane(points, min_points: int = MIN_POINTS) -> PlaneDecision:
     """Decide whether a point set forms a single plane.
 
-    Pipeline: size gate, flatness gate on the pooled covariance, line
-    gate (middle/max eigenvalue ratio below ``flatness_ratio_max`` rejects
-    the set as LINE_LIKE), then the quarter-thickness comparison on
-    quarters split through the centroid. Quarters with fewer than
+    Pipeline: size gate (fewer than ``min_points`` points, an integer of at
+    least 4, is TOO_FEW_POINTS), flatness gate on the pooled covariance,
+    line gate (middle/max eigenvalue ratio below FLATNESS_RATIO_MAX
+    rejects the set as LINE_LIKE), then the quarter-thickness comparison
+    on quarters split through the centroid. Quarters with fewer than
     sparse_quarter_threshold(min_points) points carry no evidence and are
     skipped; if three or more quarters are skipped the verdict falls back
     to the flatness gate alone (recorded on the decision).
     """
+    check_min_points(min_points)
     cluster, rows = _accumulate_centred(as_points(points))
-    if cluster.n < params.min_points:
+    if cluster.n < min_points:
         eig = EigenDecomposition(np.zeros(3), np.eye(3))
         centroid = covariance(cluster)[1] if cluster.n else np.zeros(3)
         return PlaneDecision(False, eig, centroid, cluster,
@@ -184,14 +178,14 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
     cov, mean = _central_moments(cluster.n, cluster.sum, cluster.sq_sum)
     eig = eigen_symmetric3(cov)
     reason, quarter_values, fallback = None, None, False
-    if not flatness_test(eig, params.flatness_ratio_max):
+    if not flatness_test(eig):
         reason = RejectReason.FLATNESS_FAILED
     # flat in its second direction too: an edge, not a plane
-    elif float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < params.flatness_ratio_max:
+    elif float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < FLATNESS_RATIO_MAX:
         reason = RejectReason.LINE_LIKE
     else:
         order, cuts = quarter_split(rows[:3], eig, mean)
-        quarter_min = sparse_quarter_threshold(params.min_points)
+        quarter_min = sparse_quarter_threshold(min_points)
         spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
         # one gather, then each tested quarter's sums are a contiguous column slice
         gathered = rows.take(order, axis=1)
@@ -206,7 +200,7 @@ def determine_plane(points, params: PlaneTestParams) -> PlaneDecision:
         # coplanarity somewhere; that can never disqualify a plane.
         fallback = len(quarter_l3) <= 1
         pooled = _effective_min_eigenvalue(eig)
-        bound = params.quarter_ratio_bound
+        bound = QUARTER_RATIO_BOUND
         if not fallback and pooled != 0.0 and any(
                 q != 0.0 and not 1.0 / bound < pooled / q < bound for q in quarter_l3):
             reason = RejectReason.QUARTER_RATIO_FAILED

@@ -3,10 +3,10 @@
 Within each root voxel, planes are pulled out one at a time: sample three
 points, score the implied plane by its inlier count at a fixed 0.03 m
 distance threshold, keep the best, refit it by PCA over the inliers,
-remove them, repeat. The baseline's one setting is its seed; the
-per-voxel random stream is derived from (seed, voxel key) so results do
-not depend on processing order. A plane needs the plane test's
-``min_points`` inliers.
+remove them, repeat. It takes the octree's root voxels and smallest plane
+(``min_points`` inliers) from the config; its own one setting is its seed.
+The per-voxel random stream is derived from (seed, voxel key) so results
+do not depend on processing order.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
     """Per-root-voxel iterative RANSAC extraction.
 
     In each voxel, planes are extracted and their inliers removed until no
-    plane reaches ``config.plane_params.min_points`` inliers. Patch
+    plane reaches ``config.min_points`` inliers. Patch
     statistics come from the inlier clusters; inlier sets of successive
     planes in a voxel are disjoint. ``seed`` is a non-negative integer,
     and every seed has its own streams.
@@ -133,7 +133,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
         raise InputValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if config is None:
         config = ExtractionConfig()
-    min_inliers = config.plane_params.min_points
+    min_inliers = config.min_points
 
     pts = as_points(points)
     patches: list[PlanePatch] = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, InputValidationError
-from .plane_test import PlaneTestParams, RejectReason, determine_plane
+from .plane_test import RejectReason, determine_plane
 
 __all__ = [
     "TruthPlane",
@@ -219,7 +219,6 @@ def gen_false_positive_slab(seed=0, noise_sigma: float = 0.005) -> GroundTruthCl
     the sweep is exhausted the premise of the regression scenario is broken
     and generation fails loudly. Protrusion points carry label -1.
     """
-    params = PlaneTestParams()
     base = gen_plane(np.array([0.0, 0.0, 1.0]), 0.0, (1.0, 1.0), 400.0, noise_sigma, seed)
     blob_rng = np.random.default_rng(_seed_sequence(seed).spawn(1)[0])
     footprint = np.array([[0.15, 0.35], [0.15, 0.35]])  # one (+,+) quadrant corner
@@ -237,7 +236,7 @@ def gen_false_positive_slab(seed=0, noise_sigma: float = 0.005) -> GroundTruthCl
                                        np.full(count, OUTLIER_LABEL, dtype=np.int32)]),
                 planes=base.planes)
             # the quarter test runs only once the flatness gate has passed
-            decision = determine_plane(cloud.points, params)
+            decision = determine_plane(cloud.points)
             if (not decision.is_plane
                     and decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED):
                 return cloud

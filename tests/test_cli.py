@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from voxplane import PlaneGroup, extract_plane_groups
+from voxplane import PlaneGroup, cli, extract_plane_groups, gen_corner
 from voxplane.cli import _SCENES, EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, cli_main
 from voxplane.io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 
@@ -77,12 +77,8 @@ def test_print_config(capsys):
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["root_size"] == 1.0
     assert cfg["min_voxel_size"] == 0.25
-    assert "min_points" not in cfg
-    assert cfg["plane"]["min_points"] == 20
-    assert cfg["plane"]["flatness_ratio_max"] == 0.0625
-    assert cfg["plane"]["quarter_ratio_bound"] == 3.0
-    assert cfg["merge"]["normal_angle_max_deg"] == 8.0
-    assert cfg["merge"]["separation_angle_tol_deg"] == 10.0
+    assert cfg["min_points"] == 20
+    assert len(cfg) == 3
 
 
 def test_synth_extract_eval_chain(tmp_path, capsys):
@@ -173,9 +169,9 @@ def test_extract_no_merge_writes_the_plane_leaves(tmp_path, capsys):
 
 def test_config_file_reaches_extract_and_compare(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"plane": {"min_points": 40}}))
+    cfg.write_text(json.dumps({"min_points": 40}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["plane"]["min_points"] == 40
+    assert json.loads(capsys.readouterr().out)["min_points"] == 40
     # 0.5 m root voxels split the corner's planes into more groups
     cfg.write_text(json.dumps({"root_size": 0.5}))
     counts = []
@@ -188,14 +184,49 @@ def test_config_file_reaches_extract_and_compare(tmp_path, capsys):
     assert counts[1] > counts[0]
 
 
+def test_min_points_reaches_the_octree_and_ransac(tmp_path, capsys, monkeypatch):
+    # the corner thinned to every 10th point has plane leaves and RANSAC
+    # planes of 21 to 29 points at the default min_points of 20
+    scene = gen_corner(seed=0)
+    cloud, cfg, report = tmp_path / "thin.vxc", tmp_path / "cfg.json", tmp_path / "cmp.json"
+    write_cloud(cloud, scene.points[::10], scene.labels[::10])
+    cfg.write_text(json.dumps({"min_points": 30}))
+    results = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+        return wrapped
+
+    monkeypatch.setattr(cli, "extract_plane_groups", spy(cli.extract_plane_groups))
+    monkeypatch.setattr(cli, "ransac_extract_all", spy(cli.ransac_extract_all))
+    runs = []
+    for extra in ((), ("--config", str(cfg))):
+        results.clear()
+        assert run("extract", str(cloud), *extra) == EXIT_OK
+        assert run("compare", str(cloud), "--report", str(report), *extra) == EXIT_OK
+        extracted, compared, ransac = results
+        data = json.loads(report.read_text())
+        sizes = ([leaf.patch.cluster.n for result in (extracted, compared)
+                  for voxel in result.leaves.values() for leaf in voxel
+                  if leaf.patch is not None] + [p.cluster.n for p in ransac])
+        runs.append(([len(extracted.groups), data["ours"]["extracted_count"],
+                      data["ransac"]["extracted_count"]], min(sizes)))
+    capsys.readouterr()
+    (default_counts, default_smallest), (counts, smallest) = runs
+    assert default_smallest < 30 <= smallest
+    assert all(a != b for a, b in zip(default_counts, counts))
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"min_pts": 40}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"plane": 5}))
+    cfg.write_text(json.dumps({"min_points": 3}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert "min_points must be at least 4" in capsys.readouterr().err
     cfg.write_text(json.dumps({"root_size": True}))
     assert run("extract", "--config", str(cfg), "--print-config") == EXIT_CONFIG
     assert "must be a JSON number" in capsys.readouterr().err
@@ -205,7 +236,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # these once escaped as a UnicodeDecodeError and OverflowErrors
     huge = b"1" + b"0" * 400
     for raw in (b'{"root_size": 1.0}\xff', b'{"root_size": ' + huge + b"}",
-                b'{"plane": {"quarter_ratio_bound": ' + huge + b"}}"):
+                b'{"min_voxel_size": ' + huge + b"}"):
         cfg.write_bytes(raw)
         for argv in (("extract", "--print-config"), ("compare", "corner")):
             assert run(*argv, "--config", str(cfg)) == EXIT_CONFIG
@@ -219,7 +250,7 @@ def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     for text in ('{"root_size": Infinity}',
                  '{"root_size": 1e300, "min_voxel_size": 1e-300}',
-                 '{"merge": {"normal_angle_max_deg": Infinity}}'):
+                 '{"min_points": Infinity}'):
         cfg.write_text(text)
         assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

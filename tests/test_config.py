@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxplane import ConfigError, ExtractionConfig, MergeParams, PlaneTestParams
+from voxplane import ConfigError, ExtractionConfig, determine_plane
 from voxplane.cli import EXIT_CONFIG, cli_main
 from voxplane.config import config_from_dict, config_to_dict, load_config
 from voxplane.io import write_cloud
+from voxplane.merging import NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG
+from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
 from voxplane.ransac import DIST_THRESHOLD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -17,11 +19,11 @@ def test_defaults_carry_shipped_values():
     cfg = ExtractionConfig()
     assert cfg.root_size == 1.0
     assert cfg.min_voxel_size == 0.25
-    assert cfg.plane_params.min_points == 20
-    assert cfg.plane_params.flatness_ratio_max == 0.0625
-    assert cfg.plane_params.quarter_ratio_bound == 3.0
-    assert cfg.merge_params.normal_angle_max_deg == 8.0
-    assert cfg.merge_params.separation_angle_tol_deg == 10.0
+    assert cfg.min_points == 20
+    assert FLATNESS_RATIO_MAX == 0.0625
+    assert QUARTER_RATIO_BOUND == 3.0
+    assert NORMAL_ANGLE_MAX_DEG == 8.0
+    assert SEPARATION_ANGLE_TOL_DEG == 10.0
     assert DIST_THRESHOLD == 0.03
 
 
@@ -39,49 +41,30 @@ def test_invariant_violations_raise():
         with pytest.raises(ConfigError):
             ExtractionConfig(**sizes)
     assert ExtractionConfig(root_size=1.0, min_voxel_size=2.0 ** -52).min_voxel_size > 0
-    with pytest.raises(ConfigError):
-        PlaneTestParams(flatness_ratio_max=0.0)
-    with pytest.raises(ConfigError):
-        PlaneTestParams(quarter_ratio_bound=1.0)
-    with pytest.raises(ConfigError):
-        PlaneTestParams(min_points=3)
-    with pytest.raises(ConfigError):
-        MergeParams(normal_angle_max_deg=90.0)
-    with pytest.raises(ConfigError):
-        MergeParams(separation_angle_tol_deg=0.0)
-    # non-finite plane and merge settings: quarter_ratio_bound=10**400 raised
-    # an OverflowError in the plane test
-    inf, nan, huge = float("inf"), float("nan"), 10 ** 400
-    for params, bad in ((PlaneTestParams, {"flatness_ratio_max": inf}),
-                        (PlaneTestParams, {"flatness_ratio_max": nan}),
-                        (PlaneTestParams, {"flatness_ratio_max": huge}),
-                        (PlaneTestParams, {"quarter_ratio_bound": inf}),
-                        (PlaneTestParams, {"quarter_ratio_bound": nan}),
-                        (PlaneTestParams, {"quarter_ratio_bound": huge}),
-                        (MergeParams, {"normal_angle_max_deg": inf}),
-                        (MergeParams, {"separation_angle_tol_deg": nan})):
-        with pytest.raises(ConfigError):
-            params(**bad)
 
 
-@pytest.mark.parametrize("min_points", [float("inf"), 20.5, 20.0, "20", None])
-def test_min_points_must_be_an_integer(min_points):
-    # the config loader refused these, but the dataclass took them: an
-    # infinite min_points silently extracted no group at all
-    with pytest.raises(ConfigError, match="min_points"):
-        PlaneTestParams(min_points=min_points)
-    assert PlaneTestParams(min_points=np.int64(20)).min_points == 20
+@pytest.mark.parametrize("min_points", [float("inf"), 20.5, 20.0, "20", None, 3, True])
+def test_min_points_must_be_an_integer(tmp_path, min_points):
+    # the config, a config file and the plane test refuse each of these:
+    # an infinite min_points once silently extracted no group at all
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"min_points": min_points}))
+    points = np.random.default_rng(0).uniform(size=(50, 3)) * [1.0, 1.0, 0.0]
+    for build in (lambda: ExtractionConfig(min_points=min_points), lambda: load_config(path),
+                  lambda: determine_plane(points, min_points=min_points)):
+        with pytest.raises(ConfigError, match="min_points"):
+            build()
+    assert ExtractionConfig(min_points=np.int64(20)).min_points == 20
+    assert determine_plane(points, min_points=np.int64(20)).is_plane
 
 
 def test_field_by_field_override(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"root_size": 2.0,
-                                "plane": {"quarter_ratio_bound": 4.0}}))
+    path.write_text(json.dumps({"root_size": 2.0, "min_points": 30}))
     cfg = load_config(path)
     assert cfg.root_size == 2.0
     assert cfg.min_voxel_size == 0.25           # untouched default
-    assert cfg.plane_params.quarter_ratio_bound == 4.0
-    assert cfg.plane_params.flatness_ratio_max == 0.0625
+    assert cfg.min_points == 30
 
 
 def test_unknown_keys_rejected():
@@ -95,32 +78,36 @@ def test_unknown_keys_rejected():
         config_from_dict({"plane": 5})
     with pytest.raises(ConfigError):
         config_from_dict({"merge": None})
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_dict([{"root_size": 1.0}])
     bad_values = [
-        {"plane": {"min_points": 20.5}}, {"plane": {"min_points": True}},
-        {"plane": {"min_points": "20"}}, {"min_points": 20},
+        {"min_points": 20.5}, {"min_points": True}, {"min_points": "20"},
         {"root_size": False}, {"root_size": "1.0"}, {"root_size": None},
-        {"plane": {"min_points": 20.0}}, {"merge": {"normal_angle_max_deg": [8]}},
+        {"min_points": 20.0}, {"min_points": [20]},
     ]
     for data in bad_values:
         with pytest.raises(ConfigError):
             config_from_dict(data)
-    cfg = config_from_dict({"root_size": 2, "merge": {"normal_angle_max_deg": 5}})
-    assert cfg.root_size == 2
+    cfg = config_from_dict({"root_size": 2, "min_points": 30})
+    assert (cfg.root_size, cfg.min_points) == (2, 30)
 
 
-@pytest.mark.parametrize("section, key, value", [
+@pytest.mark.parametrize("key, value", [
     # the quarters are split through the centroid, not shifted along the normal
-    ("plane", "sigma_shift_multiple", 5.0),
+    ("sigma_shift_multiple", 5.0),
     # merging always runs (extract --no-merge writes the unmerged leaves)
-    (None, "merging_enabled", False),
+    ("merging_enabled", False),
     # coincident centroids are judged against the fixed merging.MIN_SEPARATION
-    ("merge", "min_separation", 1e-6),
-], ids=["sigma_shift_multiple", "merging_enabled", "min_separation"])
-def test_removed_keys_rejected(tmp_path, capsys, section, key, value):
+    ("min_separation", 1e-6),
+    # the plane-test gates are fixed in plane_test; min_points is a top-level key
+    ("plane", {"flatness_ratio_max": 0.0625, "quarter_ratio_bound": 3.0, "min_points": 20}),
+    # the merge angles are fixed in merging
+    ("merge", {"normal_angle_max_deg": 8.0, "separation_angle_tol_deg": 10.0}),
+], ids=["sigma_shift_multiple", "merging_enabled", "min_separation", "plane", "merge"])
+def test_removed_keys_rejected(tmp_path, capsys, key, value):
     # a file that still sets a removed setting fails like any unknown key
-    document = {key: value} if section is None else {section: {key: value}}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=key):
         load_config(path)
     assert cli_main(["extract", "--config", str(path), "--print-config"]) == EXIT_CONFIG
@@ -144,8 +131,7 @@ def test_hostile_sizes_in_config_file(tmp_path):
 
 
 def test_dict_round_trip():
-    cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5,
-                           plane_params=PlaneTestParams(min_points=30))
+    cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5, min_points=30)
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
 

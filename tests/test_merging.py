@@ -5,7 +5,6 @@ import pytest
 
 from voxplane import (
     ExtractionConfig,
-    MergeParams,
     PlanePatch,
     VoxelKey,
     accumulate,
@@ -15,11 +14,10 @@ from voxplane import (
     extract_plane_groups,
     greedy_merge,
 )
-from voxplane.merging import merge_patches
+from voxplane.merging import SEPARATION_ANGLE_TOL_DEG, merge_patches
 
 from oracles import two_pass_covariance
 
-PARAMS = MergeParams()
 KEY = VoxelKey(0, 0, 0)
 
 
@@ -54,7 +52,7 @@ def plane_points(rng, normal, d, u_range, v_range, n, sigma=0.0):
 def test_same_plane_in_plane_offset(rng):
     pa, _ = make_patch(plane_points(rng, [0, 0, 1], 0.3, (0.0, 0.4), (0.0, 0.4), 200, 0.002))
     pb, _ = make_patch(plane_points(rng, [0, 0, 1], 0.3, (0.5, 0.9), (0.5, 0.9), 200, 0.002))
-    assert coplanar_test(pa, pb, PARAMS)
+    assert coplanar_test(pa, pb)
 
 
 def test_parallel_but_separated():
@@ -68,16 +66,16 @@ def test_parallel_but_separated():
     pb, _ = make_patch(pb_pts + np.array([0.5, 0.0, 0.3]))
     d = pa.centroid - pb.centroid
     ang = math.degrees(math.acos(abs(d @ np.array([0, 0, 1.0])) / np.linalg.norm(d)))
-    assert abs(ang - 90.0) >= PARAMS.separation_angle_tol_deg
+    assert abs(ang - 90.0) >= SEPARATION_ANGLE_TOL_DEG
     assert ang == pytest.approx(math.degrees(math.atan2(0.5, 0.3)), abs=2.0)
-    assert not coplanar_test(pa, pb, PARAMS)
+    assert not coplanar_test(pa, pb)
 
 
 def test_perpendicular_normals(rng):
     pa, _ = make_patch(plane_points(rng, [0, 0, 1], 0.2, (0, 0.5), (0, 0.5), 150))
     pb, _ = make_patch(plane_points(rng, [1, 0, 0], 0.2, (0, 0.5), (0, 0.5), 150))
-    assert not coplanar_test(pa, pb, PARAMS)
-    assert not coplanar_test(pb, pa, PARAMS)
+    assert not coplanar_test(pa, pb)
+    assert not coplanar_test(pb, pa)
 
 
 def test_coplanar_test_symmetric_and_sign_blind(rng):
@@ -86,25 +84,25 @@ def test_coplanar_test_symmetric_and_sign_blind(rng):
                                         (0, 0.4), (0, 0.4), 100, 0.01))
         pb, _ = make_patch(plane_points(rng, [0, 0, 1], 0.1 + rng.uniform(-0.2, 0.2),
                                         (0.3, 0.8), (0.3, 0.8), 100, 0.01))
-        assert coplanar_test(pa, pb, PARAMS) == coplanar_test(pb, pa, PARAMS)
+        assert coplanar_test(pa, pb) == coplanar_test(pb, pa)
         flipped = PlanePatch(cluster=pb.cluster, centroid=pb.centroid,
                              normal=-pb.normal, eigenvalues=pb.eigenvalues,
                              point_indices=pb.point_indices,
                              root_key=pb.root_key, depth=pb.depth)
-        assert coplanar_test(pa, pb, PARAMS) == coplanar_test(pa, flipped, PARAMS)
+        assert coplanar_test(pa, pb) == coplanar_test(pa, flipped)
 
 
 def test_coincident_centroids_pass(rng):
     pts = plane_points(rng, [0, 0, 1], 0.0, (-0.3, 0.3), (-0.3, 0.3), 200)
     pa, _ = make_patch(pts)
     pb, _ = make_patch(pts[::-1])
-    assert coplanar_test(pa, pb, PARAMS)
+    assert coplanar_test(pa, pb)
     # exactly coincident centroids, (0.5, 0.5, 0) both: dist == 0 stops at
     # the MIN_SEPARATION guard and never reaches the division by dist
     pa, _ = make_patch([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     pb, _ = make_patch([(0.5, 0, 0), (0.5, 1, 0), (0, 0.5, 0), (1, 0.5, 0)])
     assert np.array_equal(pa.centroid, pb.centroid)
-    assert coplanar_test(pa, pb, PARAMS)
+    assert coplanar_test(pa, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +111,7 @@ def test_coincident_centroids_pass(rng):
 
 def test_single_patch_single_group(rng):
     p, _ = make_patch(plane_points(rng, [0, 0, 1], 0.5, (0, 0.4), (0, 0.4), 100))
-    groups = greedy_merge([p], PARAMS)
+    groups = greedy_merge([p])
     assert len(groups) == 1
     assert groups[0].merged is p
     assert groups[0].members == [p]
@@ -128,7 +126,7 @@ def test_noiseless_plane_quarters_merge_to_one(rng):
         p, _ = make_patch(q, start_index=start)
         patches.append(p)
         start += len(q)
-    groups = greedy_merge(patches, PARAMS)
+    groups = greedy_merge(patches)
     assert len(groups) == 1
     merged = groups[0].merged
     angle = math.acos(min(1.0, abs(float(merged.normal @ np.array([0.0, 0.0, 1.0])))))
@@ -140,10 +138,10 @@ def test_three_orthogonal_patches_stay_apart(rng):
     pa, _ = make_patch(plane_points(rng, [1, 0, 0], 0.0, (0.1, 0.9), (0.1, 0.9), 200))
     pb, _ = make_patch(plane_points(rng, [0, 1, 0], 0.0, (0.1, 0.9), (0.1, 0.9), 200))
     pc, _ = make_patch(plane_points(rng, [0, 0, 1], 0.0, (0.1, 0.9), (0.1, 0.9), 200))
-    assert not coplanar_test(pa, pb, PARAMS)
-    assert not coplanar_test(pa, pc, PARAMS)
-    assert not coplanar_test(pb, pc, PARAMS)
-    groups = greedy_merge([pa, pb, pc], PARAMS)
+    assert not coplanar_test(pa, pb)
+    assert not coplanar_test(pa, pc)
+    assert not coplanar_test(pb, pc)
+    groups = greedy_merge([pa, pb, pc])
     assert len(groups) == 3
 
 
@@ -157,7 +155,7 @@ def test_merge_is_partition(rng):
         p, _ = make_patch(pts, start_index=start)
         patches.append(p)
         start += 80
-    groups = greedy_merge(patches, PARAMS)
+    groups = greedy_merge(patches)
     assert len(groups) <= len(patches)
     all_members = [m for g in groups for m in g.members]
     assert len(all_members) == len(patches)
@@ -185,7 +183,7 @@ def test_greedy_merge_rejects_mixed_roots(rng):
     pb, _ = make_patch(plane_points(rng, [0, 0, 1], 0.2, (0, 0.4), (0, 0.4), 100),
                        key=VoxelKey(1, 0, 0))
     with pytest.raises(ValueError):
-        greedy_merge([pa, pb], PARAMS)
+        greedy_merge([pa, pb])
 
 
 def test_no_cross_root_groups_and_disable_increases_count(rng):

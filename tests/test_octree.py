@@ -26,6 +26,7 @@ from voxplane import (
     ransac_extract_all,
     subdivide,
 )
+from voxplane.plane_test import FLATNESS_RATIO_MAX
 
 import pinned
 from oracles import traced_peak, two_pass_covariance
@@ -262,7 +263,7 @@ def test_subdivide_two_parallel_planes(rng):
     pts = np.concatenate([a, b])
     cov_ref, _ = two_pass_covariance(pts)
     lam = np.sort(np.linalg.eigvalsh(cov_ref))[::-1]
-    assert lam[2] / lam[0] >= CFG.plane_params.flatness_ratio_max  # union is not flat
+    assert lam[2] / lam[0] >= FLATNESS_RATIO_MAX  # union is not flat
     node, leaves = _resolve(pts)
     assert node.state is NodeState.INTERNAL
     assert all(leaf.depth >= 1 for leaf in leaves)
@@ -323,7 +324,7 @@ def test_subdivide_leaf_planarity_recheck(rng):
     _, leaves = _resolve(pts)
     for leaf in leaves:
         if leaf.state is NodeState.PLANE_LEAF:
-            redo = determine_plane(pts[leaf.point_indices], CFG.plane_params)
+            redo = determine_plane(pts[leaf.point_indices], CFG.min_points)
             assert redo.is_plane
 
 
@@ -568,7 +569,7 @@ def test_extract_respects_min_points(rng):
     cloud = gen_plane(np.array([0.0, 0.0, 1.0]), 0.5, (3.0, 3.0), 800.0, 0.003,
                       seed=5, center=np.array([0.0, 0.0, 0.5]))
     for p in _planes(cloud.points):
-        assert p.cluster.n >= CFG.plane_params.min_points
+        assert p.cluster.n >= CFG.min_points
 
 
 def test_result_leaves_are_the_groups_members(room_30k, rng):

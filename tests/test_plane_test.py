@@ -6,7 +6,6 @@ from voxplane import (
     EigenDecomposition,
     ExtractionConfig,
     InputValidationError,
-    PlaneTestParams,
     RejectReason,
     accumulate,
     covariance,
@@ -17,7 +16,12 @@ from voxplane import (
     gen_false_positive_slab,
 )
 from voxplane import plane_test
-from voxplane.plane_test import quarter_split, sparse_quarter_threshold
+from voxplane.plane_test import (
+    FLATNESS_RATIO_MAX,
+    MIN_POINTS,
+    quarter_split,
+    sparse_quarter_threshold,
+)
 
 from oracles import (
     plane_decision_reference,
@@ -26,7 +30,6 @@ from oracles import (
     two_pass_covariance,
 )
 
-PARAMS = PlaneTestParams()
 UTM = np.array([5e5, 4e6, 100.0])
 
 
@@ -43,13 +46,14 @@ def test_flatness_exact_coplanar_always_passes(rng):
     pts = np.column_stack([rng.uniform(0, 1, 100), rng.uniform(0, 1, 100),
                            np.zeros(100)])
     eig, _ = eig_of(pts)
-    for tau in (1e-6, 0.0625, 0.5):
-        assert flatness_test(eig, tau)
+    assert flatness_test(eig)
+    # roundoff only: flat under any ratio bound down to 1e-6
+    assert eig.eigenvalues[2] < 1e-6 * eig.eigenvalues[0]
 
 
 def test_flatness_isotropic_fails():
     eig = EigenDecomposition(np.array([1.0, 1.0, 1.0]), np.eye(3))
-    assert not flatness_test(eig, 0.0625)
+    assert not flatness_test(eig)
 
 
 def test_flatness_slab_matches_direct_covariance(rng):
@@ -62,12 +66,12 @@ def test_flatness_slab_matches_direct_covariance(rng):
     lam = np.sort(np.linalg.eigvalsh(cov_ref))[::-1]
     assert lam[2] / lam[0] == pytest.approx(0.0025, rel=0.2)
     eig, _ = eig_of(pts)
-    assert flatness_test(eig, 0.0625)
+    assert flatness_test(eig)
 
 
 def test_flatness_coincident_points_never_plane():
     eig, _ = eig_of(np.tile([1.0, 2.0, 3.0], (30, 1)))
-    assert not flatness_test(eig, 0.0625)
+    assert not flatness_test(eig)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +143,7 @@ def test_quarter_split_is_partition(seed, n):
 def test_noisy_plane_accepted(rng):
     pts = np.column_stack([rng.uniform(-0.5, 0.5, 400), rng.uniform(-0.5, 0.5, 400),
                            rng.normal(0, 0.005, 400)])
-    decision = determine_plane(pts, PARAMS)
+    decision = determine_plane(pts)
     assert decision.is_plane
     assert decision.reject_reason is None
     # oracle: every quarter's smallest eigenvalue within a factor 3 of the
@@ -160,14 +164,14 @@ def test_noisy_plane_accepted(rng):
 
 def test_false_positive_slab_rejected():
     cloud = gen_false_positive_slab(seed=0)
-    decision = determine_plane(cloud.points, PARAMS)
+    decision = determine_plane(cloud.points)
     assert not decision.is_plane
     assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED
 
 
 def test_too_few_points(rng):
     pts = rng.uniform(0, 1, (10, 3))
-    decision = determine_plane(pts, PARAMS)
+    decision = determine_plane(pts)
     assert not decision.is_plane
     assert decision.reject_reason is RejectReason.TOO_FEW_POINTS
 
@@ -183,10 +187,10 @@ def noisy_line(gen, n, length, sigma):
 def test_exact_line_rejected_as_line():
     # flat by the min/max gate (both smaller eigenvalues are zero), but a line
     pts = np.column_stack([np.linspace(-0.5, 0.6, 40), np.zeros(40), np.zeros(40)])
-    decision = determine_plane(pts, PARAMS)
+    decision = determine_plane(pts)
     assert not decision.is_plane
     assert decision.reject_reason is RejectReason.LINE_LIKE
-    assert flatness_test(decision.eig, PARAMS.flatness_ratio_max)
+    assert flatness_test(decision.eig)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,7 +200,7 @@ def test_noisy_line_never_plane(seed, at_utm):
     # cut across the noise, can look as thick as the whole
     gen = np.random.default_rng(seed)
     pts = noisy_line(gen, 60, 0.5, 0.005) + gen.uniform(-10, 10, 3) + (UTM if at_utm else 0.0)
-    decision = determine_plane(pts, PARAMS)
+    decision = determine_plane(pts)
     assert not decision.is_plane
     assert decision.reject_reason in (RejectReason.LINE_LIKE, RejectReason.FLATNESS_FAILED)
 
@@ -204,7 +208,7 @@ def test_noisy_line_never_plane(seed, at_utm):
 def test_line_scene_yields_no_line_groups():
     # a 3 m edge of 900 points at 2 mm noise through the whole pipeline: no
     # extracted group may be a line by the plane test's own bound
-    bound = PARAMS.flatness_ratio_max
+    bound = FLATNESS_RATIO_MAX
     for seed in range(20):
         gen = np.random.default_rng(seed)
         pts = noisy_line(gen, 900, 3.0, 0.002) + gen.uniform(-2, 2, 3)
@@ -215,12 +219,12 @@ def test_line_scene_yields_no_line_groups():
 
 def test_exactly_coplanar_always_plane(rng):
     for _ in range(20):
-        n = int(rng.integers(PARAMS.min_points, 500))
+        n = int(rng.integers(MIN_POINTS, 500))
         rot = random_rotation(rng)
         flat = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
                                 np.zeros(n)])
         pts = flat @ rot.T + rng.uniform(-5, 5, 3)
-        decision = determine_plane(pts, PARAMS)
+        decision = determine_plane(pts)
         assert decision.is_plane, f"coplanar set of {n} rejected: {decision.reject_reason}"
 
 
@@ -236,10 +240,10 @@ def test_accepted_set_is_subset_of_flatness(rng):
                                    rng.normal(0, 0.01, n)])
         else:
             pts = rng.normal(size=(n, 3)) * np.array([1.0, 0.5, 0.02])
-        decision = determine_plane(pts, PARAMS)
+        decision = determine_plane(pts)
         if decision.is_plane:
             eig, _ = eig_of(pts)
-            assert flatness_test(eig, PARAMS.flatness_ratio_max)
+            assert flatness_test(eig)
 
 
 def _quarter_sizes(pts):
@@ -255,8 +259,8 @@ def test_rigid_motion_invariance(rng):
                                rng.normal(0, 0.01, n)])
         rot = random_rotation(rng)
         moved = pts @ rot.T + rng.uniform(-10, 10, 3)
-        d0 = determine_plane(pts, PARAMS)
-        d1 = determine_plane(moved, PARAMS)
+        d0 = determine_plane(pts)
+        d1 = determine_plane(moved)
         assert d0.is_plane == d1.is_plane
         assert _quarter_sizes(pts) == _quarter_sizes(moved)
 
@@ -265,8 +269,8 @@ def test_scale_invariance(rng):
     for scale in (0.01, 0.5, 3.0, 250.0):
         pts = np.column_stack([rng.uniform(-1, 1, 300), rng.uniform(-0.7, 0.7, 300),
                                rng.normal(0, 0.004, 300)])
-        d0 = determine_plane(pts, PARAMS)
-        d1 = determine_plane(pts * scale, PARAMS)
+        d0 = determine_plane(pts)
+        d1 = determine_plane(pts * scale)
         assert d0.is_plane == d1.is_plane
 
 
@@ -284,7 +288,7 @@ def test_sparse_quarter_fallback():
     eig, cen = eig_of(pts)
     quarters = quarters_of(pts, eig, cen)
     assert sum(1 for q in quarters if q.shape[0] < sparse_quarter_threshold(20)) == 3
-    decision = determine_plane(pts, PlaneTestParams(min_points=20))
+    decision = determine_plane(pts, min_points=20)
     assert decision.sparse_quarter_fallback
     assert decision.is_plane
     assert decision.reject_reason is None
@@ -301,13 +305,13 @@ def test_non_finite_points_rejected():
     pts = np.zeros((30, 3))
     pts[5, 1] = np.nan
     with pytest.raises(InputValidationError):
-        determine_plane(pts, PARAMS)
+        determine_plane(pts)
 
 
 def test_decision_carries_reusable_statistics(rng):
     pts = np.column_stack([rng.uniform(-0.5, 0.5, 100), rng.uniform(-0.5, 0.5, 100),
                            rng.normal(0, 0.002, 100)])
-    decision = determine_plane(pts, PARAMS)
+    decision = determine_plane(pts)
     assert decision.cluster.n == 100
     cov_ref, cen_ref = two_pass_covariance(pts)
     assert np.allclose(decision.centroid, cen_ref, atol=1e-12)
@@ -389,7 +393,7 @@ def test_determine_plane_matches_per_quarter_oracle(kind, seed, at_utm):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plane_test, "quarter_split", spy)
-        decision = determine_plane(pts, PlaneTestParams(min_points=min_points))
+        decision = determine_plane(pts, min_points=min_points)
     ref = plane_decision_reference(pts, min_points=min_points)
     assert decision.is_plane == ref["is_plane"]
     assert (decision.reject_reason and decision.reject_reason.value) == ref["reject_reason"]
@@ -421,7 +425,7 @@ def test_quarter_split_matches_oracle_on_rotated_grids():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plane_test, "quarter_split", spy)
-            determine_plane(pts, PlaneTestParams(min_points=min_points))
+            determine_plane(pts, min_points=min_points)
         for cols, eig, center in calls:
             order, cuts = quarter_split(cols, eig, center)
             ref_order, ref_cuts = quarter_split_reference(cols, eig.eigenvectors, center)

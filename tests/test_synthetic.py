@@ -6,7 +6,6 @@ import pytest
 from voxplane import (
     GenerationError,
     InputValidationError,
-    PlaneTestParams,
     RejectReason,
     accumulate,
     covariance,
@@ -161,11 +160,10 @@ def test_corner_counts_match_pinned():
 
 
 def test_fp_slab_passes_flatness_fails_quarters():
-    params = PlaneTestParams()
     cloud = gen_false_positive_slab(seed=0)
     cov, _ = covariance(accumulate(cloud.points))
-    assert flatness_test(eigen_symmetric3(cov), params.flatness_ratio_max)
-    decision = determine_plane(cloud.points, params)
+    assert flatness_test(eigen_symmetric3(cov))
+    decision = determine_plane(cloud.points)
     assert not decision.is_plane
     assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED
 
