@@ -6,6 +6,7 @@ this script (corner_planes.ply, viewable in any point-cloud viewer).
 """
 
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from voxplane import ExtractionConfig, NodeState, extract_plane_groups, gen_corner
@@ -31,7 +32,7 @@ print(f"plane-leaf depth histogram: {dict(sorted(depths.items()))}")
 print("(depth 1 leaves appear exactly where two walls share a voxel)\n")
 
 print(f"after per-voxel merging: {len(result.groups)} plane groups")
-for stage, seconds in result.timings.as_dict().items():
+for stage, seconds in asdict(result.timings).items():
     print(f"  {stage:>9}: {seconds * 1e3:7.2f} ms")
 
 out = Path(__file__).parent / "corner_planes.ply"

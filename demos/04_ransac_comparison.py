@@ -19,8 +19,8 @@ print(f"scene: {cloud.points.shape[0]} points; label 0 = ground, 1..5 = box face
 def box_points_claimed_as_ground(groups):
     claimed = 0
     for m in evaluate(groups, cloud).matched_planes:
-        if m.plane_id == 0:
-            labels = cloud.labels[groups[m.group_index].merged.point_indices]
+        if m.truth_plane == 0:
+            labels = cloud.labels[groups[m.group].merged.point_indices]
             claimed += int((labels >= 1).sum())
     return claimed
 

@@ -9,7 +9,7 @@ included for comparison runs.
 
 __version__ = "0.1.0"
 
-from .config import ExtractionConfig, config_to_dict, load_config
+from .config import ExtractionConfig, load_config
 from .errors import (
     CloudFormatError,
     ConfigError,
@@ -56,7 +56,7 @@ from .synthetic import (
 
 __all__ = [
     "__version__",
-    "ExtractionConfig", "config_to_dict", "load_config",
+    "ExtractionConfig", "load_config",
     "VoxplaneError", "InputValidationError", "EmptyClusterError",
     "CloudFormatError", "ConfigError", "GenerationError",
     "PointCluster", "EigenDecomposition", "accumulate", "merge_clusters",

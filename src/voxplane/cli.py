@@ -13,22 +13,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExtractionConfig, config_to_dict, load_config
+from .config import ExtractionConfig, load_config
 from .errors import CloudFormatError, ConfigError, GenerationError, InputValidationError
 from .evaluation import evaluate, fit_truth_planes
-from .io import (
-    read_cloud,
-    read_planes,
-    report_to_dict,
-    write_cloud,
-    write_colored_cloud,
-    write_planes,
-)
+from .io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 from .merging import PlaneGroup
 from .pipeline import extract_plane_groups
 from .ransac import ransac_extract_all
@@ -111,7 +105,7 @@ def _emit_report(payload: dict, path: str | None) -> None:
 def _cmd_extract(args) -> int:
     config = load_config(args.config) if args.config else ExtractionConfig()
     if args.print_config:
-        print(json.dumps(config_to_dict(config), indent=2))
+        print(json.dumps(asdict(config), indent=2))
         return EXIT_OK
     if args.cloud is None:
         raise InputValidationError("missing input cloud (or use --print-config)")
@@ -150,7 +144,7 @@ def _truth_from_file(path) -> tuple[np.ndarray, GroundTruthCloud]:
 def _cmd_eval(args) -> int:
     points, truth = _truth_from_file(args.truth)
     report = evaluate(read_planes(args.planes, points), truth)
-    _emit_report(report_to_dict(report), args.report)
+    _emit_report(asdict(report), args.report)
     return EXIT_OK
 
 
@@ -173,11 +167,11 @@ def _cmd_compare(args) -> int:
     payload: dict = {"target": args.target}
     if "ours" in methods:
         result = extract_plane_groups(points, config)
-        payload["ours"] = report_to_dict(evaluate(result.groups, truth, result.timings))
+        payload["ours"] = asdict(evaluate(result.groups, truth, result.timings))
     if "ransac" in methods:
         patches = ransac_extract_all(points, config, seed=args.seed)
         groups = [PlaneGroup(members=[p], merged=p) for p in patches]
-        payload["ransac"] = report_to_dict(evaluate(groups, truth))
+        payload["ransac"] = asdict(evaluate(groups, truth))
     _emit_report(payload, args.report)
     return EXIT_OK
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .plane_test import MIN_POINTS, check_min_points
 
-__all__ = ["ExtractionConfig", "load_config", "config_to_dict"]
+__all__ = ["ExtractionConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,3 @@ def load_config(path) -> ExtractionConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def config_to_dict(config: ExtractionConfig) -> dict:
-    """Plain-dict form of a config, matching the config-file schema."""
-    return asdict(config)

@@ -8,6 +8,10 @@ per group and a column per label (-1 first, then the plane ids), filled by
 one ``np.bincount`` over all groups' members. A group's plurality is its
 row's first maximum, so ties go to the smallest label, with -1 (outlier
 structure) ahead of every plane. Labels must lie in ``[-1, len(planes))``.
+
+The report dataclasses are the report's JSON schema: ``asdict(report)``
+is the document that ``eval`` and ``compare`` print, its keys the field
+names in field order.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ __all__ = ["PlaneMatch", "EvalReport", "geometry_error", "evaluate", "fit_truth_
 
 @dataclass(frozen=True)
 class PlaneMatch:
-    group_index: int
-    plane_id: int
+    group: int
+    truth_plane: int
     normal_error_deg: float
     offset_error_m: float
 
@@ -38,10 +42,10 @@ class PlaneMatch:
 class EvalReport:
     precision: float | None
     recall: float | None
-    matched_planes: list[PlaneMatch]
     extracted_count: int
     ground_truth_count: int
-    wall_time: StageTimings | None = None
+    matched_planes: list[PlaneMatch]
+    wall_time_s: StageTimings | None = None
 
 
 def geometry_error(group: PlaneGroup, truth_plane: TruthPlane) -> tuple[float, float]:
@@ -90,8 +94,8 @@ def evaluate(groups: list[PlaneGroup], truth: GroundTruthCloud,
     labeled_total = int((labels >= 0).sum())
     return EvalReport(precision=correct / idx.shape[0] if idx.shape[0] else None,
                       recall=correct / labeled_total if labeled_total else None,
-                      matched_planes=matches, extracted_count=len(groups),
-                      ground_truth_count=n_planes, wall_time=timings)
+                      extracted_count=len(groups), ground_truth_count=n_planes,
+                      matched_planes=matches, wall_time_s=timings)
 
 
 def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane, ...]:

@@ -1,14 +1,14 @@
 """File formats: point clouds (binary labeled, xyz, ascii ply), plane-set
-documents, colored clouds, and the JSON form of evaluation reports.
+documents and colored clouds.
 
 Clouds are read in all three formats and written in the labeled binary
 one, which round-trips coordinates bit-exactly; the text writers put
 floats in shortest round-trip ``repr``. The plane set is written group by
 group, each group's member indices made text in a few array passes, so
 one group's text at most is held. Output is byte-stable for identical
-input: field order is fixed, and nothing timing-dependent is written
-except the explicit timing section of reports. Plane sets always carry
-each group's member point indices (the point association).
+input: field order is fixed, and nothing timing-dependent is written.
+Plane sets always carry each group's member point indices (the point
+association).
 
 One reader per format, each parsing straight into the library's types:
 ``read_cloud`` tells the cloud formats apart by content and returns
@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CloudFormatError, InputValidationError
-from .evaluation import EvalReport
 from .geometry import accumulate, as_integers, as_points
 from .merging import PlaneGroup
 from .octree import PlanePatch, VoxelKey
@@ -43,7 +42,6 @@ __all__ = [
     "read_planes",
     "write_colored_cloud",
     "group_color",
-    "report_to_dict",
 ]
 
 _MAGIC = b"VXPC"
@@ -404,20 +402,3 @@ def write_colored_cloud(points, groups: list[PlaneGroup], path) -> None:
               "end_header"]
     Path(path).write_text("\n".join(header + list(map(" ".join, zip(*cols)))) + "\n",
                           encoding="utf-8")
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "precision": report.precision,
-        "recall": report.recall,
-        "extracted_count": report.extracted_count,
-        "ground_truth_count": report.ground_truth_count,
-        "matched_planes": [
-            {"group": m.group_index, "truth_plane": m.plane_id,
-             "normal_error_deg": m.normal_error_deg,
-             "offset_error_m": m.offset_error_m}
-            for m in report.matched_planes
-        ],
-        "wall_time_s": report.wall_time.as_dict() if report.wall_time else None,
-    }
-

@@ -14,7 +14,7 @@ the unmerged patches come from the same run.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class StageTimings:
     subdivide: float = 0.0
     merge: float = 0.0
     total: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 @dataclass

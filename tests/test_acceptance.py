@@ -168,8 +168,8 @@ def test_criterion_5_ransac_contrast():
 def _box_points_in_ground_groups(groups, cloud):
     total = 0
     for m in evaluate(groups, cloud).matched_planes:
-        if m.plane_id == 0:  # ground plane label
-            labels = cloud.labels[groups[m.group_index].merged.point_indices]
+        if m.truth_plane == 0:  # ground plane label
+            labels = cloud.labels[groups[m.group].merged.point_indices]
             total += int((labels >= 1).sum())
     return total
 

@@ -1,12 +1,25 @@
 import argparse
+import ast
 import hashlib
+import inspect
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from voxplane import PlaneGroup, cli, extract_plane_groups, gen_corner
+import voxplane.io
+from voxplane import (
+    EvalReport,
+    ExtractionConfig,
+    PlaneGroup,
+    PlaneMatch,
+    StageTimings,
+    cli,
+    extract_plane_groups,
+    gen_corner,
+)
 from voxplane.cli import _SCENES, EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, cli_main
 from voxplane.io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 
@@ -54,6 +67,11 @@ def test_unknown_flag_rejected(capsys):
 def test_missing_file_input_error(tmp_path, capsys):
     assert run("extract", str(tmp_path / "nope.xyz")) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+def test_extract_without_a_cloud_exits_two(capsys):
+    assert run("extract") == EXIT_INPUT
+    assert "missing input cloud (or use --print-config)" in capsys.readouterr().err
 
 
 def test_unwritable_output_paths_exit_four(tmp_path, capsys):
@@ -294,6 +312,20 @@ def test_eval_requires_labels(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_refuses_a_truth_plane_of_two_points(tmp_path, capsys):
+    cloud, planes = tmp_path / "c.vxc", tmp_path / "planes.txt"
+    assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
+    assert run("extract", str(cloud), "--out", str(planes)) == EXIT_OK
+    points, labels = read_cloud(cloud)
+    labels = labels.copy()
+    labels[labels == 1] = 0
+    labels[:2] = 1
+    write_cloud(cloud, points, labels)
+    capsys.readouterr()
+    assert run("eval", "--planes", str(planes), "--truth", str(cloud)) == EXIT_INPUT
+    assert "ground-truth plane 1 has fewer than 3 points" in capsys.readouterr().err
+
+
 def test_compare_scene(tmp_path, capsys):
     report = tmp_path / "cmp.json"
     assert run("compare", "corner", "--methods", "ours,ransac",
@@ -315,6 +347,57 @@ def test_compare_corner_report_pinned(tmp_path, capsys):
         data[method].pop("wall_time_s")
     digest = hashlib.sha256(json.dumps(data, indent=2).encode()).hexdigest()
     assert digest == pinned.CORNER_COMPARE_SHA256
+
+
+def _names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _assert_report_schema(report: dict, timed: bool) -> None:
+    """The report's keys, read recursively, are the report dataclasses'
+    field names in field order."""
+    assert list(report) == _names(EvalReport)
+    assert report["matched_planes"]
+    assert all(list(m) == _names(PlaneMatch) for m in report["matched_planes"])
+    if timed:
+        assert list(report["wall_time_s"]) == _names(StageTimings)
+    else:
+        assert report["wall_time_s"] is None
+
+
+def test_reports_and_config_are_their_dataclasses(tmp_path, capsys):
+    # one schema per record: the JSON keys are the dataclass fields
+    cloud, planes = tmp_path / "c.vxc", tmp_path / "planes.txt"
+    report, compared = tmp_path / "eval.json", tmp_path / "compare.json"
+    assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
+    assert run("extract", str(cloud), "--out", str(planes)) == EXIT_OK
+    assert run("eval", "--planes", str(planes), "--truth", str(cloud),
+               "--report", str(report)) == EXIT_OK
+    _assert_report_schema(json.loads(report.read_text()), timed=False)
+    assert run("compare", "corner", "--report", str(compared)) == EXIT_OK
+    capsys.readouterr()
+    written = json.loads(compared.read_text())
+    assert list(written) == ["target", "ours", "ransac"]
+    _assert_report_schema(written["ours"], timed=True)
+    _assert_report_schema(written["ransac"], timed=False)
+    # without --report, compare prints the document --report writes
+    assert run("compare", "corner") == EXIT_OK
+    out = capsys.readouterr().out
+    printed = json.loads(out)
+    assert out == json.dumps(printed, indent=2) + "\n"
+    printed["ours"]["wall_time_s"] = written["ours"]["wall_time_s"]  # differs run to run
+    assert json.dumps(printed, indent=2) + "\n" == compared.read_text()
+    assert run("extract", "--print-config") == EXIT_OK
+    assert list(json.loads(capsys.readouterr().out)) == _names(ExtractionConfig)
+
+
+def test_io_does_not_import_evaluation():
+    # the file formats know nothing of the report
+    tree = ast.parse(inspect.getsource(voxplane.io))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not {name for name in imported if name and name.endswith("evaluation")}
 
 
 def test_eval_and_compare_reject_out_of_range_labels(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from voxplane import ConfigError, ExtractionConfig, determine_plane
 from voxplane.cli import EXIT_CONFIG, cli_main
-from voxplane.config import config_from_dict, config_to_dict, load_config
+from voxplane.config import config_from_dict, load_config
 from voxplane.io import write_cloud
 from voxplane.merging import NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG
 from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
@@ -117,7 +118,7 @@ def test_removed_keys_rejected(tmp_path, capsys, key, value):
 def test_readme_config_block_is_the_defaults():
     section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
-    assert json.loads(block) == config_to_dict(ExtractionConfig())
+    assert json.loads(block) == asdict(ExtractionConfig())
 
 
 def test_hostile_sizes_in_config_file(tmp_path):
@@ -132,7 +133,7 @@ def test_hostile_sizes_in_config_file(tmp_path):
 
 def test_dict_round_trip():
     cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5, min_points=30)
-    back = config_from_dict(config_to_dict(cfg))
+    back = config_from_dict(asdict(cfg))
     assert back == cfg
 
 

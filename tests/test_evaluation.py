@@ -47,7 +47,7 @@ def test_perfect_corner_extraction(corner_cloud):
     report = evaluate(groups, corner_cloud)
     matches = report.matched_planes
     assert len(matches) == 3
-    assert sorted(m.plane_id for m in matches) == [0, 1, 2]
+    assert sorted(m.truth_plane for m in matches) == [0, 1, 2]
     assert report.precision == 1.0
     assert report.recall == 1.0
 
@@ -77,7 +77,7 @@ def test_plurality_matching_mixed_group(corner_cloud):
     report = evaluate(groups, corner_cloud)
     matches = report.matched_planes
     assert len(matches) == 1
-    assert matches[0].plane_id == 1
+    assert matches[0].truth_plane == 1
     assert report.precision == pytest.approx(300 / 340)
 
 
@@ -146,7 +146,7 @@ def test_evaluate_equals_the_per_group_oracle(case):
     assert report.matched_planes == [
         PlaneMatch(gi, pid, *geometry_error(groups[gi], truth.planes[pid]))
         for gi, pid in matches]
-    assert all(type(m.group_index) is int and type(m.plane_id) is int
+    assert all(type(m.group) is int and type(m.truth_plane) is int
                for m in report.matched_planes)
     assert report.precision == precision
     assert report.recall == recall
@@ -213,7 +213,7 @@ def test_corner_every_group_matched(corner_cloud):
     result = extract_plane_groups(corner_cloud.points)
     report = evaluate(result.groups, corner_cloud, result.timings)
     assert len(report.matched_planes) == report.extracted_count
-    assert report.wall_time is result.timings
+    assert report.wall_time_s is result.timings
     assert report.ground_truth_count == 3
 
 

@@ -90,6 +90,18 @@ def test_hostile_points_are_refused(points):
         extract_plane_groups(points)
 
 
+def test_a_bare_point_is_one_point(tmp_path):
+    # a (3,) array is one point wherever points come in
+    point = np.array([1.5, 2.5, 3.5])
+    leaves = extract_plane_groups(point).leaves
+    assert {key: [leaf.point_indices.tolist() for leaf in voxel]
+            for key, voxel in leaves.items()} == {(1, 2, 3): [[0]]}
+    write_cloud(tmp_path / "one.vxc", point)
+    write_colored_cloud(point, [_group([0])], tmp_path / "one.ply")
+    for name in ("one.vxc", "one.ply"):
+        assert read_cloud(tmp_path / name)[0].tolist() == [point.tolist()]
+
+
 @pytest.mark.parametrize("values", INTEGERS.values(), ids=INTEGERS.keys())
 @pytest.mark.parametrize("entry", MEMBER_ENTRIES.values(), ids=MEMBER_ENTRIES.keys())
 def test_hostile_member_indices_are_refused(tmp_path, corner_cloud, entry, values):

@@ -1,5 +1,8 @@
 import json
 import logging
+import re
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from voxplane.evaluation import evaluate
 from voxplane.io import (
     read_cloud,
     read_planes,
-    report_to_dict,
     write_cloud,
     write_colored_cloud,
     write_planes,
@@ -149,6 +151,49 @@ def test_ply_hostile_input(tmp_path, good, bad, line):
     with pytest.raises(CloudFormatError) as err:
         read_cloud(path)
     assert err.value.line == line
+
+
+def _ply(good, bad):
+    assert good in _PLY_HEAD
+    return _PLY_HEAD.replace(good, bad).encode()
+
+
+@pytest.mark.parametrize("content, message, line", [
+    (b"\xff\xfe\x00\x01binary", "binary content, bad magic", None),
+    (b"VXPC\x01\x00", "truncated header", None),
+    (struct.pack("<4sIQB", b"VXPC", 2, 0, 0), "unsupported labeled-cloud version 2", None),
+    (_ply("end_header", "element face 1\nend_header"),
+     "unsupported non-empty element 'face'", 8),
+    (_ply("property int label", "property list uchar int label"),
+     "list properties are not supported", 7),
+    (_ply("format ascii 1.0\n", "format ascii 1.0\nobj_info scanner 7\n"),
+     "unrecognized header line 'obj_info scanner 7'", 3),
+    (_ply("element vertex 1\n", ""), "header ended without element vertex", None),
+    (_ply("end_header\n", ""), "header ended without element vertex / end_header", None),
+    (_ply("property double x\n", ""), "vertex element lacks property 'x'", None),
+    (_ply("property double y\n", ""), "vertex element lacks property 'y'", None),
+    (_ply("property double z\n", ""), "vertex element lacks property 'z'", None),
+    (_ply("end_header\n", "end_header\n0 0 0 1\n1 1 1 1\n"),
+     "more data rows than declared vertices", 10),
+], ids=["binary-without-magic", "labeled-truncated-header", "labeled-version-2",
+        "ply-non-empty-face-element", "ply-vertex-list-property", "ply-unknown-header-line",
+        "ply-no-element-vertex", "ply-no-end-header", "ply-no-x", "ply-no-y", "ply-no-z",
+        "ply-extra-rows"])
+def test_read_cloud_refusals(tmp_path, content, message, line):
+    path = tmp_path / "cloud"
+    path.write_bytes(content)
+    with pytest.raises(CloudFormatError, match=re.escape(message)) as err:
+        read_cloud(path)
+    assert err.value.line == line
+
+
+def test_ply_header_comments_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "commented.ply"
+    path.write_bytes(_ply("format ascii 1.0\n", "format ascii 1.0\ncomment scanner 7\n\n"
+                          "comment element face 9\n") + b"0.5 1.5 2.5 3\n")
+    points, labels = read_cloud(path)
+    assert points.tolist() == [[0.5, 1.5, 2.5]]
+    assert labels.tolist() == [3]
 
 
 def test_ply_hostile_header_exit_code(tmp_path, capsys):
@@ -373,6 +418,7 @@ _TWO_GROUPS = (_ONE_GROUP.replace("groups 1", "groups 2")
 @pytest.mark.parametrize("good, bad, line", [
     ("voxplane-planeset 1", "voxplane-planeset x", 1),
     ("voxplane-planeset 1", "voxplane-planeset ", 1),
+    ("voxplane-planeset 1", "voxplane-planeset 2", 1),
     ("groups 2", "groups many", 2),
     ("root 0 0 0", "root 0 0", 4),
     ("centroid 0.0 0.0 0.0", "centroid 0.0 0.0", 6),
@@ -404,9 +450,9 @@ _TWO_GROUPS = (_ONE_GROUP.replace("groups 1", "groups 2")
     ("depths 1:1", "depths", 18),
     ("depths 0:1", "depths -1:1", 9),
     ("depths 0:1", "depths 0:0", 9),
-], ids=["bad-version", "no-version", "bad-group-count", "short-root", "short-centroid",
-        "long-normal", "short-eigenvalues", "bad-depth", "index-past-end",
-        "negative-index", "count-above-indices", "duplicate-index", "count-zero",
+], ids=["bad-version", "no-version", "unsupported-version", "bad-group-count",
+        "short-root", "short-centroid", "long-normal", "short-eigenvalues", "bad-depth",
+        "index-past-end", "negative-index", "count-above-indices", "duplicate-index", "count-zero",
         "nan-normal", "inf-normal", "non-unit-normal", "zero-normal", "inf-centroid",
         "nan-eigenvalue", "repeated-indices", "unknown-key", "repeated-group-index",
         "wrong-group-index", "reordered-keys", "blank-between-groups", "trailing-blank",
@@ -582,10 +628,10 @@ def test_report_json(rng):
     cloud, groups = _extract_groups(rng)
     result = extract_plane_groups(cloud.points)
     report = evaluate(result.groups, cloud, result.timings)
-    data = json.loads(json.dumps(report_to_dict(report)))
+    data = json.loads(json.dumps(asdict(report)))
     assert set(data) == {"precision", "recall", "extracted_count",
                          "ground_truth_count", "matched_planes", "wall_time_s"}
     assert data["precision"] == report.precision
     assert data["wall_time_s"]["total"] >= 0
-    rt = report_to_dict(report)
+    rt = asdict(report)
     assert rt["matched_planes"] == data["matched_planes"]
