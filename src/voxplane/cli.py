@@ -49,13 +49,6 @@ _SCENES = {
 }
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxplane",
@@ -75,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic scene")
     p.add_argument("scene", choices=_SCENES)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.005, help="noise sigma in meters")
     p.add_argument("--out", help="output file (default <scene>.vxc)")
 
@@ -87,9 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[config],
                        help="run ours and the RANSAC baseline side by side")
     p.add_argument("target", help=f"labeled cloud file or scene name {tuple(_SCENES)}")
-    p.add_argument("--methods", default="ours,ransac",
-                   help="comma-separated subset of: ours, ransac")
-    p.add_argument("--seed", type=non_negative_int, default=0, help="seed when target is a scene")
+    p.add_argument("--seed", type=int, default=0, help="seed of the scene and of RANSAC")
     p.add_argument("--report", help="write the JSON report here (default stdout)")
     return parser
 
@@ -149,10 +140,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = set(methods) - {"ours", "ransac"}
-    if unknown:
-        raise InputValidationError(f"unknown methods: {sorted(unknown)}")
     config = load_config(args.config) if args.config else ExtractionConfig()
 
     if os.path.exists(args.target):  # False, not OSError, for a name too long
@@ -164,14 +151,12 @@ def _cmd_compare(args) -> int:
         raise InputValidationError(f"{args.target!r} is neither a file nor a "
                                    f"scene name {tuple(_SCENES)}")
 
-    payload: dict = {"target": args.target}
-    if "ours" in methods:
-        result = extract_plane_groups(points, config)
-        payload["ours"] = asdict(evaluate(result.groups, truth, result.timings))
-    if "ransac" in methods:
-        patches = ransac_extract_all(points, config, seed=args.seed)
-        groups = [PlaneGroup(members=[p], merged=p) for p in patches]
-        payload["ransac"] = asdict(evaluate(groups, truth))
+    result = extract_plane_groups(points, config)
+    patches = ransac_extract_all(points, config, seed=args.seed)
+    payload = {"target": args.target,
+               "ours": asdict(evaluate(result.groups, truth, result.timings)),
+               "ransac": asdict(evaluate([PlaneGroup(members=[p], merged=p) for p in patches],
+                                         truth))}
     _emit_report(payload, args.report)
     return EXIT_OK
 

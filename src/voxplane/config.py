@@ -4,13 +4,15 @@ The settings are what depends on the input: its scale (the voxel sizes)
 and its density (``min_points``); the plane-test and merge gates are
 dimensionless constants in ``plane_test`` and ``merging``. A config file
 is one flat JSON object that overrides defaults field by field; unknown
-keys are rejected rather than silently ignored. Every settable value is
-a number; a JSON boolean is never taken as one.
+keys are rejected rather than silently ignored. ``ExtractionConfig``
+itself holds every value rule, so the constructor refuses what a file
+refuses: every settable value is a number, and a boolean is never one.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,13 +25,15 @@ __all__ = ["ExtractionConfig", "load_config"]
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """All tunables of the extraction pipeline.
+    """All tunables of the extraction pipeline, each checked here
+    (ConfigError naming the field otherwise).
 
     root_size: edge length of root voxels (meters).
     min_voxel_size: octants at or below this edge length are never split
         further; one that fails the plane test is discarded. Both sizes
-        are finite, and root_size / min_voxel_size is at most 2^52: past
-        52 octree levels, child centres no longer differ in float64.
+        are finite real numbers, not bools, and root_size / min_voxel_size
+        is at most 2^52: past 52 octree levels, child centres no longer
+        differ in float64.
     min_points: nodes with fewer points are discarded without a plane
         test, and a RANSAC plane needs this many inliers. An integer of
         at least 4.
@@ -40,6 +44,10 @@ class ExtractionConfig:
     min_points: int = MIN_POINTS
 
     def __post_init__(self):
+        for name in ("root_size", "min_voxel_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         # compared, not converted: an int past the float range has no float
         if not 0 < self.min_voxel_size < self.root_size <= sys.float_info.max:
             raise ConfigError("require finite root_size > min_voxel_size > 0")
@@ -49,26 +57,15 @@ class ExtractionConfig:
         check_min_points(self.min_points)
 
 
-# JSON value types each field type takes (field types are strings, as this
-# module postpones annotations), and their name in errors. A JSON boolean
-# is never taken as a number.
-_JSON_TYPES = {"int": (int, "integer"), "float": ((int, float), "number")}
-
-
 def config_from_dict(data) -> ExtractionConfig:
-    """Build a config from a config-file object: the allowed keys are
-    ExtractionConfig's fields, each a JSON value of the field's type."""
+    """Build a config from a config-file object: a JSON object whose keys
+    are ExtractionConfig's fields; the values are checked by
+    ExtractionConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    types = {f.name: _JSON_TYPES[f.type] for f in fields(ExtractionConfig)}
-    unknown = set(data) - set(types)
+    unknown = set(data) - {f.name for f in fields(ExtractionConfig)}
     if unknown:
         raise ConfigError(f"unknown keys in config root: {sorted(unknown)}")
-    for key, value in data.items():
-        accepted, noun = types[key]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"'{key}' in config root must be a JSON {noun}, "
-                              f"got {value!r}")
     return ExtractionConfig(**data)
 
 

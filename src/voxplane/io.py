@@ -13,8 +13,8 @@ association).
 One reader per format, each parsing straight into the library's types:
 ``read_cloud`` tells the cloud formats apart by content and returns
 arrays (xyz and ply rows share one row parser), and ``read_planes``
-returns ``PlaneGroup``s over the cloud. The readers reject malformed or
-out-of-range content with line numbers.
+returns ``PlaneGroup``s over the cloud, held to the writer's block rules.
+The readers reject malformed or out-of-range content with line numbers.
 """
 
 from __future__ import annotations
@@ -167,6 +167,8 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
                 raise CloudFormatError("expected 'property <type> <name>'",
                                        path, lineno)
             elif in_vertex:
+                if tokens[2] in properties:
+                    raise CloudFormatError(f"repeated property {tokens[2]!r}", path, lineno)
                 properties.append(tokens[2])
         elif tokens[0] == "end_header":
             data_start = lineno
@@ -206,10 +208,6 @@ def write_cloud(path, points, labels=None) -> None:
 # plane-set documents
 
 
-def _floats(values: np.ndarray) -> str:
-    return " ".join(map(repr, values.tolist()))
-
-
 # A value in c base-1000 cells is a row of 4 c bytes: three digits and a
 # space per cell. Row w of _KEEP, over the last 4 c of its seven cells (any
 # int64), keeps the last w digits and the final space. The tables are built
@@ -236,62 +234,80 @@ def _index_text(idx: np.ndarray) -> np.ndarray:
     return text
 
 
-def write_planes(groups: list[PlaneGroup], path) -> None:
-    """Write a plane-set document: for each group its root voxel, point
-    count, centroid, normal, eigenvalues, member-depth histogram and member
-    point indices. Field order is fixed and floats use shortest round-trip
-    repr, so output is byte-stable across runs. Each group needs 3 int64
-    in its root key, 3 values in a finite centroid and eigenvalues and in a
-    normal of unit length within 1e-9, ``cluster.n`` >= 1 distinct member
-    indices, all non-negative integers, and one or more members, none at a
-    negative depth (InputValidationError before the file is opened otherwise)."""
-    blocks = []
-    for i, g in enumerate(groups):
-        m = g.merged
-        if not (np.shape(m.centroid) == np.shape(m.normal) == np.shape(m.eigenvalues) == (3,)
-                and all(map(math.isfinite, [*m.centroid.tolist(), *m.eigenvalues.tolist()]))):
-            raise InputValidationError(f"group {i}: non-finite centroid or eigenvalues, or "
-                                       f"a centroid, normal or eigenvalues not of 3 values")
-        # sqrt(n . n) is the reader's np.linalg.norm, bit for bit, at a third of its cost
-        if not abs(math.sqrt(m.normal @ m.normal) - 1.0) <= 1e-9:
-            raise InputValidationError(f"group {i}: normal is not a finite unit vector")
-        root = as_integers(m.root_key, -2**63, 2**63, f"group {i}: root key", size=3)
-        idx = as_integers(m.point_indices, 0, 2**63, f"group {i}: member indices",
-                          size=int(m.cluster.n))
-        if not idx.size or ((ordered := np.sort(idx))[1:] == ordered[:-1]).any():
-            raise InputValidationError(f"group {i}: member indices must be one or more "
-                                       f"distinct values")
-        depths = sorted(Counter(p.depth for p in g.members).items())
-        if not depths or depths[0][0] < 0:
-            raise InputValidationError(f"group {i}: needs members, none at a negative depth")
-        blocks.append((root, idx, depths))
-    with open(path, "wb") as fh:
-        fh.write(f"voxplane-planeset {_VERSION}\ngroups {len(groups)}\n".encode())
-        for i, (g, (root, idx, depths)) in enumerate(zip(groups, blocks)):
-            m = g.merged
-            fh.write((f"group {i}\nroot {' '.join(map(str, root.tolist()))}\n"
-                      f"count {idx.size}\ncentroid {_floats(m.centroid)}\n"
-                      f"normal {_floats(m.normal)}\neigenvalues {_floats(m.eigenvalues)}\n"
-                      f"depths {' '.join(f'{d}:{c}' for d, c in depths)}\nindices ").encode())
-            fh.write(_index_text(idx))
-            fh.write(b"end\n")
-
-
 def _depth_pair(pair: str) -> tuple[int, int]:
     depth, count = pair.split(":")
     return int(depth), int(count)
 
 
-# One group block as write_planes writes it: (key, value type, value count,
-# None for any). Line k of group i is line 3 + 9 i + k of the document.
-_BLOCK = (("group", int, 1), ("root", int, 3), ("count", int, 1),
-          ("centroid", float, 3), ("normal", float, 3), ("eigenvalues", float, 3),
-          ("depths", _depth_pair, None), ("indices", int, None), ("end", int, 0))
+# One group block as write_planes writes it: (key, value type, value count
+# or None for any, text of a value). Line k of group i is line 3 + 9 i + k
+# of the document; the indices are made text by _index_text.
+_BLOCK = (("group", int, 1, str), ("root", int, 3, str), ("count", int, 1, str),
+          ("centroid", float, 3, repr), ("normal", float, 3, repr),
+          ("eigenvalues", float, 3, repr), ("depths", _depth_pair, None, "%s:%s".__mod__),
+          ("indices", int, None, None), ("end", int, 0, None))
+
+
+def _block_fault(block, i: int, hi: int) -> tuple[int, str] | None:
+    """The first rule that group ``i``'s values of each _BLOCK line break, as
+    (line k, message), or None; the indices, a list or array, lie in [0, hi)."""
+    [index], root, [count], centroid, normal, eigenvalues, depths, idx, _ = block
+    if index != i:
+        return 0, f"expected group {i}, got group {index}"
+    if not -2**63 <= min(root) <= max(root) < 2**63:
+        return 1, "root key values must fit in int64"
+    if count < 1:
+        return 2, f"count must be at least 1, got {count}"
+    if not all(map(math.isfinite, centroid)):
+        return 3, "non-finite centroid"
+    if not abs(math.hypot(*normal) - 1.0) <= 1e-9:
+        return 4, "non-finite normal, or not of unit length within 1e-9"
+    if not all(map(math.isfinite, eigenvalues)):
+        return 5, "non-finite eigenvalues"
+    order = [d for d, _ in depths]
+    if not order or order[0] < 0 or order != sorted(set(order)) or min(c for _, c in depths) < 1:
+        return 6, ("depths must be one or more depth:count pairs, depths >= 0 and strictly "
+                   "ascending, counts >= 1")
+    # a list past int64 makes a uint64, float64 or object array: the range test still holds
+    ordered = np.sort(idx)
+    if (ordered.size != count or not 0 <= int(ordered[0]) <= int(ordered[-1]) < hi
+            or (ordered[1:] == ordered[:-1]).any()):
+        return 7, f"member indices must be {count} distinct values in [0, {hi})"
+    return None
+
+
+def write_planes(groups: list[PlaneGroup], path) -> None:
+    """Write a plane-set document: per group the _BLOCK lines of its root
+    voxel, point count (``cluster.n``), centroid, normal, eigenvalues,
+    member-depth histogram and member indices, floats in shortest
+    round-trip repr, so output is byte-stable. Each block keeps the rules
+    of _block_fault with hi = 2^63, the root key and indices are of an
+    integer dtype and the centroid, normal and eigenvalues of 3 values
+    (InputValidationError before the file is opened otherwise)."""
+    blocks = []
+    for i, g in enumerate(groups):
+        m = g.merged
+        if not np.shape(m.centroid) == np.shape(m.normal) == np.shape(m.eigenvalues) == (3,):
+            raise InputValidationError(f"group {i}: centroid, normal or eigenvalues not 3 values")
+        block = ([i], as_integers(m.root_key, -2**63, 2**63, f"group {i}: root key",
+                                  size=3).tolist(), [int(m.cluster.n)],
+                 m.centroid.tolist(), m.normal.tolist(), m.eigenvalues.tolist(),
+                 sorted(Counter(p.depth for p in g.members).items()),
+                 as_integers(m.point_indices, -2**63, 2**63, f"group {i}: member indices"), [])
+        if fault := _block_fault(block, i, 2**63):
+            raise InputValidationError(f"group {i}: {fault[1]}")
+        blocks.append(block)
+    with open(path, "wb") as fh:
+        fh.write(f"voxplane-planeset {_VERSION}\ngroups {len(groups)}\n".encode())
+        for block in blocks:
+            fh.write(("".join([f"{key} {' '.join(map(text, values))}\n" for (key, _, _, text),
+                               values in zip(_BLOCK[:7], block)]) + "indices ").encode())
+            fh.write(_index_text(block[7]))
+            fh.write(b"end\n")
 
 
 def _line_values(lines: list[str], lineno: int, key: str, cast, n, path) -> list:
-    """The ``n`` values of type ``cast`` (finite if floats) that follow
-    ``key`` on line ``lineno``."""
+    """The ``n`` values of type ``cast`` after ``key`` on line ``lineno``."""
     line = lines[lineno - 1] if lineno <= len(lines) else None
     name, _, rest = (line or "").partition(" ")
     if name != key:
@@ -303,8 +319,6 @@ def _line_values(lines: list[str], lineno: int, key: str, cast, n, path) -> list
         raise CloudFormatError(f"bad value: {exc}", path, lineno) from exc
     if n is not None and len(vals) != n:
         raise CloudFormatError(f"expected {n} values, got {len(vals)}", path, lineno)
-    if cast is float and not np.isfinite(vals).all():
-        raise CloudFormatError(f"non-finite {key}", path, lineno)
     return vals
 
 
@@ -313,12 +327,12 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     it was extracted from: one single-member group per block.
 
     Only the layout write_planes writes is read: the two header lines, then
-    each group's nine ``_BLOCK`` lines and nothing else. Centroid, normal
-    and eigenvalues are used as stored (finite, the normal unit length
-    within 1e-9); the cluster is re-accumulated from the ``count`` >= 1
-    distinct member indices in [0, len(points)), and the depth is the
-    smallest in the non-empty depth histogram. Anything else raises
-    CloudFormatError with its line number.
+    each group's nine _BLOCK lines and nothing else, whose values keep the
+    rules of _block_fault with indices in [0, len(points)). Root key,
+    centroid, normal, eigenvalues and indices are used as stored, the
+    cluster is re-accumulated from the member points, and the depth is the
+    first in the depth histogram. Anything else raises CloudFormatError
+    with its line number.
     """
     path = Path(path)
     try:
@@ -335,30 +349,15 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     groups = []
     for i in range(expected):
         start = 3 + len(_BLOCK) * i
-        [index], root, [count], centroid, normal, eigenvalues, depths, idx, _ = (
-            _line_values(lines, start + k, key, cast, n, path)
-            for k, (key, cast, n) in enumerate(_BLOCK))
-        for k, bad, msg in (
-                (0, index != i, f"expected group {i}, got group {index}"),
-                (2, count < 1, f"group count must be at least 1, got {count}"),
-                (4, abs(np.linalg.norm(normal) - 1.0) > 1e-9, "normal is not unit length"),
-                (6, not depths or any(d < 0 or c < 1 for d, c in depths),
-                 "depths must be one or more depth:count pairs, depth >= 0, count >= 1"),
-                (7, len(idx) != count or len(set(idx)) != count
-                 or not all(0 <= j < len(points) for j in idx),
-                 f"indices must be {count} distinct values in [0, {len(points)})")):
-            if bad:
-                raise CloudFormatError(msg, path, start + k)
+        block = [_line_values(lines, start + k, key, cast, n, path)
+                 for k, (key, cast, n, _) in enumerate(_BLOCK)]
+        if fault := _block_fault(block, i, len(points)):
+            raise CloudFormatError(fault[1], path, start + fault[0])
+        _, root, _, centroid, normal, eigenvalues, depths, idx, _ = block
         idx = np.array(idx, dtype=np.int64)
-        patch = PlanePatch(
-            cluster=accumulate(points[idx]),
-            centroid=np.array(centroid),
-            normal=np.array(normal),
-            eigenvalues=np.array(eigenvalues),
-            point_indices=idx,
-            root_key=VoxelKey(*root),
-            depth=min(d for d, _ in depths),
-        )
+        patch = PlanePatch(cluster=accumulate(points[idx]), centroid=np.array(centroid),
+                           normal=np.array(normal), eigenvalues=np.array(eigenvalues),
+                           point_indices=idx, root_key=VoxelKey(*root), depth=depths[0][0])
         groups.append(PlaneGroup(members=[patch], merged=patch))
     end = 3 + len(_BLOCK) * expected
     if len(lines) >= end:

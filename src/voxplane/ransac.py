@@ -123,13 +123,13 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
     plane reaches ``config.min_points`` inliers. Patch
     statistics come from the inlier clusters; inlier sets of successive
     planes in a voxel are disjoint. ``seed`` is a non-negative integer,
-    and every seed has its own streams.
+    not a bool, and every seed has its own streams.
     """
     try:
-        seed = operator.index(seed)
+        index = operator.index(seed)
     except TypeError:
-        pass
-    if not isinstance(seed, int) or seed < 0:
+        index = -1
+    if index < 0 or isinstance(seed, bool):
         raise InputValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if config is None:
         config = ExtractionConfig()
@@ -138,7 +138,7 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
     pts = as_points(points)
     patches: list[PlanePatch] = []
     for key, idx in build_root_map(pts, config.root_size).items():
-        rng = _voxel_rng(seed, key)
+        rng = _voxel_rng(index, key)
         remaining = idx
         while remaining.shape[0] >= min_inliers:
             result = ransac_plane(pts[remaining], rng, min_inliers)

@@ -74,10 +74,12 @@ def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """The random stream's root. The seed is a non-negative integer, a
-    sequence of them, or a SeedSequence (the child streams the scene
-    generators hand to gen_plane). A SeedSequence is copied, so spawning
-    from it never advances the caller's object."""
+    """The random stream's root. The seed is a non-negative integer (not a
+    bool), a sequence of them, or a SeedSequence (the child streams the
+    scene generators hand to gen_plane). A SeedSequence is copied, so
+    spawning from it never advances the caller's object."""
+    if isinstance(seed, bool):
+        raise InputValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size)

@@ -59,6 +59,18 @@ def test_min_points_must_be_an_integer(tmp_path, min_points):
     assert determine_plane(points, min_points=np.int64(20)).is_plane
 
 
+@pytest.mark.parametrize("value", [True, False, "2", None, [1.0]], ids=repr)
+@pytest.mark.parametrize("field", ["root_size", "min_voxel_size"])
+def test_sizes_must_be_real_numbers(tmp_path, field, value):
+    # the constructor refuses what a config file refuses: root_size=True
+    # once extracted with 1 m voxels, and "2" and None raised a bare TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    for build in (lambda: ExtractionConfig(**{field: value}), lambda: load_config(path)):
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            build()
+
+
 def test_field_by_field_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"root_size": 2.0, "min_points": 30}))

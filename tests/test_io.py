@@ -143,8 +143,10 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
     ("end_header\n", "end_header\n0 0 0 4294967296\n", 9),
     ("end_header\n", "element vertex 1\nproperty double x\nproperty double y\n"
                      "property double z\nend_header\n0 0 0 7 1 1 1\n", 8),
+    # the second x was once read as a column and silently dropped
+    ("property double y\n", "property double y\nproperty float x\n", 6),
 ], ids=["count-not-a-number", "count-missing", "count-negative", "element-bare",
-        "property-no-name", "label-past-int32", "second-vertex-element"])
+        "property-no-name", "label-past-int32", "second-vertex-element", "repeated-property"])
 def test_ply_hostile_input(tmp_path, good, bad, line):
     path = tmp_path / "hostile.ply"
     path.write_text(_PLY_HEAD.replace(good, bad))
@@ -450,6 +452,10 @@ _TWO_GROUPS = (_ONE_GROUP.replace("groups 1", "groups 2")
     ("depths 1:1", "depths", 18),
     ("depths 0:1", "depths -1:1", 9),
     ("depths 0:1", "depths 0:0", 9),
+    # once read, though write_planes refuses the first and never writes the others
+    ("root 0 0 0", "root 9223372036854775808 0 0", 4),
+    ("depths 0:1", "depths 1:1 0:2", 9),
+    ("depths 0:1", "depths 0:1 0:2", 9),
 ], ids=["bad-version", "no-version", "unsupported-version", "bad-group-count",
         "short-root", "short-centroid", "long-normal", "short-eigenvalues", "bad-depth",
         "index-past-end", "negative-index", "count-above-indices", "duplicate-index", "count-zero",
@@ -457,7 +463,8 @@ _TWO_GROUPS = (_ONE_GROUP.replace("groups 1", "groups 2")
         "nan-eigenvalue", "repeated-indices", "unknown-key", "repeated-group-index",
         "wrong-group-index", "reordered-keys", "blank-between-groups", "trailing-blank",
         "trailing-content", "truncated", "negative-group-count", "empty-depths",
-        "negative-depth", "zero-depth-count"])
+        "negative-depth", "zero-depth-count", "root-past-int64", "descending-depths",
+        "repeated-depth"])
 def test_planeset_hostile_documents(tmp_path, good, bad, line):
     path = tmp_path / "hostile.txt"
     path.write_text(_TWO_GROUPS)
@@ -516,7 +523,7 @@ def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count,
 
 @pytest.mark.parametrize("field, value, message", [
     ("centroid", np.array([0.5, np.nan, 4e6]), "non-finite centroid"),
-    ("eigenvalues", np.array([np.inf, 0.25, 1e-9]), "non-finite centroid or eigenvalues"),
+    ("eigenvalues", np.array([np.inf, 0.25, 1e-9]), "non-finite eigenvalues"),
     ("normal", np.array([0.0, 0.0, 2.0]), "unit"),
     ("normal", np.array([0.0, 0.0, 1.0 + 2e-9]), "unit"),
     ("normal", np.array([np.nan, 0.0, 1.0]), "unit"),
@@ -546,6 +553,76 @@ def test_write_planes_accepts_normals_read_planes_accepts(tmp_path, corner_cloud
     write_planes([group], tmp_path / "ok.txt")
     [back] = read_planes(tmp_path / "ok.txt", corner_cloud.points)
     assert np.array_equal(back.merged.normal, group.merged.normal)
+
+
+def _group_with(field, value) -> PlaneGroup:
+    group = _group([3, 4])
+    setattr(group.merged, field, np.array(value))
+    return group
+
+
+# Each block rule, broken once in a group write_planes is given and once at
+# its line of a document read_planes is given: both refusals carry one
+# message. (The writer's groups cannot break the group-index and int64
+# root-key rules: it numbers the groups, and its root keys are int64.)
+@pytest.mark.parametrize("group, good, bad, line, message", [
+    (_group([3, 4], count=0), "count 2", "count 0", 5, "count must be at least 1, got 0"),
+    (_group_with("centroid", [0.0, np.nan, 0.0]), "centroid 0.0 0.0 0.0",
+     "centroid 0.0 nan 0.0", 6, "non-finite centroid"),
+    (_group_with("normal", [0.0, 0.0, 2.0]), "normal 0.0 0.0 1.0", "normal 0.0 0.0 2.0", 7,
+     "non-finite normal, or not of unit length"),
+    (_group_with("eigenvalues", [np.inf, 1.0, 0.0]), "eigenvalues 1.0 1.0 0.0",
+     "eigenvalues inf 1.0 0.0", 8, "non-finite eigenvalues"),
+    (_group([3, 4], depth=-1), "depths 0:1", "depths -1:1", 9, "depths must be one or more"),
+    (_group([3, 3]), "indices 3 4", "indices 3 3", 10, "member indices must be 2 distinct"),
+], ids=["count", "centroid", "normal", "eigenvalues", "depths", "indices"])
+def test_writer_and_reader_refuse_a_rule_alike(tmp_path, group, good, bad, line, message):
+    with pytest.raises(InputValidationError) as wrote:
+        write_planes([group], tmp_path / "refused.txt")
+    path = tmp_path / "hostile.txt"
+    path.write_text(_ONE_GROUP.replace(good, bad))
+    with pytest.raises(CloudFormatError) as read:
+        read_planes(path, np.zeros((10, 3)))
+    assert read.value.line == line
+    ours = str(wrote.value).split("group 0: ", 1)[1]
+    theirs = str(read.value).split(f"line {line}: ", 1)[1]
+    assert message in ours
+    assert ours.split(" [0,")[0] == theirs.split(" [0,")[0]  # hi differs: 2^63 and 10
+
+
+@st.composite
+def _single_member_sets(draw):
+    """A cloud size and single-member groups over it, as read_planes
+    returns them: boundary indices, UTM centroids and depths 0 to 3."""
+    size = draw(st.sampled_from([1, 2, 999, 1000, 10**6 + 1, 10**17]))
+    index = st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        idx = np.array(draw(st.lists(index, min_size=1, max_size=20, unique=True)))
+        normal = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)
+                               .filter(lambda v: np.linalg.norm(v) > 0.1)))
+        utm = [draw(st.floats(lo, hi)) for lo, hi in ((-1e6, 1e6), (0, 1e7), (-1e4, 1e4))]
+        patch = PlanePatch(
+            cluster=PointCluster(idx.size, np.zeros(3), np.zeros((3, 3)), np.zeros(3)),
+            centroid=np.array(utm), normal=normal / np.linalg.norm(normal),
+            eigenvalues=np.array(draw(st.lists(finite, min_size=3, max_size=3))),
+            point_indices=idx, root_key=VoxelKey(*draw(st.lists(
+                st.integers(-2**63, 2**63 - 1), min_size=3, max_size=3))),
+            depth=draw(st.integers(0, 3)))
+        groups.append(PlaneGroup(members=[patch], merged=patch))
+    return size, groups
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_single_member_sets())
+def test_planeset_write_read_write_is_byte_stable(tmp_path, case):
+    # what read_planes returns, write_planes writes back byte for byte
+    size, groups = case
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    write_planes(groups, first)
+    write_planes(read_planes(first, np.broadcast_to(np.zeros(3), (size, 3))), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 # distinct within each group, as the writer requires

@@ -176,9 +176,9 @@ def test_extract_all_patches_pinned():
 
 
 def test_extract_all_seed_checked(corner_cloud):
-    # -1 once wrapped to 2^64 - 1, 2^70 reused seed 0's streams, and 1.5
-    # and "7" raised a bare TypeError
-    for seed in (-1, -2 ** 70, 1.5, "7", None):
+    # -1 once wrapped to 2^64 - 1, 2^70 reused seed 0's streams, 1.5 and
+    # "7" raised a bare TypeError, and True and False ran as seeds 1 and 0
+    for seed in (-1, -2 ** 70, 1.5, "7", None, True, False):
         with pytest.raises(InputValidationError, match="seed"):
             ransac_extract_all(corner_cloud.points, CFG, seed=seed)
     a = ransac_extract_all(corner_cloud.points, CFG, seed=np.uint64(3))

@@ -72,7 +72,8 @@ def test_gen_plane_rejects_impossible_geometry(geometry):
     lambda seed: gen_slab_with_object(seed=seed),
     lambda seed: gen_false_positive_slab(seed=seed),
 ])
-@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "7"])
+# True and False once ran as seeds 1 and 0
+@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "7", True, False])
 def test_generators_reject_bad_seeds(make, seed):
     with pytest.raises(InputValidationError):
         make(seed)
