@@ -7,8 +7,8 @@ still looks flat. The quarter-split test tells them apart.
 
 import numpy as np
 
-from voxplane import determine_plane, flatness_test, gen_false_positive_slab, gen_plane
-from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
+from voxplane import determine_plane, gen_false_positive_slab, gen_plane
+from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND, flatness_test
 
 print(f"flatness threshold: ratio < {FLATNESS_RATIO_MAX}")
 print(f"quarter thickness bound: within x{QUARTER_RATIO_BOUND} of pooled\n")

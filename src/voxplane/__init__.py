@@ -5,6 +5,14 @@ voxel with an octree whose leaves must pass a quarter-split PCA plane
 test, and merges coplanar leaves back together per voxel. A voxelized
 RANSAC baseline, labeled synthetic scenes, and an evaluation harness are
 included for comparison runs.
+
+The public API is ``__all__`` below, plus the ``voxplane.io`` module; the
+modules' other names carry no stability promise. The entry points
+(``extract_plane_groups``, ``ransac_extract_all``, ``determine_plane``,
+the writers and ``evaluate``) check each array from outside once. The
+stages behind them trust those checks: ``octree.build_root_map`` and
+``ransac.ransac_plane`` take checked points, and ``build_root_map`` a
+``root_size`` that ``ExtractionConfig`` has checked.
 """
 
 __version__ = "0.1.0"
@@ -19,31 +27,11 @@ from .errors import (
     VoxplaneError,
 )
 from .evaluation import EvalReport, PlaneMatch, evaluate, fit_truth_planes
-from .geometry import (
-    EigenDecomposition,
-    PointCluster,
-    accumulate,
-    covariance,
-    eigen_symmetric3,
-)
-from .geometry import merge as merge_clusters
-from .merging import PlaneGroup, coplanar_test, greedy_merge
-from .octree import (
-    NodeState,
-    OctreeNode,
-    PlanePatch,
-    VoxelKey,
-    build_root_map,
-    subdivide,
-)
+from .merging import PlaneGroup
+from .octree import NodeState, PlanePatch, VoxelKey
 from .pipeline import ExtractionResult, StageTimings, extract_plane_groups
-from .plane_test import (
-    PlaneDecision,
-    RejectReason,
-    determine_plane,
-    flatness_test,
-)
-from .ransac import RansacPlane, ransac_extract_all, ransac_plane
+from .plane_test import PlaneDecision, RejectReason, determine_plane
+from .ransac import ransac_extract_all
 from .synthetic import (
     GroundTruthCloud,
     TruthPlane,
@@ -59,14 +47,10 @@ __all__ = [
     "ExtractionConfig", "load_config",
     "VoxplaneError", "InputValidationError", "EmptyClusterError",
     "CloudFormatError", "ConfigError", "GenerationError",
-    "PointCluster", "EigenDecomposition", "accumulate", "merge_clusters",
-    "covariance", "eigen_symmetric3",
-    "PlaneDecision", "RejectReason", "flatness_test", "determine_plane",
-    "VoxelKey", "NodeState", "OctreeNode", "PlanePatch",
-    "build_root_map", "subdivide",
-    "PlaneGroup", "coplanar_test", "greedy_merge",
-    "StageTimings", "ExtractionResult", "extract_plane_groups",
-    "RansacPlane", "ransac_plane", "ransac_extract_all",
+    "PlaneDecision", "RejectReason", "determine_plane",
+    "VoxelKey", "NodeState", "PlanePatch",
+    "PlaneGroup", "StageTimings", "ExtractionResult", "extract_plane_groups",
+    "ransac_extract_all",
     "GroundTruthCloud", "TruthPlane", "gen_plane", "gen_corner",
     "gen_false_positive_slab", "gen_slab_with_object", "gen_multi_room",
     "EvalReport", "PlaneMatch", "evaluate", "fit_truth_planes",

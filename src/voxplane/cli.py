@@ -151,8 +151,8 @@ def _cmd_compare(args) -> int:
         raise InputValidationError(f"{args.target!r} is neither a file nor a "
                                    f"scene name {tuple(_SCENES)}")
 
+    patches = ransac_extract_all(points, config, seed=args.seed)  # refuses a bad seed first
     result = extract_plane_groups(points, config)
-    patches = ransac_extract_all(points, config, seed=args.seed)
     payload = {"target": args.target,
                "ours": asdict(evaluate(result.groups, truth, result.timings)),
                "ransac": asdict(evaluate([PlaneGroup(members=[p], merged=p) for p in patches],

@@ -281,18 +281,21 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
     voxel, point count (``cluster.n``), centroid, normal, eigenvalues,
     member-depth histogram and member indices, floats in shortest
     round-trip repr, so output is byte-stable. Each block keeps the rules
-    of _block_fault with hi = 2^63, the root key and indices are of an
-    integer dtype and the centroid, normal and eigenvalues of 3 values
-    (InputValidationError before the file is opened otherwise)."""
+    of _block_fault with hi = 2^63, the root key, member depths and
+    indices are of an integer dtype and the centroid, normal and
+    eigenvalues of 3 values (InputValidationError before the file is
+    opened otherwise)."""
     blocks = []
     for i, g in enumerate(groups):
         m = g.merged
         if not np.shape(m.centroid) == np.shape(m.normal) == np.shape(m.eigenvalues) == (3,):
             raise InputValidationError(f"group {i}: centroid, normal or eigenvalues not 3 values")
+        depths = as_integers([p.depth for p in g.members], -2**63, 2**63,
+                             f"group {i}: member depths")
         block = ([i], as_integers(m.root_key, -2**63, 2**63, f"group {i}: root key",
                                   size=3).tolist(), [int(m.cluster.n)],
                  m.centroid.tolist(), m.normal.tolist(), m.eigenvalues.tolist(),
-                 sorted(Counter(p.depth for p in g.members).items()),
+                 sorted(Counter(depths.tolist()).items()),
                  as_integers(m.point_indices, -2**63, 2**63, f"group {i}: member indices"), [])
         if fault := _block_fault(block, i, 2**63):
             raise InputValidationError(f"group {i}: {fault[1]}")

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import EigenDecomposition, PointCluster, as_points
+from .geometry import EigenDecomposition, PointCluster
 from .plane_test import determine_plane
 
 if TYPE_CHECKING:
@@ -97,12 +97,10 @@ def _axis_keys(column: np.ndarray, root_size: float) -> np.ndarray:
     """int64 lattice coordinates of one (N,) coordinate column: the floor
     of column / root_size, so -0.3 lands in cell -1 and a cell boundary
     belongs to the higher cell (half-open convention). One float row is
-    allocated, floored in place and cast to a new int64 row. Raises
-    InputValidationError unless root_size is finite and positive, and
+    allocated, floored in place and cast to a new int64 row. root_size is
+    ExtractionConfig's, so finite and positive. Raises InputValidationError
     where |x / root_size| >= 2^63 has no int64 key; a quotient that
     overflows to inf is rejected by that check, without a warning."""
-    if not 0 < root_size < np.inf:
-        raise InputValidationError(f"root_size must be finite and positive, got {root_size!r}")
     with np.errstate(over="ignore"):
         cells = np.divide(column, root_size)
     np.floor(cells, out=cells)
@@ -112,11 +110,13 @@ def _axis_keys(column: np.ndarray, root_size: float) -> np.ndarray:
     return cells.astype(np.int64)
 
 
-def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
+def build_root_map(points: np.ndarray, root_size: float) -> dict[VoxelKey, np.ndarray]:
     """Group point indices by root voxel.
 
-    Only non-empty voxels appear; the index arrays partition the input.
-    Keys are in sorted lattice order so downstream iteration is
+    ``points`` is the (N, 3) float64 array of finite coordinates that the
+    caller has checked, and ``root_size`` is ExtractionConfig's; neither is
+    checked again. Only non-empty voxels appear; the index arrays partition
+    the input. Keys are in sorted lattice order so downstream iteration is
     deterministic.
 
     The keys are built one axis at a time by ``_axis_keys``. Each axis's
@@ -130,7 +130,7 @@ def build_root_map(points, root_size: float) -> dict[VoxelKey, np.ndarray]:
     sorts right.
     """
     lows, rows = [], []
-    for column in as_points(points).T:
+    for column in points.T:
         keys = _axis_keys(column, root_size)
         if not keys.size:
             return {}

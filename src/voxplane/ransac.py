@@ -58,18 +58,18 @@ def _adaptive_iteration_limit(inlier_ratio: float) -> float:
     return math.log(1.0 - SUCCESS_PROBABILITY) / math.log(1.0 - w3)
 
 
-def ransac_plane(points, rng: np.random.Generator,
+def ransac_plane(points: np.ndarray, rng: np.random.Generator,
                  min_inliers: int) -> RansacPlane | None:
     """Best consensus plane of a point set with at least ``min_inliers``
-    inliers, or None.
+    inliers, or None. ``points`` is an (N, 3) float64 array of finite
+    coordinates that the caller has checked; it is not checked again.
 
     Samples of three (nearly) collinear points are degenerate and skipped.
     The final plane is refit by PCA over the consensus set and its inliers
     recomputed, so every reported inlier is within DIST_THRESHOLD of the
     reported plane. Deterministic for a fixed state of ``rng``.
     """
-    pts = as_points(points)
-    n = pts.shape[0]
+    n = points.shape[0]
     if n < 3:
         return None
 
@@ -77,14 +77,14 @@ def ransac_plane(points, rng: np.random.Generator,
     best_inliers: np.ndarray | None = None
     for iteration in range(1, MAX_ITERATIONS + 1):
         sample = rng.choice(n, size=3, replace=False)
-        p0, p1, p2 = pts[sample]
+        p0, p1, p2 = points[sample]
         cross = np.cross(p1 - p0, p2 - p0)
         norm = float(np.linalg.norm(cross))
         if norm < 1e-12:
             continue  # degenerate sample; draw again
         normal = cross / norm
         offset = float(np.dot(normal, p0))
-        dist = point_plane_distances(pts, normal, offset)
+        dist = point_plane_distances(points, normal, offset)
         inliers = np.flatnonzero(dist <= DIST_THRESHOLD)
         if inliers.shape[0] > best_count:
             best_count = inliers.shape[0]
@@ -97,11 +97,11 @@ def ransac_plane(points, rng: np.random.Generator,
 
     # PCA refit over the consensus set, then re-apply the inlier band
     # against the refit plane.
-    cov, centroid = covariance(accumulate(pts[best_inliers]))
+    cov, centroid = covariance(accumulate(points[best_inliers]))
     eig = eigen_symmetric3(cov)
     normal = eig.eigenvectors[:, 2].copy()
     offset = float(np.dot(normal, centroid))
-    dist = point_plane_distances(pts, normal, offset)
+    dist = point_plane_distances(points, normal, offset)
     inliers = np.flatnonzero(dist <= DIST_THRESHOLD)
     if inliers.shape[0] < min_inliers:
         return None

@@ -16,12 +16,8 @@ from voxplane import (
     NodeState,
     PlaneGroup,
     RejectReason,
-    accumulate,
-    covariance,
     determine_plane,
-    eigen_symmetric3,
     extract_plane_groups,
-    flatness_test,
     gen_corner,
     gen_false_positive_slab,
     gen_multi_room,
@@ -32,8 +28,9 @@ from voxplane import (
 from voxplane import merging
 from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3
 from voxplane.io import write_planes
-from voxplane.plane_test import quarter_split
+from voxplane.plane_test import flatness_test, quarter_split
 
 import pinned
 from oracles import jacobi_eigenvalues, random_symmetric

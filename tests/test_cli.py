@@ -127,6 +127,19 @@ def test_synth_rejects_unknown_scene(capsys):
     capsys.readouterr()
 
 
+def test_compare_refuses_a_file_seed_before_extracting(tmp_path, capsys, monkeypatch):
+    # compare FILE --seed -1 once ran the whole extraction before RANSAC
+    # refused the seed
+    cloud = tmp_path / "corner.vxc"
+    scene = gen_corner(seed=0)
+    write_cloud(cloud, scene.points, scene.labels)
+    calls = []
+    monkeypatch.setattr(cli, "extract_plane_groups", lambda *args: calls.append(args))
+    assert run("compare", str(cloud), "--seed", "-1") == EXIT_INPUT
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_hostile_seed_and_sigma_exit_two(tmp_path, capsys):
     out = str(tmp_path / "x.vxc")
     # the generators and RANSAC refuse a bad seed, for a scene and for a file
@@ -230,7 +243,7 @@ def test_min_points_reaches_the_octree_and_ransac(tmp_path, capsys, monkeypatch)
         results.clear()
         assert run("extract", str(cloud), *extra) == EXIT_OK
         assert run("compare", str(cloud), "--report", str(report), *extra) == EXIT_OK
-        extracted, compared, ransac = results
+        extracted, ransac, compared = results
         data = json.loads(report.read_text())
         sizes = ([leaf.patch.cluster.n for result in (extracted, compared)
                   for voxel in result.leaves.values() for leaf in voxel

@@ -1,11 +1,17 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxplane import ConfigError, ExtractionConfig, determine_plane
+from voxplane import (
+    ConfigError,
+    ExtractionConfig,
+    determine_plane,
+    extract_plane_groups,
+    ransac_extract_all,
+)
 from voxplane.cli import EXIT_CONFIG, cli_main
 from voxplane.config import config_from_dict, load_config
 from voxplane.io import write_cloud
@@ -33,8 +39,11 @@ def test_invariant_violations_raise():
         ExtractionConfig(root_size=0.2, min_voxel_size=0.25)
     with pytest.raises(ConfigError):
         ExtractionConfig(min_voxel_size=0.0)
-    # non-finite sizes, and more than 52 octree levels
-    for sizes in ({"root_size": float("inf")}, {"root_size": float("nan")},
+    # sizes that are not finite and positive, and more than 52 octree levels:
+    # as a root_size, -1 once gave a mirrored lattice, inf put every point in
+    # voxel (0, 0, 0), and 0 and nan failed as a coordinate too large
+    for sizes in ({"root_size": -1.0}, {"root_size": float("inf")}, {"root_size": 0.0},
+                  {"root_size": float("nan")},
                   {"root_size": float("inf"), "min_voxel_size": float("inf")},
                   {"root_size": 1e300, "min_voxel_size": 1e-300},
                   {"root_size": 1.0, "min_voxel_size": 2.0 ** -53},
@@ -42,6 +51,19 @@ def test_invariant_violations_raise():
         with pytest.raises(ConfigError):
             ExtractionConfig(**sizes)
     assert ExtractionConfig(root_size=1.0, min_voxel_size=2.0 ** -52).min_voxel_size > 0
+
+
+def test_extractors_take_root_size_through_the_config():
+    # ExtractionConfig owns the root_size rule, and the root map does not
+    # check it again: a new or replaced config is the extractors' only way in
+    points = np.random.default_rng(0).uniform(size=(50, 3))
+    for root_size in (-1.0, float("inf"), 0.0, float("nan")):
+        for make in (lambda: ExtractionConfig(root_size=root_size),
+                     lambda: replace(ExtractionConfig(), root_size=root_size)):
+            with pytest.raises(ConfigError, match="root_size"):
+                extract_plane_groups(points, make())
+            with pytest.raises(ConfigError, match="root_size"):
+                ransac_extract_all(points, make(), seed=0)
 
 
 @pytest.mark.parametrize("min_points", [float("inf"), 20.5, 20.0, "20", None, 3, True])

@@ -11,15 +11,13 @@ from voxplane import (
     PlanePatch,
     TruthPlane,
     VoxelKey,
-    accumulate,
-    covariance,
-    eigen_symmetric3,
     evaluate,
     extract_plane_groups,
     fit_truth_planes,
     gen_corner,
 )
 from voxplane.evaluation import PlaneMatch, geometry_error
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3
 
 from oracles import plurality_scores
 

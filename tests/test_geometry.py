@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxplane import (
-    EmptyClusterError,
-    InputValidationError,
-    accumulate,
-    covariance,
-    eigen_symmetric3,
-    extract_plane_groups,
-    geometry,
-    merge_clusters,
-)
+from voxplane import EmptyClusterError, InputValidationError, extract_plane_groups, geometry
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3, merge
 
 from oracles import jacobi_eigenvalues, random_rotation, random_symmetric, two_pass_covariance
 
@@ -136,8 +128,8 @@ def test_moment_row_slices_and_stacked_moments_bitwise(n, k, offset, seed):
 def test_merge_identity():
     # an empty operand on either side leaves the other one, origin included
     a = accumulate([(1, 2, 3), (4, 5, 6)])
-    for merged in (merge_clusters(a, accumulate(np.empty((0, 3)))),
-                   merge_clusters(accumulate(np.empty((0, 3))), a)):
+    for merged in (merge(a, accumulate(np.empty((0, 3)))),
+                   merge(accumulate(np.empty((0, 3))), a)):
         assert merged.n == a.n
         assert np.array_equal(merged.origin, a.origin)
         assert np.array_equal(merged.sum, a.sum)
@@ -150,7 +142,7 @@ def test_merge_equals_accumulate_of_union(rng):
     for offset in (0.0, 4e6):
         p = rng.uniform(-50, 50, (37, 3)) + offset
         q = rng.uniform(-50, 50, (23, 3)) + offset
-        m = merge_clusters(accumulate(p), accumulate(q))
+        m = merge(accumulate(p), accumulate(q))
         u = accumulate(np.concatenate([p, q]))
         assert m.n == u.n
         assert _bits(m.origin) == _bits(u.origin) == _bits(p[0])
@@ -168,10 +160,10 @@ def test_merge_commutative_and_associative(rng):
         b = accumulate(rng.uniform(-10, 10, (rng.integers(1, 30), 3)))
         c = accumulate(rng.uniform(-10, 10, (rng.integers(1, 30), 3)))
         # the operands' origins differ, so compare what the sums describe
-        ab = merge_clusters(a, b)
-        ba = merge_clusters(b, a)
-        left = merge_clusters(merge_clusters(a, b), c)
-        right = merge_clusters(a, merge_clusters(b, c))
+        ab = merge(a, b)
+        ba = merge(b, a)
+        left = merge(merge(a, b), c)
+        right = merge(a, merge(b, c))
         for x, y in ((ab, ba), (left, right)):
             assert x.n == y.n
             (cov_x, cen_x), (cov_y, cen_y) = covariance(x), covariance(y)
@@ -202,7 +194,7 @@ def test_covariance_positive_semidefinite(rng):
         # a merged cluster too: covariance does not symmetrize, so merging
         # must keep the second moments exactly symmetric
         far = accumulate(rng.uniform(-100, 100, (int(rng.integers(1, 200)), 3)) + 4e6)
-        for c in (cluster, merge_clusters(cluster, far)):
+        for c in (cluster, merge(cluster, far)):
             cov, _ = covariance(c)
             assert _bits(cov) == _bits(cov.T)
             lam = np.linalg.eigvalsh(cov)

@@ -1,8 +1,9 @@
 """Hostile arrays against every entry point that takes one from outside:
-points through the extractor, member indices through both group writers
-and the scorer, labels through the cloud writer and the scorer. Every
-refusal is an InputValidationError raised before any file is opened, and
-valid values pass as a plain list and as an ndarray alike."""
+points through both extractors, the plane test and both cloud writers,
+member indices through both group writers and the scorer, labels through
+the cloud writer and the scorer. Every refusal is an InputValidationError
+raised before any file is opened, and valid values pass as a plain list
+and as an ndarray alike."""
 
 import dataclasses
 
@@ -13,11 +14,13 @@ from voxplane import (
     InputValidationError,
     PlaneGroup,
     PlanePatch,
-    PointCluster,
     VoxelKey,
+    determine_plane,
     evaluate,
     extract_plane_groups,
+    ransac_extract_all,
 )
+from voxplane.geometry import PointCluster
 from voxplane.io import read_cloud, write_cloud, write_colored_cloud, write_planes
 
 POINTS = {
@@ -84,10 +87,23 @@ LABEL_ENTRIES = {
 }
 
 
+# The RANSAC path refuses through ransac_extract_all alone: its root map
+# and per-voxel fit take the points as checked there.
+POINT_ENTRIES = {
+    "extract_plane_groups": lambda path, points: extract_plane_groups(points),
+    "ransac_extract_all": lambda path, points: ransac_extract_all(points),
+    "determine_plane": lambda path, points: determine_plane(points),
+    "write_cloud": lambda path, points: write_cloud(path, points),
+    "write_colored_cloud": lambda path, points: write_colored_cloud(points, [], path),
+}
+
+
 @pytest.mark.parametrize("points", POINTS.values(), ids=POINTS.keys())
-def test_hostile_points_are_refused(points):
-    with pytest.raises(InputValidationError):
-        extract_plane_groups(points)
+def test_hostile_points_are_refused(tmp_path, points):
+    for name, entry in POINT_ENTRIES.items():
+        with pytest.raises(InputValidationError, match="points"):
+            entry(tmp_path / name, points)
+        assert not (tmp_path / name).exists()
 
 
 def test_a_bare_point_is_one_point(tmp_path):

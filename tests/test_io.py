@@ -15,7 +15,6 @@ from voxplane import (
     InputValidationError,
     PlaneGroup,
     PlanePatch,
-    PointCluster,
     VoxelKey,
     extract_plane_groups,
     gen_corner,
@@ -24,6 +23,7 @@ from voxplane import (
 )
 from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate
+from voxplane.geometry import PointCluster
 from voxplane.io import (
     read_cloud,
     read_planes,
@@ -508,11 +508,15 @@ def _group(indices, count=None, depth=0) -> PlaneGroup:
     (np.array([3, 4]), 3, 0),
     (np.array([3.0, 4.0]), 2, 0),
     (np.array([2**63 + 1], dtype=np.uint64), 1, 0),
-    # the reader refuses these at the indices and the depths line
+    # the reader refuses these at the indices and the depths line; a float
+    # or bool depth was once written as "depths 1.5:1" or "depths True:1"
     (np.array([5, 3, 5]), 3, 0),
     (np.array([3, 4]), 2, -1),
+    (np.array([3, 4]), 2, 1.5),
+    (np.array([3, 4]), 2, True),
 ], ids=["empty", "negative", "count-below-indices", "count-above-indices",
-        "float-indices", "past-int64", "repeated-index", "negative-depth"])
+        "float-indices", "past-int64", "repeated-index", "negative-depth", "float-depth",
+        "bool-depth"])
 def test_write_planes_refuses_what_read_planes_refuses(tmp_path, indices, count, depth):
     path = tmp_path / "refused.txt"
     groups = [_group([0, 1]), _group(indices, count, depth)]

@@ -3,18 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from voxplane import (
-    ExtractionConfig,
-    PlanePatch,
-    VoxelKey,
-    accumulate,
-    coplanar_test,
-    covariance,
-    eigen_symmetric3,
-    extract_plane_groups,
-    greedy_merge,
-)
-from voxplane.merging import SEPARATION_ANGLE_TOL_DEG, merge_patches
+from voxplane import ExtractionConfig, PlanePatch, VoxelKey, extract_plane_groups
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3
+from voxplane.merging import SEPARATION_ANGLE_TOL_DEG, coplanar_test, greedy_merge, merge_patches
 
 from oracles import two_pass_covariance
 

@@ -11,22 +11,17 @@ from voxplane import (
     ExtractionConfig,
     InputValidationError,
     NodeState,
-    OctreeNode,
     VoxelKey,
-    accumulate,
-    build_root_map,
-    covariance,
     determine_plane,
-    eigen_symmetric3,
     extract_plane_groups,
-    flatness_test,
     gen_corner,
     gen_multi_room,
     gen_plane,
     ransac_extract_all,
-    subdivide,
 )
-from voxplane.plane_test import FLATNESS_RATIO_MAX
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3
+from voxplane.octree import OctreeNode, build_root_map, subdivide
+from voxplane.plane_test import FLATNESS_RATIO_MAX, flatness_test
 
 import pinned
 from oracles import traced_peak, two_pass_covariance
@@ -95,19 +90,6 @@ def test_build_root_map_partitions_input(rng):
     # keys come out in sorted lattice order
     keys = list(out.keys())
     assert keys == sorted(keys)
-
-
-def test_bad_root_size_rejected():
-    # -1 once gave a mirrored lattice, inf put every point in voxel (0, 0, 0),
-    # and 0 and nan failed as a coordinate too large for the lattice
-    pts = np.array([[0.5, 0.5, 0.5], [2.5, -1.5, 0.5]])
-    for root_size in (-1.0, math.inf, 0.0, math.nan):
-        with pytest.raises(InputValidationError, match="root_size"):
-            build_root_map(pts, root_size)
-        with pytest.raises(InputValidationError, match="root_size"):
-            build_root_map(pts[:1], root_size)
-        with pytest.raises(InputValidationError, match="root_size"):
-            build_root_map(np.zeros((0, 3)), root_size)
 
 
 def test_lattice_overflow_rejected():

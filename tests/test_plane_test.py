@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxplane import (
-    EigenDecomposition,
     ExtractionConfig,
     InputValidationError,
     RejectReason,
-    accumulate,
-    covariance,
     determine_plane,
-    eigen_symmetric3,
     extract_plane_groups,
-    flatness_test,
     gen_false_positive_slab,
 )
 from voxplane import plane_test
+from voxplane.geometry import EigenDecomposition, accumulate, covariance, eigen_symmetric3
 from voxplane.plane_test import (
     FLATNESS_RATIO_MAX,
     MIN_POINTS,
+    flatness_test,
     quarter_split,
     sparse_quarter_threshold,
 )

@@ -14,10 +14,9 @@ from voxplane import (
     gen_corner,
     gen_slab_with_object,
     ransac_extract_all,
-    ransac_plane,
 )
 from voxplane.octree import VoxelKey
-from voxplane.ransac import DIST_THRESHOLD, _voxel_rng
+from voxplane.ransac import DIST_THRESHOLD, _voxel_rng, ransac_plane
 
 import pinned
 from oracles import point_plane_distance

@@ -7,17 +7,15 @@ from voxplane import (
     GenerationError,
     InputValidationError,
     RejectReason,
-    accumulate,
-    covariance,
     determine_plane,
-    eigen_symmetric3,
-    flatness_test,
     gen_corner,
     gen_false_positive_slab,
     gen_multi_room,
     gen_plane,
     gen_slab_with_object,
 )
+from voxplane.geometry import accumulate, covariance, eigen_symmetric3
+from voxplane.plane_test import flatness_test
 
 import pinned
 from oracles import traced_peak
