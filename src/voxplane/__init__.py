@@ -9,10 +9,11 @@ included for comparison runs.
 The public API is ``__all__`` below, plus the ``voxplane.io`` module; the
 modules' other names carry no stability promise. The entry points
 (``extract_plane_groups``, ``ransac_extract_all``, ``determine_plane``,
-the writers and ``evaluate``) check each array from outside once. The
-stages behind them trust those checks: ``octree.build_root_map`` and
-``ransac.ransac_plane`` take checked points, and ``build_root_map`` a
-``root_size`` that ``ExtractionConfig`` has checked.
+the writers, ``io.read_planes``, ``evaluate`` and ``fit_truth_planes``)
+check each array from outside once. The stages behind them trust those
+checks: ``octree.build_root_map`` and ``ransac.ransac_plane`` take checked
+points, and ``build_root_map`` a ``root_size`` that ``ExtractionConfig``
+has checked.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .geometry import accumulate, as_integers, covariance, eigen_symmetric3
+from .geometry import accumulate, as_integers, as_points, covariance, eigen_symmetric3
 from .merging import PlaneGroup
 from .pipeline import StageTimings
 from .synthetic import GroundTruthCloud, TruthPlane
@@ -107,7 +107,11 @@ def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane
     error is orders of magnitude below the reporting tolerances, and the
     fit is as exact at georeferenced coordinates (UTM northings near 4e6 m)
     as at the origin, since a cluster sums about one of its own points.
+    Raises InputValidationError unless the points are finite (N, 3) and
+    the labels one integer per point, each at least -1 (outlier).
     """
+    points = as_points(points)
+    labels = as_integers(labels, -1, 2**31, "labels", size=len(points))
     planes = []
     for plane_id in range(int(labels.max(initial=-1)) + 1):
         member = points[labels == plane_id]

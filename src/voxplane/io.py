@@ -281,8 +281,8 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
     voxel, point count (``cluster.n``), centroid, normal, eigenvalues,
     member-depth histogram and member indices, floats in shortest
     round-trip repr, so output is byte-stable. Each block keeps the rules
-    of _block_fault with hi = 2^63, the root key, member depths and
-    indices are of an integer dtype and the centroid, normal and
+    of _block_fault with hi = 2^63, the root key, count, member depths
+    and indices are of an integer dtype and the centroid, normal and
     eigenvalues of 3 values (InputValidationError before the file is
     opened otherwise)."""
     blocks = []
@@ -293,7 +293,8 @@ def write_planes(groups: list[PlaneGroup], path) -> None:
         depths = as_integers([p.depth for p in g.members], -2**63, 2**63,
                              f"group {i}: member depths")
         block = ([i], as_integers(m.root_key, -2**63, 2**63, f"group {i}: root key",
-                                  size=3).tolist(), [int(m.cluster.n)],
+                                  size=3).tolist(),
+                 as_integers([m.cluster.n], -2**63, 2**63, f"group {i}: count").tolist(),
                  m.centroid.tolist(), m.normal.tolist(), m.eigenvalues.tolist(),
                  sorted(Counter(depths.tolist()).items()),
                  as_integers(m.point_indices, -2**63, 2**63, f"group {i}: member indices"), [])
@@ -335,8 +336,9 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     centroid, normal, eigenvalues and indices are used as stored, the
     cluster is re-accumulated from the member points, and the depth is the
     first in the depth histogram. Anything else raises CloudFormatError
-    with its line number.
+    with its line number, and bad points raise InputValidationError.
     """
+    points = as_points(points)
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -2,16 +2,13 @@
 
 Space is cut into fixed-size root voxels on an integer lattice; only
 non-empty voxels are kept, in a hash map keyed by lattice coordinates.
-The keys are built one axis at a time, so one float row, one int64 row
-and the narrow sort rows are alive at once, never a (3, N) key array.
 Each root voxel is then subdivided: a node whose points pass the plane
-test becomes a plane leaf, a node that is too small or too sparse is
-discarded, and anything else splits into eight octants. A node carries its
-own rows of the cloud: the caller gathers each root's rows once, and every
-child's rows are a contiguous slice of its parent's, in octant order.
-The point indices are stored once per root voxel: a split reorders its
-node's indices in place into octant order and each child's indices are a
-slice of them, so every leaf's indices view its root's index array.
+test becomes a plane leaf, a node that is too sparse, or fails the test
+at depth ``MAX_DEPTH``, is discarded, and anything else splits into eight
+octants. A node carries its own rows of the cloud: the caller gathers
+each root's rows once, and every child's rows are a contiguous slice of
+its parent's, in octant order, and so are its point indices (see
+``subdivide``).
 
 The tree itself is not kept. Each root voxel resolves to a flat list of
 its leaves (plane leaves and discarded nodes), depth first with octant
@@ -42,6 +39,8 @@ __all__ = [
     "build_root_map",
     "subdivide",
 ]
+
+MAX_DEPTH = 2  # splits per root voxel: the smallest octant edge is root_size / 4
 
 
 class VoxelKey(NamedTuple):
@@ -174,8 +173,8 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
 
     Terminal conditions: too few points (discard), plane test passed
     (plane leaf, reusing the statistics computed by the test), or node
-    edge already at the minimum voxel size (discard). Otherwise the node
-    is internal: its points split into eight octants by sign against the
+    already at depth ``MAX_DEPTH`` (discard). Otherwise the node is
+    internal: its points split into eight octants by sign against the
     node center and each non-empty octant recurses.
     """
     idx = node.point_indices
@@ -186,7 +185,7 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
             node.state = NodeState.PLANE_LEAF
             node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,
                                         idx, root_key, node.depth)
-        elif node.half_extent * 2.0 > config.min_voxel_size * (1.0 + 1e-12):
+        elif node.depth < MAX_DEPTH:
             node.state = NodeState.INTERNAL
     if node.state is not NodeState.INTERNAL:
         leaves.append(node)

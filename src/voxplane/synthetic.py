@@ -198,11 +198,12 @@ def gen_corner(noise_sigma: float = 0.005, seed=0) -> GroundTruthCloud:
     (-0.75, -0.75, -0.75), sampled at 1000 points per square meter.
 
     Each plane starts 0.25 m away from the other two planes, so no point is
-    ambiguous between planes. This placement aligns plane edges with
-    octant boundaries of the default 1 m / 0.25 m voxel lattice: voxels
-    containing two walls then resolve into clean leaves after one
-    subdivision instead of leaving sub-minimum slivers. Labels are 0, 1, 2
-    for the planes perpendicular to x, y, z respectively.
+    ambiguous between planes. This placement aligns plane edges with the
+    0.25 m octant boundaries of the default 1 m root voxels at depth 2
+    (``octree.MAX_DEPTH``): voxels containing two walls then resolve into
+    clean leaves after one subdivision instead of leaving slivers thinner
+    than the deepest octant. Labels are 0, 1, 2 for the planes
+    perpendicular to x, y, z respectively.
     """
     size, density, corner, margin = 2.0, 1000.0, np.full(3, -0.75), 0.25
     return _scene([(_unit(axis), (size, size),

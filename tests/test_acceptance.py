@@ -30,6 +30,7 @@ from voxplane.cli import cli_main
 from voxplane.evaluation import evaluate
 from voxplane.geometry import accumulate, covariance, eigen_symmetric3
 from voxplane.io import write_planes
+from voxplane.octree import MAX_DEPTH
 from voxplane.plane_test import flatness_test, quarter_split
 
 import pinned
@@ -174,7 +175,6 @@ def _box_points_in_ground_groups(groups, cloud):
 def test_criterion_6_structural_invariants():
     def body():
         rng = np.random.default_rng(777)
-        max_depth = math.ceil(math.log2(CFG.root_size / CFG.min_voxel_size))
 
         # quarter_split partition, 200 random cases
         for _ in range(200):
@@ -219,7 +219,7 @@ def test_criterion_6_structural_invariants():
             idx_all = np.concatenate([l.point_indices for l in leaves])
             assert np.array_equal(np.sort(idx_all), np.arange(pts.shape[0]))
             for leaf in leaves:
-                assert leaf.depth <= max_depth
+                assert leaf.depth <= MAX_DEPTH
                 if leaf.state is NodeState.PLANE_LEAF:
                     assert determine_plane(pts[leaf.point_indices],
                                            CFG.min_points).is_plane

@@ -94,9 +94,8 @@ def test_print_config(capsys):
     assert run("extract", "--print-config") == EXIT_OK
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["root_size"] == 1.0
-    assert cfg["min_voxel_size"] == 0.25
     assert cfg["min_points"] == 20
-    assert len(cfg) == 3
+    assert len(cfg) == 2
 
 
 def test_synth_extract_eval_chain(tmp_path, capsys):
@@ -273,7 +272,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # these once escaped as a UnicodeDecodeError and OverflowErrors
     huge = b"1" + b"0" * 400
     for raw in (b'{"root_size": 1.0}\xff', b'{"root_size": ' + huge + b"}",
-                b'{"min_voxel_size": ' + huge + b"}"):
+                b'{"root_size": -' + huge + b"}"):
         cfg.write_bytes(raw)
         for argv in (("extract", "--print-config"), ("compare", "corner")):
             assert run(*argv, "--config", str(cfg)) == EXIT_CONFIG
@@ -281,12 +280,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
-    # the sizes once recursed until RecursionError on NaN octant centres
+    # root sizes once recursed until RecursionError on NaN octant centres
     cloud = tmp_path / "c.vxc"
     assert run("synth", "corner", "--out", str(cloud)) == EXIT_OK
     cfg = tmp_path / "bad.json"
     for text in ('{"root_size": Infinity}',
-                 '{"root_size": 1e300, "min_voxel_size": 1e-300}',
+                 '{"root_size": NaN}',
                  '{"min_points": Infinity}'):
         cfg.write_text(text)
         assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from voxplane.cli import EXIT_CONFIG, cli_main
 from voxplane.config import config_from_dict, load_config
 from voxplane.io import write_cloud
 from voxplane.merging import NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG
+from voxplane.octree import MAX_DEPTH
 from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
 from voxplane.ransac import DIST_THRESHOLD
 
@@ -24,9 +25,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_defaults_carry_shipped_values():
     cfg = ExtractionConfig()
+    assert [f.name for f in fields(cfg)] == ["root_size", "min_points"]
     assert cfg.root_size == 1.0
-    assert cfg.min_voxel_size == 0.25
     assert cfg.min_points == 20
+    assert MAX_DEPTH == 2
     assert FLATNESS_RATIO_MAX == 0.0625
     assert QUARTER_RATIO_BOUND == 3.0
     assert NORMAL_ANGLE_MAX_DEG == 8.0
@@ -35,22 +37,13 @@ def test_defaults_carry_shipped_values():
 
 
 def test_invariant_violations_raise():
-    with pytest.raises(ConfigError):
-        ExtractionConfig(root_size=0.2, min_voxel_size=0.25)
-    with pytest.raises(ConfigError):
-        ExtractionConfig(min_voxel_size=0.0)
-    # sizes that are not finite and positive, and more than 52 octree levels:
-    # as a root_size, -1 once gave a mirrored lattice, inf put every point in
-    # voxel (0, 0, 0), and 0 and nan failed as a coordinate too large
-    for sizes in ({"root_size": -1.0}, {"root_size": float("inf")}, {"root_size": 0.0},
-                  {"root_size": float("nan")},
-                  {"root_size": float("inf"), "min_voxel_size": float("inf")},
-                  {"root_size": 1e300, "min_voxel_size": 1e-300},
-                  {"root_size": 1.0, "min_voxel_size": 2.0 ** -53},
-                  {"root_size": 10 ** 400}):  # once an OverflowError
+    # root sizes that are not finite and positive: -1 once gave a mirrored
+    # lattice, inf put every point in voxel (0, 0, 0), and 0 and nan failed
+    # as a coordinate too large
+    for root_size in (-1.0, float("inf"), 0.0, float("nan"),
+                      10 ** 400):  # once an OverflowError
         with pytest.raises(ConfigError):
-            ExtractionConfig(**sizes)
-    assert ExtractionConfig(root_size=1.0, min_voxel_size=2.0 ** -52).min_voxel_size > 0
+            ExtractionConfig(root_size=root_size)
 
 
 def test_extractors_take_root_size_through_the_config():
@@ -82,7 +75,7 @@ def test_min_points_must_be_an_integer(tmp_path, min_points):
 
 
 @pytest.mark.parametrize("value", [True, False, "2", None, [1.0]], ids=repr)
-@pytest.mark.parametrize("field", ["root_size", "min_voxel_size"])
+@pytest.mark.parametrize("field", ["root_size"])
 def test_sizes_must_be_real_numbers(tmp_path, field, value):
     # the constructor refuses what a config file refuses: root_size=True
     # once extracted with 1 m voxels, and "2" and None raised a bare TypeError
@@ -95,10 +88,9 @@ def test_sizes_must_be_real_numbers(tmp_path, field, value):
 
 def test_field_by_field_override(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"root_size": 2.0, "min_points": 30}))
+    path.write_text(json.dumps({"min_points": 30}))
     cfg = load_config(path)
-    assert cfg.root_size == 2.0
-    assert cfg.min_voxel_size == 0.25           # untouched default
+    assert cfg.root_size == 1.0                 # untouched default
     assert cfg.min_points == 30
 
 
@@ -138,9 +130,15 @@ def test_unknown_keys_rejected():
     ("plane", {"flatness_ratio_max": 0.0625, "quarter_ratio_bound": 3.0, "min_points": 20}),
     # the merge angles are fixed in merging
     ("merge", {"normal_angle_max_deg": 8.0, "separation_angle_tol_deg": 10.0}),
-], ids=["sigma_shift_multiple", "merging_enabled", "min_separation", "plane", "merge"])
+    # the octree depth is fixed at octree.MAX_DEPTH
+    ("min_voxel_size", 0.25),
+], ids=["sigma_shift_multiple", "merging_enabled", "min_separation", "plane", "merge",
+        "min_voxel_size"])
 def test_removed_keys_rejected(tmp_path, capsys, key, value):
-    # a file that still sets a removed setting fails like any unknown key
+    # a constructor call or a file that still sets a removed setting fails
+    # like any unknown key
+    with pytest.raises(ConfigError, match=key):
+        ExtractionConfig(**{key: value})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=key):
@@ -158,15 +156,14 @@ def test_readme_config_block_is_the_defaults():
 def test_hostile_sizes_in_config_file(tmp_path):
     # Python's json reads Infinity; neither document may reach the octree
     path = tmp_path / "cfg.json"
-    for text in ('{"root_size": Infinity}',
-                 '{"root_size": 1e300, "min_voxel_size": 1e-300}'):
+    for text in ('{"root_size": Infinity}', '{"root_size": NaN}'):
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
 
 
 def test_dict_round_trip():
-    cfg = ExtractionConfig(root_size=2.0, min_voxel_size=0.5, min_points=30)
+    cfg = ExtractionConfig(root_size=2.0, min_points=30)
     back = config_from_dict(asdict(cfg))
     assert back == cfg
 

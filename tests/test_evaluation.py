@@ -302,3 +302,21 @@ def test_fit_truth_planes_exact_at_utm_coordinates():
             assert np.degrees(np.arccos(dot)) <= 1e-5
             assert abs(a.noise_sigma - b.noise_sigma) <= 1e-9
             assert np.abs(a.center - (b.center - shift)).max() <= 1e-8
+
+
+def test_fit_truth_planes_checks_points_and_labels(corner_cloud):
+    # list points once raised a TypeError, list labels an AttributeError and
+    # labels one short an IndexError; float labels and -5 were fitted
+    points, labels = corner_cloud.points, corner_cloud.labels
+    fitted = fit_truth_planes(points, labels)
+    for a, b in zip(fit_truth_planes(points.tolist(), labels.tolist()), fitted, strict=True):
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+    bad_labels = labels.copy()
+    bad_labels[0] = -5
+    for pts, lab, message in ((points, labels[:-1], "labels"),
+                              (points, labels.astype(np.float64), "labels"),
+                              (points, bad_labels, "labels"),
+                              (points[:, :2], labels, "points")):
+        with pytest.raises(InputValidationError, match=message):
+            fit_truth_planes(pts, lab)

@@ -20,7 +20,7 @@ from voxplane import (
     ransac_extract_all,
 )
 from voxplane.geometry import accumulate, covariance, eigen_symmetric3
-from voxplane.octree import OctreeNode, build_root_map, subdivide
+from voxplane.octree import MAX_DEPTH, OctreeNode, build_root_map, subdivide
 from voxplane.plane_test import FLATNESS_RATIO_MAX, flatness_test
 
 import pinned
@@ -279,22 +279,21 @@ def test_subdivide_depth_bound_and_conservation(rng):
     # that every index lands in exactly one leaf
     pts = rng.uniform(0, 1, (4000, 3))
     _, leaves = _resolve(pts)
-    max_depth = math.ceil(math.log2(CFG.root_size / CFG.min_voxel_size))
     seen = []
     for leaf in leaves:
-        assert leaf.depth <= max_depth
+        assert leaf.depth <= MAX_DEPTH
         seen.append(leaf.point_indices)
     combined = np.sort(np.concatenate(seen))
     assert np.array_equal(combined, np.arange(4000))
 
 
-@pytest.mark.parametrize("root_size,min_voxel", [(1.0, 0.3), (2.0, 0.5), (1.0, 0.6)])
-def test_depth_bound_non_default_sizes(rng, root_size, min_voxel):
-    cfg = ExtractionConfig(root_size=root_size, min_voxel_size=min_voxel)
+@pytest.mark.parametrize("root_size", [0.25, 1.0, 2.0, 4.0])
+def test_depth_bound_non_default_sizes(rng, root_size):
+    # the depth is fixed at any scale: clutter splits down to it, no further
+    cfg = ExtractionConfig(root_size=root_size)
     pts = rng.uniform(0, root_size, (3000, 3))
     _, leaves = _resolve(pts, cfg)
-    bound = math.ceil(math.log2(root_size / min_voxel))
-    assert all(leaf.depth <= bound for leaf in leaves)
+    assert max(leaf.depth for leaf in leaves) == MAX_DEPTH
 
 
 def test_subdivide_leaf_planarity_recheck(rng):
@@ -422,14 +421,13 @@ def scale_scenes(room_30k):
 @pytest.mark.parametrize("k", range(-4, 5))
 @pytest.mark.parametrize("scene", ["room_30k", "corner"])
 def test_extract_scale_invariance(scale_scenes, scene, k):
-    # Scaling the points and both voxel sizes by 2^k is exact in binary
+    # Scaling the points and the root voxel size by 2^k is exact in binary
     # floating point, so no decision may move: same root keys, same groups,
     # same member indices. The merge's fixed 1 um separation floor is not
     # scaled: no merge decision in these scenes comes near it.
     points, members_sha = scale_scenes[scene]
     s = 2.0 ** k
-    cfg = dataclasses.replace(CFG, root_size=CFG.root_size * s,
-                              min_voxel_size=CFG.min_voxel_size * s)
+    cfg = dataclasses.replace(CFG, root_size=CFG.root_size * s)
     assert _groups_sha256(points * s, floats=False, config=cfg) == members_sha
 
 
