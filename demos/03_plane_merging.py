@@ -26,7 +26,7 @@ blob = np.column_stack([rng.uniform(0.05, 0.20, n_blob),
 points = np.concatenate([plane, blob])
 
 config = ExtractionConfig()
-decision = determine_plane(points, config.min_points)
+decision = determine_plane(points, config)
 print(f"root-voxel plane test: is_plane={decision.is_plane} "
       f"({decision.reject_reason.value})")
 

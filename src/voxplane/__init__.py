@@ -10,10 +10,10 @@ The public API is ``__all__`` below, plus the ``voxplane.io`` module; the
 modules' other names carry no stability promise. The entry points
 (``extract_plane_groups``, ``ransac_extract_all``, ``determine_plane``,
 the writers, ``io.read_planes``, ``evaluate`` and ``fit_truth_planes``)
-check each array from outside once. The stages behind them trust those
-checks: ``octree.build_root_map`` and ``ransac.ransac_plane`` take checked
-points, and ``build_root_map`` a ``root_size`` that ``ExtractionConfig``
-has checked.
+check each array from outside once, and ``ExtractionConfig`` each
+setting, which the three extractors take as ``config``. The stages behind
+them trust those checks: they take checked points and config, non-empty
+clusters, float64 (3, 3) covariances and one root voxel's patches.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ from .config import ExtractionConfig, load_config
 from .errors import (
     CloudFormatError,
     ConfigError,
-    EmptyClusterError,
     GenerationError,
     InputValidationError,
     VoxplaneError,
@@ -46,7 +45,7 @@ from .synthetic import (
 __all__ = [
     "__version__",
     "ExtractionConfig", "load_config",
-    "VoxplaneError", "InputValidationError", "EmptyClusterError",
+    "VoxplaneError", "InputValidationError",
     "CloudFormatError", "ConfigError", "GenerationError",
     "PlaneDecision", "RejectReason", "determine_plane",
     "VoxelKey", "NodeState", "PlanePatch",

@@ -6,19 +6,20 @@ and merge gates are dimensionless constants in ``octree``, ``plane_test``
 and ``merging``. A config file is one flat JSON object that overrides
 defaults field by field. ``ExtractionConfig`` itself holds every rule,
 so the constructor refuses what a file refuses: an unknown key, and a
-value that is not a number (a boolean is never one).
+value that is not a number (a boolean is never one). Of the package it
+imports only ``errors``, so any module may import it.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .plane_test import MIN_POINTS, check_min_points
 
 __all__ = ["ExtractionConfig", "load_config"]
 
@@ -30,13 +31,14 @@ class ExtractionConfig:
 
     root_size: edge length of root voxels (meters), a finite positive
         real number, not a bool; octants split down to root_size / 4.
-    min_points: nodes with fewer points are discarded without a plane
+    min_points: the smallest plane. A set with fewer points is never a
+        plane, an octree node with fewer is discarded without a plane
         test, and a RANSAC plane needs this many inliers. An integer of
         at least 4.
     """
 
     root_size: float = 1.0
-    min_points: int = MIN_POINTS
+    min_points: int = 20
 
     def __new__(cls, *args, **values):
         # the generated __init__ would raise a TypeError for an unknown key
@@ -50,7 +52,12 @@ class ExtractionConfig:
         # compared, not converted: an int past the float range has no float
         if not 0 < self.root_size <= sys.float_info.max:
             raise ConfigError("root_size must be finite and positive")
-        check_min_points(self.min_points)
+        try:
+            min_points = operator.index(self.min_points)
+        except TypeError as exc:
+            raise ConfigError(f"min_points must be an integer, got {self.min_points!r}") from exc
+        if min_points < 4:
+            raise ConfigError("min_points must be at least 4")
 
 
 def config_from_dict(data) -> ExtractionConfig:

@@ -11,10 +11,6 @@ class InputValidationError(VoxplaneError, ValueError):
     """Bad numeric input: wrong shape, NaN or infinite coordinates."""
 
 
-class EmptyClusterError(VoxplaneError, ValueError):
-    """A statistic was requested from a cluster with zero points."""
-
-
 class CloudFormatError(VoxplaneError, ValueError):
     """A point-cloud file could not be parsed.
 

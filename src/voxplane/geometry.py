@@ -26,7 +26,8 @@ so it sums exactly like a copy of that run of points. A row that is not
 contiguous (an uncopied transpose) or ``np.add.reduceat``, which is not
 pairwise, sums in another order and changes the last bits.
 
-All functions are pure and all returned objects are treated as immutable.
+The other functions trust what their callers checked. All functions
+are pure and all returned objects are treated as immutable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import EmptyClusterError, InputValidationError
+from .errors import InputValidationError
 
 __all__ = [
     "PointCluster",
@@ -115,9 +116,10 @@ class PointCluster:
     origin: np.ndarray   # (3,)
 
 
-def accumulate(points) -> PointCluster:
-    """Build a PointCluster from raw points, validating finiteness."""
-    return _accumulate_centred(as_points(points))[0]
+def accumulate(points: np.ndarray) -> PointCluster:
+    """The PointCluster of (N, 3) float64 points of finite coordinates,
+    which the caller has checked (``as_points``)."""
+    return _accumulate_centred(points)[0]
 
 
 def _accumulate_centred(pts: np.ndarray) -> tuple[PointCluster, np.ndarray]:
@@ -138,13 +140,11 @@ def _accumulate_centred(pts: np.ndarray) -> tuple[PointCluster, np.ndarray]:
 def merge(a: PointCluster, b: PointCluster) -> PointCluster:
     """Combine two clusters; equivalent to accumulating the union of points.
 
-    The result keeps a's origin (b's when a is empty), and b's sums are
-    re-based onto it with d = b.origin - a.origin (Chan, Golub and LeVeque,
-    1983): sum + n d and sq_sum + d s^T + s d^T + n d d^T, each term
-    exactly symmetric.
+    The result keeps a's origin, and b's sums are re-based onto it with
+    d = b.origin - a.origin (Chan, Golub and LeVeque, 1983): sum + n d and
+    sq_sum + d s^T + s d^T + n d d^T, each term exactly symmetric. Neither
+    cluster is empty.
     """
-    if a.n == 0 or b.n == 0:
-        return b if a.n == 0 else a
     d = b.origin - a.origin
     cross = d[:, None] * b.sum
     shift = (cross + cross.T) + d[:, None] * d * b.n
@@ -169,11 +169,8 @@ def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     2.5e-5 m^2 normal variance of a plane with 5 mm noise). cov is not
     symmetrized: every ``sq_sum`` built here is exactly symmetric, so cov
     is too, and averaging it with its transpose would return the same bits.
-
-    Raises EmptyClusterError when the cluster has no points.
+    The cluster holds at least one point; every caller makes sure of it.
     """
-    if c.n == 0:
-        raise EmptyClusterError("covariance of an empty cluster")
     cov, mean = _central_moments(c.n, c.sum, c.sq_sum)
     return cov, c.origin + mean
 
@@ -189,25 +186,25 @@ class EigenDecomposition:
     eigenvectors: np.ndarray  # (3, 3), orthonormal columns
 
 
-def eigen_symmetric3(m) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric 3x3 matrix, ordered and signed as
-    EigenDecomposition states (the first of tied largest components decides
-    the sign; a flipped zero becomes -0.0).
+def eigen_symmetric3(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric (3, 3) float64 matrix, such as a
+    ``covariance``, ordered and signed as EigenDecomposition states (the
+    first of tied largest components decides the sign; a flipped zero
+    becomes -0.0).
 
     One direct call of the gufunc behind ``np.linalg.eigh`` computes it, so
-    the bits are eigh's; only the lower triangle is read, so all nine entries
-    are checked for finiteness first. LAPACK scales the matrix internally,
-    so the result is accurate at any magnitude, and it handles repeated
-    eigenvalues without a special case. A non-finite eigenvalue means
-    LAPACK did not converge and raises ``np.linalg.LinAlgError``, as eigh
-    would.
+    the bits are eigh's. Finite points can still give an overflowed
+    covariance, once they differ by more than about 1e154, so the entries
+    are checked for finiteness first (InputValidationError), all nine,
+    since only the lower triangle is read. LAPACK scales the matrix
+    internally, so the result is accurate at any magnitude, and it handles
+    repeated eigenvalues without a special case. A non-finite eigenvalue
+    means LAPACK did not converge and raises ``np.linalg.LinAlgError``, as
+    eigh would.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise InputValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not all(map(math.isfinite, a.reshape(9).tolist())):
+    if not all(map(math.isfinite, m.reshape(9).tolist())):
         raise InputValidationError("matrix contains NaN or infinite entries")
-    vals, vecs = _eigh_lo(a, signature="d->dd")
+    vals, vecs = _eigh_lo(m, signature="d->dd")
     if not all(map(math.isfinite, vals.tolist())):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     # LAPACK's column j is column 2 - j here; a tie keeps the first component

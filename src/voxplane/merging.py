@@ -81,15 +81,14 @@ def merge_patches(a: PlanePatch, b: PlanePatch) -> PlanePatch:
 
 
 def greedy_merge(patches: list[PlanePatch]) -> list[PlaneGroup]:
-    """First-fit grouping of patches from one root voxel.
+    """First-fit grouping of patches from one root voxel; the caller
+    groups them by voxel, and they are not checked again.
 
     Patches are taken in the order given (octree traversal order); each is
     tested against every existing group's merged representative in group
     creation order and joins the first match, after which the patch is
     folded into that representative. The result is a partition of the input.
     """
-    if len({p.root_key for p in patches}) > 1:
-        raise ValueError("greedy_merge requires patches from a single root voxel")
     groups: list[PlaneGroup] = []
     for patch in patches:
         for group in groups:

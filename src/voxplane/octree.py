@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import ExtractionConfig
 from .errors import InputValidationError
 from .geometry import EigenDecomposition, PointCluster
 from .plane_test import determine_plane
-
-if TYPE_CHECKING:
-    from .config import ExtractionConfig
 
 __all__ = [
     "VoxelKey",
@@ -156,7 +154,7 @@ _OCTANT_SIGNS = np.array(
 _OCTANT_BITS = np.array([1, 2, 4], dtype=np.uint8)
 
 
-def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
+def subdivide(node: OctreeNode, points: np.ndarray, config: ExtractionConfig,
               root_key: VoxelKey, leaves: list[OctreeNode]) -> OctreeNode:
     """Resolve a node and its subtree, appending every terminal node to
     ``leaves`` depth first, octant index ascending.
@@ -180,7 +178,7 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: "ExtractionConfig",
     idx = node.point_indices
     node.state = NodeState.DISCARDED
     if idx.shape[0] >= config.min_points:
-        decision = determine_plane(points, config.min_points)
+        decision = determine_plane(points, config)
         if decision.is_plane:
             node.state = NodeState.PLANE_LEAF
             node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,

@@ -13,7 +13,8 @@ LiDAR bundle adjustment does (BALM, Liu and Zhang, RA-L 2021).
 Both gates are eigenvalue ratios, independent of the input's scale and
 density, so they are constants (FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND);
 the smallest plane, ``min_points``, depends on the density and is an
-argument.
+argument: ``determine_plane`` reads it from the ``ExtractionConfig`` it
+is given, which checked it.
 
 Summation order: the node's (12, n) moment rows from ``geometry`` (the
 centred coordinates and their nine products) are gathered once in quarter
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import ExtractionConfig
 from .geometry import (
     EigenDecomposition,
     PointCluster,
@@ -57,19 +57,6 @@ FLATNESS_RATIO_MAX = 0.0625
 # Each populated quarter's smallest eigenvalue must be within this factor of
 # the pooled one, in both directions.
 QUARTER_RATIO_BOUND = 3.0
-# Default smallest plane: below it a set is never a plane, and an octree
-# node with fewer points is discarded without running the test.
-MIN_POINTS = 20
-
-
-def check_min_points(min_points) -> None:
-    """Raise ConfigError unless ``min_points`` is an integer of at least 4."""
-    try:
-        value = operator.index(min_points)
-    except TypeError as exc:
-        raise ConfigError(f"min_points must be an integer, got {min_points!r}") from exc
-    if value < 4:
-        raise ConfigError("min_points must be at least 4")
 
 
 class RejectReason(enum.Enum):
@@ -155,11 +142,12 @@ def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
     return lam_min
 
 
-def determine_plane(points, min_points: int = MIN_POINTS) -> PlaneDecision:
+def determine_plane(points, config: ExtractionConfig | None = None) -> PlaneDecision:
     """Decide whether a point set forms a single plane.
 
-    Pipeline: size gate (fewer than ``min_points`` points, an integer of at
-    least 4, is TOO_FEW_POINTS), flatness gate on the pooled covariance,
+    ``config`` is an ExtractionConfig, the default one when None; only its
+    ``min_points`` is read. Pipeline: size gate (fewer than ``min_points``
+    points is TOO_FEW_POINTS), flatness gate on the pooled covariance,
     line gate (middle/max eigenvalue ratio below FLATNESS_RATIO_MAX
     rejects the set as LINE_LIKE), then the quarter-thickness comparison
     on quarters split through the centroid. Quarters with fewer than
@@ -167,9 +155,10 @@ def determine_plane(points, min_points: int = MIN_POINTS) -> PlaneDecision:
     skipped; if three or more quarters are skipped the verdict falls back
     to the flatness gate alone (recorded on the decision).
     """
-    check_min_points(min_points)
+    if config is None:
+        config = ExtractionConfig()
     cluster, rows = _accumulate_centred(as_points(points))
-    if cluster.n < min_points:
+    if cluster.n < config.min_points:
         eig = EigenDecomposition(np.zeros(3), np.eye(3))
         centroid = covariance(cluster)[1] if cluster.n else np.zeros(3)
         return PlaneDecision(False, eig, centroid, cluster,
@@ -185,7 +174,7 @@ def determine_plane(points, min_points: int = MIN_POINTS) -> PlaneDecision:
         reason = RejectReason.LINE_LIKE
     else:
         order, cuts = quarter_split(rows[:3], eig, mean)
-        quarter_min = sparse_quarter_threshold(min_points)
+        quarter_min = sparse_quarter_threshold(config.min_points)
         spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
         # one gather, then each tested quarter's sums are a contiguous column slice
         gathered = rows.take(order, axis=1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,13 @@ from .errors import InputValidationError
 from .geometry import accumulate, as_points, covariance, eigen_symmetric3
 from .octree import PlanePatch, VoxelKey, build_root_map
 
-__all__ = ["RansacPlane", "point_plane_distances", "ransac_plane", "ransac_extract_all"]
+__all__ = ["point_plane_distances", "ransac_plane", "ransac_extract_all"]
 
 DIST_THRESHOLD = 0.03       # inlier band (meters)
 MAX_ITERATIONS = 500
 SUCCESS_PROBABILITY = 0.99  # of drawing one all-inlier sample
 
 _U64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RansacPlane:
-    normal: np.ndarray   # (3,), unit
-    offset: float        # plane is {p : normal . p = offset}
-    inliers: np.ndarray  # indices into the input points
 
 
 def point_plane_distances(points: np.ndarray, normal: np.ndarray,
@@ -59,20 +51,18 @@ def _adaptive_iteration_limit(inlier_ratio: float) -> float:
 
 
 def ransac_plane(points: np.ndarray, rng: np.random.Generator,
-                 min_inliers: int) -> RansacPlane | None:
-    """Best consensus plane of a point set with at least ``min_inliers``
-    inliers, or None. ``points`` is an (N, 3) float64 array of finite
-    coordinates that the caller has checked; it is not checked again.
+                 min_inliers: int) -> np.ndarray | None:
+    """Indices of the inliers of the best consensus plane of a point set
+    with at least ``min_inliers`` inliers, or None. ``points`` is an (N, 3)
+    float64 array of finite coordinates that the caller has checked, with
+    N >= ``min_inliers`` >= 4 rows; neither is checked again.
 
     Samples of three (nearly) collinear points are degenerate and skipped.
     The final plane is refit by PCA over the consensus set and its inliers
-    recomputed, so every reported inlier is within DIST_THRESHOLD of the
-    reported plane. Deterministic for a fixed state of ``rng``.
+    recomputed, so every returned inlier is within DIST_THRESHOLD of the
+    refit plane. Deterministic for a fixed state of ``rng``.
     """
     n = points.shape[0]
-    if n < 3:
-        return None
-
     best_count = 0
     best_inliers: np.ndarray | None = None
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -103,9 +93,7 @@ def ransac_plane(points: np.ndarray, rng: np.random.Generator,
     offset = float(np.dot(normal, centroid))
     dist = point_plane_distances(points, normal, offset)
     inliers = np.flatnonzero(dist <= DIST_THRESHOLD)
-    if inliers.shape[0] < min_inliers:
-        return None
-    return RansacPlane(normal=normal, offset=offset, inliers=inliers)
+    return inliers if inliers.shape[0] >= min_inliers else None
 
 
 def _voxel_rng(seed: int, key: VoxelKey) -> np.random.Generator:
@@ -141,13 +129,13 @@ def ransac_extract_all(points, config: ExtractionConfig | None = None,
         rng = _voxel_rng(index, key)
         remaining = idx
         while remaining.shape[0] >= min_inliers:
-            result = ransac_plane(pts[remaining], rng, min_inliers)
-            if result is None:
+            inliers = ransac_plane(pts[remaining], rng, min_inliers)
+            if inliers is None:
                 break
-            member_idx = remaining[result.inliers]
+            member_idx = remaining[inliers]
             cluster = accumulate(pts[member_idx])
             cov, centroid = covariance(cluster)
             patches.append(PlanePatch.fit(cluster, centroid, eigen_symmetric3(cov),
                                           member_idx, key, 0))
-            remaining = np.delete(remaining, result.inliers)
+            remaining = np.delete(remaining, inliers)
     return patches

@@ -8,8 +8,10 @@ cloud writers, which make xyz and ascii ply input for the readers, format
 their rows on their own, and the plane-set writer builds the whole
 document as lines with one ``str`` per member index. The plane-test oracle
 splits a set into quarters with one projection per eigenvector and sums each
-quarter's moments in its own loop step. ``traced_peak`` measures a call's
-peak of traced memory for the memory bounds.
+quarter's moments in its own loop step. ``linked_pairs`` counts the planes
+that groups tie across scan poses, from each point's lattice cell, label
+and pose. ``traced_peak`` measures a call's peak of traced memory for the
+memory bounds.
 """
 
 import tracemalloc
@@ -95,6 +97,28 @@ def plurality_scores(groups, labels, n_planes: int):
     labeled = int((labels >= 0).sum())
     return (matches, correct / extracted if extracted else None,
             correct / labeled if labeled else None)
+
+
+def linked_pairs(groups, points, labels, poses, root_size: float = 1.0,
+                 min_points: int = 20) -> tuple[int, int]:
+    """(linked, candidates) among the (truth plane, root voxel) pairs seen
+    from several scan poses. A pair is a candidate when at least
+    ``min_points`` of its labeled points come from each of two or more
+    poses, and linked when a group in that voxel whose plurality label is
+    that plane holds points from two or more poses: one plane constraint
+    that ties the poses, as LiDAR bundle adjustment uses it."""
+    cells = np.floor(np.asarray(points) / root_size).astype(np.int64)
+    rows, counts = np.unique(np.column_stack([cells, labels, poses])[labels >= 0],
+                             axis=0, return_counts=True)
+    seen = Counter(tuple(row[:4]) for row in rows[counts >= min_points].tolist())
+    candidates = {pair for pair, n_poses in seen.items() if n_poses >= 2}
+    linked = set()
+    for gi, plane_id in plurality_scores(groups, labels, int(labels.max()) + 1)[0]:
+        members = groups[gi].merged.point_indices
+        pair = (*groups[gi].merged.root_key, plane_id)
+        if pair in candidates and np.unique(poses[members]).shape[0] >= 2:
+            linked.add(pair)
+    return len(linked), len(candidates)
 
 
 def _write_rows(path, lines) -> None:

@@ -127,7 +127,7 @@ def merge_regression_scene(seed=11, n_plane=2000, blob_n=500, blob_h=0.15):
 def test_criterion_4_merging_effectiveness():
     def body():
         pts, n_plane = merge_regression_scene()
-        decision = determine_plane(pts, CFG.min_points)
+        decision = determine_plane(pts, CFG)
         assert not decision.is_plane, "protrusion must defeat the depth-0 test"
 
         result = extract_plane_groups(pts, CFG)
@@ -221,8 +221,7 @@ def test_criterion_6_structural_invariants():
             for leaf in leaves:
                 assert leaf.depth <= MAX_DEPTH
                 if leaf.state is NodeState.PLANE_LEAF:
-                    assert determine_plane(pts[leaf.point_indices],
-                                           CFG.min_points).is_plane
+                    assert determine_plane(pts[leaf.point_indices], CFG).is_plane
 
             groups = result.groups
             patch_ids = [id(mm) for g in groups for mm in g.members]

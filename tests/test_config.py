@@ -1,3 +1,4 @@
+import ast
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from voxplane import (
     extract_plane_groups,
     ransac_extract_all,
 )
+from voxplane import config as config_module
 from voxplane.cli import EXIT_CONFIG, cli_main
 from voxplane.config import config_from_dict, load_config
 from voxplane.io import write_cloud
@@ -61,17 +63,27 @@ def test_extractors_take_root_size_through_the_config():
 
 @pytest.mark.parametrize("min_points", [float("inf"), 20.5, 20.0, "20", None, 3, True])
 def test_min_points_must_be_an_integer(tmp_path, min_points):
-    # the config, a config file and the plane test refuse each of these:
-    # an infinite min_points once silently extracted no group at all
+    # the config and a config file refuse each of these: an infinite
+    # min_points once silently extracted no group at all
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"min_points": min_points}))
-    points = np.random.default_rng(0).uniform(size=(50, 3)) * [1.0, 1.0, 0.0]
-    for build in (lambda: ExtractionConfig(min_points=min_points), lambda: load_config(path),
-                  lambda: determine_plane(points, min_points=min_points)):
+    for build in (lambda: ExtractionConfig(min_points=min_points), lambda: load_config(path)):
         with pytest.raises(ConfigError, match="min_points"):
             build()
+    points = np.random.default_rng(0).uniform(size=(50, 3)) * [1.0, 1.0, 0.0]
     assert ExtractionConfig(min_points=np.int64(20)).min_points == 20
-    assert determine_plane(points, min_points=np.int64(20)).is_plane
+    assert determine_plane(points, ExtractionConfig(min_points=np.int64(20))).is_plane
+
+
+def test_config_imports_only_errors_of_the_package():
+    # the config owns its rules, so the settings module stays a leaf that
+    # every other module may import
+    tree = ast.parse(Path(config_module.__file__).read_text(encoding="utf-8"))
+    package = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("voxplane"))]
+    package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("voxplane")]
+    assert package == ["errors"]
 
 
 @pytest.mark.parametrize("value", [True, False, "2", None, [1.0]], ids=repr)

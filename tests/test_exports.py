@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC = [
     "__version__",
     "ExtractionConfig", "load_config",
-    "VoxplaneError", "InputValidationError", "EmptyClusterError",
+    "VoxplaneError", "InputValidationError",
     "CloudFormatError", "ConfigError", "GenerationError",
     "PlaneDecision", "RejectReason", "determine_plane",
     "VoxelKey", "NodeState", "PlanePatch",

@@ -168,15 +168,6 @@ def test_merged_statistics_match_union(rng):
     assert np.allclose(cen_m, cen_ref, atol=1e-12)
 
 
-def test_greedy_merge_rejects_mixed_roots(rng):
-    pa, _ = make_patch(plane_points(rng, [0, 0, 1], 0.2, (0, 0.4), (0, 0.4), 100),
-                       key=VoxelKey(0, 0, 0))
-    pb, _ = make_patch(plane_points(rng, [0, 0, 1], 0.2, (0, 0.4), (0, 0.4), 100),
-                       key=VoxelKey(1, 0, 0))
-    with pytest.raises(ValueError):
-        greedy_merge([pa, pb])
-
-
 def test_no_cross_root_groups_and_disable_increases_count(rng):
     pts = np.concatenate([
         plane_points(rng, [0, 0, 1], 0.5, (-1.8, 1.8), (-1.8, 1.8), 6000, 0.004),

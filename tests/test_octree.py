@@ -305,8 +305,23 @@ def test_subdivide_leaf_planarity_recheck(rng):
     _, leaves = _resolve(pts)
     for leaf in leaves:
         if leaf.state is NodeState.PLANE_LEAF:
-            redo = determine_plane(pts[leaf.point_indices], CFG.min_points)
+            redo = determine_plane(pts[leaf.point_indices], CFG)
             assert redo.is_plane
+
+
+@pytest.mark.parametrize("min_points", [4, 20, 30])
+def test_plane_leaves_pass_the_plane_test_under_their_config(corner_cloud, min_points):
+    # subdivide hands determine_plane its own config: under min_points 4 a
+    # leaf of fewer than the default 20 points is a plane too
+    pts = corner_cloud.points[::10]
+    cfg = ExtractionConfig(min_points=min_points)
+    leaves = [leaf for voxel in extract_plane_groups(pts, cfg).leaves.values()
+              for leaf in voxel if leaf.state is NodeState.PLANE_LEAF]
+    sizes = [leaf.point_indices.shape[0] for leaf in leaves]
+    assert leaves and min(sizes) >= min_points
+    assert (min(sizes) < ExtractionConfig().min_points) == (min_points == 4)
+    for leaf in leaves:
+        assert determine_plane(pts[leaf.point_indices], cfg).is_plane
 
 
 def _octant_path(leaf, key, root_size):

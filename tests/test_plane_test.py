@@ -14,7 +14,6 @@ from voxplane import plane_test
 from voxplane.geometry import EigenDecomposition, accumulate, covariance, eigen_symmetric3
 from voxplane.plane_test import (
     FLATNESS_RATIO_MAX,
-    MIN_POINTS,
     flatness_test,
     quarter_split,
     sparse_quarter_threshold,
@@ -216,7 +215,7 @@ def test_line_scene_yields_no_line_groups():
 
 def test_exactly_coplanar_always_plane(rng):
     for _ in range(20):
-        n = int(rng.integers(MIN_POINTS, 500))
+        n = int(rng.integers(ExtractionConfig().min_points, 500))
         rot = random_rotation(rng)
         flat = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
                                 np.zeros(n)])
@@ -285,7 +284,7 @@ def test_sparse_quarter_fallback():
     eig, cen = eig_of(pts)
     quarters = quarters_of(pts, eig, cen)
     assert sum(1 for q in quarters if q.shape[0] < sparse_quarter_threshold(20)) == 3
-    decision = determine_plane(pts, min_points=20)
+    decision = determine_plane(pts, ExtractionConfig(min_points=20))
     assert decision.sparse_quarter_fallback
     assert decision.is_plane
     assert decision.reject_reason is None
@@ -296,6 +295,18 @@ def test_sparse_quarter_threshold_value():
     assert sparse_quarter_threshold(20) == 3
     assert sparse_quarter_threshold(80) == 10
     assert sparse_quarter_threshold(4) == 3
+
+
+def test_min_points_comes_from_the_config(rng):
+    # 25 coplanar points: a plane under the default smallest plane of 20,
+    # too few under 30
+    pts = np.column_stack([rng.uniform(-0.5, 0.5, 25), rng.uniform(-0.5, 0.5, 25),
+                           np.zeros(25)])
+    assert determine_plane(pts).is_plane
+    assert determine_plane(pts, ExtractionConfig()).is_plane
+    decision = determine_plane(pts, ExtractionConfig(min_points=30))
+    assert not decision.is_plane
+    assert decision.reject_reason is RejectReason.TOO_FEW_POINTS
 
 
 def test_non_finite_points_rejected():
@@ -390,7 +401,7 @@ def test_determine_plane_matches_per_quarter_oracle(kind, seed, at_utm):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plane_test, "quarter_split", spy)
-        decision = determine_plane(pts, min_points=min_points)
+        decision = determine_plane(pts, ExtractionConfig(min_points=min_points))
     ref = plane_decision_reference(pts, min_points=min_points)
     assert decision.is_plane == ref["is_plane"]
     assert (decision.reject_reason and decision.reject_reason.value) == ref["reject_reason"]
@@ -422,7 +433,7 @@ def test_quarter_split_matches_oracle_on_rotated_grids():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plane_test, "quarter_split", spy)
-            determine_plane(pts, min_points=min_points)
+            determine_plane(pts, ExtractionConfig(min_points=min_points))
         for cols, eig, center in calls:
             order, cuts = quarter_split(cols, eig, center)
             ref_order, ref_cuts = quarter_split_reference(cols, eig.eigenvectors, center)

@@ -15,13 +15,29 @@ from voxplane import (
     gen_slab_with_object,
     ransac_extract_all,
 )
+from voxplane import ransac
 from voxplane.octree import VoxelKey
-from voxplane.ransac import DIST_THRESHOLD, _voxel_rng, ransac_plane
+from voxplane.ransac import DIST_THRESHOLD, _voxel_rng, point_plane_distances, ransac_plane
 
 import pinned
-from oracles import point_plane_distance
+from oracles import point_plane_distance, two_pass_covariance
 
 CFG = ExtractionConfig()
+
+
+def _inliers_and_refit(pts, seed, min_inliers):
+    """ransac_plane's inliers and the refit plane (normal, offset) that
+    chose them: the plane of its last distance query."""
+    planes = []
+
+    def spy(points, normal, offset):
+        planes.append((normal, offset))
+        return point_plane_distances(points, normal, offset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ransac, "point_plane_distances", spy)
+        inliers = ransac_plane(pts, np.random.default_rng(seed), min_inliers)
+    return inliers, planes[-1]
 
 
 def test_recovers_plane_among_outliers(rng):
@@ -29,13 +45,14 @@ def test_recovers_plane_among_outliers(rng):
                              np.zeros(100)])
     outliers = rng.uniform(5, 9, (5, 3))
     pts = np.concatenate([plane, outliers])
-    result = ransac_plane(pts, np.random.default_rng(7), 3)
-    assert result is not None
-    assert result.inliers.shape[0] == 100
-    assert np.all(result.inliers < 100)
-    angle = math.acos(min(1.0, abs(float(result.normal @ np.array([0, 0, 1.0])))))
+    inliers, (normal, offset) = _inliers_and_refit(pts, 7, 4)
+    assert np.array_equal(inliers, np.arange(100))
+    angle = math.acos(min(1.0, abs(float(normal @ np.array([0, 0, 1.0])))))
     assert angle < 1e-6
-    assert abs(result.offset) < 1e-9
+    assert abs(offset) < 1e-9
+    # the patch ransac_extract_all refits from these inliers lies on z = 0
+    cov, _ = two_pass_covariance(pts[inliers])
+    assert abs(np.linalg.eigh(cov)[1][2, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_samples_are_skipped(rng):
@@ -45,18 +62,14 @@ def test_degenerate_samples_are_skipped(rng):
     plane = np.column_stack([rng.uniform(-1, 1, 60), rng.uniform(-1, 1, 60),
                              np.zeros(60)])
     pts = np.concatenate([collinear, plane])
-    result = ransac_plane(pts, np.random.default_rng(3), 20)
-    assert result is not None
-    assert result.inliers.shape[0] >= 60
+    inliers = ransac_plane(pts, np.random.default_rng(3), 20)
+    assert inliers is not None
+    assert inliers.shape[0] >= 60
 
 
 def test_identical_points_no_plane():
     pts = np.tile([1.0, 2.0, 3.0], (50, 1))
-    assert ransac_plane(pts, np.random.default_rng(0), 3) is None
-
-
-def test_fewer_than_three_points():
-    assert ransac_plane(np.zeros((2, 3)), np.random.default_rng(0), 3) is None
+    assert ransac_plane(pts, np.random.default_rng(0), 4) is None
 
 
 def test_inliers_within_threshold(rng):
@@ -65,9 +78,9 @@ def test_inliers_within_threshold(rng):
                          rng.normal(0, 0.01, 300)]),
         rng.uniform(-1, 1, (100, 3)),
     ])
-    result = ransac_plane(pts, np.random.default_rng(11), 30)
-    assert result is not None
-    dist = point_plane_distance(pts[result.inliers], result.normal, result.offset)
+    inliers, (normal, offset) = _inliers_and_refit(pts, 11, 30)
+    assert inliers is not None
+    dist = point_plane_distance(pts[inliers], normal, offset)
     assert np.all(dist <= DIST_THRESHOLD)
 
 
@@ -84,9 +97,7 @@ def test_seed_determinism(rng):
     ])
     a = ransac_plane(pts, np.random.default_rng(42), 30)
     b = ransac_plane(pts, np.random.default_rng(42), 30)
-    assert np.array_equal(a.inliers, b.inliers)
-    assert np.array_equal(a.normal, b.normal)
-    assert a.offset == b.offset
+    assert a is not None and np.array_equal(a, b)
 
 
 def test_extract_all_corner_scene(corner_cloud):

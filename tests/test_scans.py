@@ -1,7 +1,13 @@
 """Scan-pattern scenes: the multi-room scene's rectangles as a spinning
 multi-beam sensor sees them. Points lie along scan lines whose density
 falls with range and whose noise runs along the beam, which drives plane
-decisions that the uniformly sampled scenes never reach."""
+decisions that the uniformly sampled scenes never reach.
+
+Two suites. The three-room scenes (``POSES``) test density: their poses
+sit in different rooms, so no group of theirs spans two poses. The pose
+sequence (``SEQUENCE``) tests association: consecutive poses a short step
+apart in one room, as LiDAR frames for bundle adjustment are, where one
+group must tie each plane's points from several poses."""
 
 from collections import Counter
 
@@ -12,23 +18,28 @@ import voxplane.octree
 import voxplane.pipeline
 from voxplane import GroundTruthCloud, evaluate, extract_plane_groups, gen_multi_room
 
+from oracles import linked_pairs
+
 POSES = [(2.1, 2.3, 1.6), (6.2, 5.9, 1.5), (9.7, 2.4, 1.7)]
+# 0.5 m steps in the first room
+SEQUENCE = [(2.1, 2.3, 1.6), (2.6, 2.5, 1.6), (3.1, 2.7, 1.6)]
 UTM_SHIFT = np.array([5e5, 4e6, 100.0])
 
 
-def scan(planes, beams, poses, seed=0) -> GroundTruthCloud:
+def scan(planes, beams, poses, seed=0) -> tuple[GroundTruthCloud, np.ndarray]:
     """A scan of the rectangles ``planes`` from each pose in turn: ``beams``
     rings spread evenly over -15..+15 degrees of elevation, a 0.2 degree
     azimuth step, the nearest rectangle hit by each beam, Gaussian range
     noise (sigma 5 mm) along the beam. A point's label is the index of the
-    rectangle it hit; beams that hit nothing are dropped."""
+    rectangle it hit; beams that hit nothing are dropped. Returns the cloud
+    and each point's pose index."""
     rng = np.random.default_rng(seed)
     elev, azim = np.meshgrid(np.radians(np.linspace(-15.0, 15.0, beams)),
                              np.radians(np.arange(1800) * 0.2), indexing="ij")
     dirs = np.stack([np.cos(elev) * np.cos(azim), np.cos(elev) * np.sin(azim),
                      np.sin(elev)], axis=-1).reshape(-1, 3)
-    points, labels = [], []
-    for pose in np.asarray(poses, dtype=np.float64):
+    points, labels, pose_index = [], [], []
+    for i, pose in enumerate(np.asarray(poses, dtype=np.float64)):
         near = np.full(dirs.shape[0], np.inf)
         label = np.full(dirs.shape[0], -1, dtype=np.int32)
         for k, p in enumerate(planes):
@@ -43,7 +54,9 @@ def scan(planes, beams, poses, seed=0) -> GroundTruthCloud:
         ranges = near[keep] + rng.normal(0.0, 0.005, int(keep.sum()))
         points.append(pose + ranges[:, None] * dirs[keep])
         labels.append(label[keep])
-    return GroundTruthCloud(np.concatenate(points), np.concatenate(labels), tuple(planes))
+        pose_index.append(np.full(int(keep.sum()), i))
+    return (GroundTruthCloud(np.concatenate(points), np.concatenate(labels), tuple(planes)),
+            np.concatenate(pose_index))
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +107,7 @@ SCAN_GROUPS = {(16, 1): 23, (16, 3): 71, (32, 1): 39, (32, 3): 114, (64, 1): 49,
 @pytest.mark.parametrize("beams, poses", SCAN_GROUPS, ids=[f"{b}beams-{p}poses"
                                                             for b, p in SCAN_GROUPS])
 def test_scan_scenes(monkeypatch, room_planes, beams, poses):
-    cloud = scan(room_planes, beams, POSES[:poses])
+    cloud, _ = scan(room_planes, beams, POSES[:poses])
     result, _, fallbacks = spied_extraction(monkeypatch, cloud.points)
     report = evaluate(result.groups, cloud)
     assert report.precision >= 0.99
@@ -128,7 +141,39 @@ SCAN_16_NODES = {
 def test_scan_node_tally(monkeypatch, room_planes):
     # the node outcomes of the 16-beam scan from one pose, so that a change
     # to the plane test states which decisions it moved
-    cloud = scan(room_planes, 16, POSES[:1])
+    cloud, _ = scan(room_planes, 16, POSES[:1])
     _, nodes, _ = spied_extraction(monkeypatch, cloud.points)
     assert dict(nodes) == SCAN_16_NODES
 
+
+
+# beams -> (points, linked pairs, candidate pairs, recall, groups); precision
+# is 1.0 on every sequence
+SEQUENCE_PINS = {16: (86_400, 49, 54, 0.929, 49), 32: (172_800, 52, 54, 0.948, 53),
+                 64: (345_600, 55, 55, 0.955, 59)}
+
+
+@pytest.mark.parametrize("beams", SEQUENCE_PINS, ids=[f"{b}beams" for b in SEQUENCE_PINS])
+def test_pose_sequence_links_planes_across_poses(room_planes, beams):
+    cloud, pose = scan(room_planes, beams, SEQUENCE)
+    groups = extract_plane_groups(cloud.points).groups
+    report = evaluate(groups, cloud)
+    n_points, linked, candidates, recall, n_groups = SEQUENCE_PINS[beams]
+    assert cloud.points.shape[0] == n_points
+    assert linked_pairs(groups, cloud.points, cloud.labels, pose) == (linked, candidates)
+    assert report.precision == 1.0
+    assert round(report.recall, 3) == recall
+    assert len(groups) == n_groups
+
+
+def test_pose_sequence_groups_are_frame_invariant(room_planes):
+    # at 32 beams 50 groups tie all three poses and 3 tie two, and the
+    # same member sets come out after a UTM shift and a permutation
+    cloud, pose = scan(room_planes, 32, SEQUENCE)
+    groups = extract_plane_groups(cloud.points).groups
+    spans = Counter(np.unique(pose[g.merged.point_indices]).shape[0] for g in groups)
+    assert spans == {3: 50, 2: 3}
+    reference = member_sets(groups)
+    assert member_sets(extract_plane_groups(cloud.points + UTM_SHIFT).groups) == reference
+    order = np.random.default_rng(1).permutation(cloud.points.shape[0])
+    assert member_sets(extract_plane_groups(cloud.points[order]).groups, order) == reference
