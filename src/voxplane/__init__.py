@@ -6,8 +6,9 @@ test, and merges coplanar leaves back together per voxel. A voxelized
 RANSAC baseline, labeled synthetic scenes, and an evaluation harness are
 included for comparison runs.
 
-The public API is ``__all__`` below, plus the ``voxplane.io`` module; the
-modules' other names carry no stability promise. The entry points
+The public API is ``__all__`` below, plus the ``voxplane.io`` module; no
+other module declares ``__all__``, and their names carry no stability
+promise. The entry points
 (``extract_plane_groups``, ``ransac_extract_all``, ``determine_plane``,
 the writers, ``io.read_planes``, ``evaluate`` and ``fit_truth_planes``)
 check each array from outside once, and ``ExtractionConfig`` each

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExtractionConfig, load_config
-from .errors import CloudFormatError, ConfigError, GenerationError, InputValidationError
+from .errors import ConfigError, InputValidationError, VoxplaneError
 from .evaluation import evaluate, fit_truth_planes
 from .io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 from .merging import PlaneGroup
@@ -180,7 +180,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CloudFormatError, InputValidationError, GenerationError) as exc:
+    except VoxplaneError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

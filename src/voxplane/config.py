@@ -13,15 +13,13 @@ imports only ``errors``, so any module may import it.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-
-__all__ = ["ExtractionConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -30,11 +28,12 @@ class ExtractionConfig:
     (ConfigError naming the field otherwise).
 
     root_size: edge length of root voxels (meters), a finite positive
-        real number, not a bool; octants split down to root_size / 4.
+        real number, not a bool, kept as a float; octants split down to
+        root_size / 4.
     min_points: the smallest plane. A set with fewer points is never a
         plane, an octree node with fewer is discarded without a plane
         test, and a RANSAC plane needs this many inliers. An integer of
-        at least 4.
+        at least 4, kept as an int.
     """
 
     root_size: float = 1.0
@@ -49,8 +48,11 @@ class ExtractionConfig:
     def __post_init__(self):
         if isinstance(self.root_size, bool) or not isinstance(self.root_size, numbers.Real):
             raise ConfigError(f"root_size must be a real number, got {self.root_size!r}")
-        # compared, not converted: an int past the float range has no float
-        if not 0 < self.root_size <= sys.float_info.max:
+        try:
+            root_size = float(self.root_size)
+        except OverflowError:  # an int past the float range
+            root_size = math.inf
+        if not 0 < root_size < math.inf:
             raise ConfigError("root_size must be finite and positive")
         try:
             min_points = operator.index(self.min_points)
@@ -58,6 +60,9 @@ class ExtractionConfig:
             raise ConfigError(f"min_points must be an integer, got {self.min_points!r}") from exc
         if min_points < 4:
             raise ConfigError("min_points must be at least 4")
+        # plain numbers, so a numpy scalar argument still makes JSON of asdict
+        object.__setattr__(self, "root_size", root_size)
+        object.__setattr__(self, "min_points", min_points)
 
 
 def config_from_dict(data) -> ExtractionConfig:

@@ -27,8 +27,6 @@ from .merging import PlaneGroup
 from .pipeline import StageTimings
 from .synthetic import GroundTruthCloud, TruthPlane
 
-__all__ = ["PlaneMatch", "EvalReport", "geometry_error", "evaluate", "fit_truth_planes"]
-
 
 @dataclass(frozen=True)
 class PlaneMatch:

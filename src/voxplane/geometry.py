@@ -40,17 +40,6 @@ from numpy.linalg import _umath_linalg
 
 from .errors import InputValidationError
 
-__all__ = [
-    "PointCluster",
-    "EigenDecomposition",
-    "as_points",
-    "as_integers",
-    "accumulate",
-    "merge",
-    "covariance",
-    "eigen_symmetric3",
-]
-
 # The gufunc ``np.linalg.eigh`` dispatches to for the lower triangle, called
 # directly to skip its per-call wrapper.
 _eigh_lo = _umath_linalg.eigh_lo

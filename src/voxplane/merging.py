@@ -20,8 +20,6 @@ import numpy as np
 from .geometry import covariance, eigen_symmetric3, merge
 from .octree import PlanePatch
 
-__all__ = ["PlaneGroup", "coplanar_test", "merge_patches", "greedy_merge"]
-
 # Largest angle (degrees) between the normals of two coplanar patches.
 NORMAL_ANGLE_MAX_DEG = 8.0
 # The centroid-difference vector of two coplanar patches is within this many

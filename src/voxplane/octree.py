@@ -29,15 +29,6 @@ from .errors import InputValidationError
 from .geometry import EigenDecomposition, PointCluster
 from .plane_test import determine_plane
 
-__all__ = [
-    "VoxelKey",
-    "NodeState",
-    "PlanePatch",
-    "OctreeNode",
-    "build_root_map",
-    "subdivide",
-]
-
 MAX_DEPTH = 2  # splits per root voxel: the smallest octant edge is root_size / 4
 
 

@@ -23,12 +23,6 @@ from .merging import PlaneGroup, greedy_merge
 from .octree import OctreeNode, VoxelKey, build_root_map, subdivide
 from .geometry import as_points
 
-__all__ = [
-    "StageTimings",
-    "ExtractionResult",
-    "extract_plane_groups",
-]
-
 
 @dataclass
 class StageTimings:

@@ -42,15 +42,6 @@ from .geometry import (
     eigen_symmetric3,
 )
 
-__all__ = [
-    "RejectReason",
-    "PlaneDecision",
-    "flatness_test",
-    "quarter_split",
-    "determine_plane",
-    "sparse_quarter_threshold",
-]
-
 # Flatness gate: a set is flat when its smallest/largest eigenvalue ratio is
 # below this, and a line when its middle/largest ratio is below it too.
 FLATNESS_RATIO_MAX = 0.0625

@@ -21,8 +21,6 @@ from .errors import InputValidationError
 from .geometry import accumulate, as_points, covariance, eigen_symmetric3
 from .octree import PlanePatch, VoxelKey, build_root_map
 
-__all__ = ["point_plane_distances", "ransac_plane", "ransac_extract_all"]
-
 DIST_THRESHOLD = 0.03       # inlier band (meters)
 MAX_ITERATIONS = 500
 SUCCESS_PROBABILITY = 0.99  # of drawing one all-inlier sample

@@ -23,17 +23,6 @@ import numpy as np
 from .errors import GenerationError, InputValidationError
 from .plane_test import RejectReason, determine_plane
 
-__all__ = [
-    "TruthPlane",
-    "GroundTruthCloud",
-    "plane_basis",
-    "gen_plane",
-    "gen_corner",
-    "gen_false_positive_slab",
-    "gen_slab_with_object",
-    "gen_multi_room",
-]
-
 OUTLIER_LABEL = -1
 
 

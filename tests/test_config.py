@@ -48,6 +48,18 @@ def test_invariant_violations_raise():
             ExtractionConfig(root_size=root_size)
 
 
+def test_config_stores_plain_numbers():
+    # numpy scalars were once kept as given: a float32 root_size warned of an
+    # overflow in the range check, and an int64 min_points made asdict no JSON
+    cfg = ExtractionConfig(root_size=np.float32(0.5), min_points=np.int64(20))
+    assert (type(cfg.root_size), type(cfg.min_points)) == (float, int)
+    assert json.loads(json.dumps(asdict(cfg))) == {"root_size": 0.5, "min_points": 20}
+    # past the float range either way: an infinite float and an int with none
+    for root_size in (float(np.longdouble("1e400")), np.longdouble("1e400"), 10 ** 400):
+        with pytest.raises(ConfigError, match="root_size"):
+            ExtractionConfig(root_size=root_size)
+
+
 def test_extractors_take_root_size_through_the_config():
     # ExtractionConfig owns the root_size rule, and the root map does not
     # check it again: a new or replaced config is the extractors' only way in

@@ -36,6 +36,13 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
+def test_only_public_namespaces_declare_all():
+    # the public surface is stated once, by the package and its one public
+    # module; an internal module's list would promise names it does not keep
+    declaring = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
+    assert declaring == ["voxplane", "voxplane.io"]
+
+
 def test_public_api_is_the_papers_surface():
     # a name added to the top level is a promise: it is added here first
     assert voxplane.__all__ == PUBLIC

@@ -7,7 +7,8 @@ Two suites. The three-room scenes (``POSES``) test density: their poses
 sit in different rooms, so no group of theirs spans two poses. The pose
 sequence (``SEQUENCE``) tests association: consecutive poses a short step
 apart in one room, as LiDAR frames for bundle adjustment are, where one
-group must tie each plane's points from several poses."""
+group must tie each plane's points from several poses, with true poses and
+under opposite errors on two of them."""
 
 from collections import Counter
 
@@ -18,12 +19,16 @@ import voxplane.octree
 import voxplane.pipeline
 from voxplane import GroundTruthCloud, evaluate, extract_plane_groups, gen_multi_room
 
-from oracles import linked_pairs
+from oracles import jacobi_eigenvalues, linked_pairs, two_pass_covariance
 
 POSES = [(2.1, 2.3, 1.6), (6.2, 5.9, 1.5), (9.7, 2.4, 1.7)]
 # 0.5 m steps in the first room
 SEQUENCE = [(2.1, 2.3, 1.6), (2.6, 2.5, 1.6), (3.1, 2.7, 1.6)]
 UTM_SHIFT = np.array([5e5, 4e6, 100.0])
+# a pose error moves a pose's points along SHIFT_DIRECTION and rotates them
+# about ERROR_AXIS through the pose
+SHIFT_DIRECTION = np.array([0.6, -0.64, 0.48])
+ERROR_AXIS = np.array([0.3, 0.5, 0.81]) / np.linalg.norm([0.3, 0.5, 0.81])
 
 
 def scan(planes, beams, poses, seed=0) -> tuple[GroundTruthCloud, np.ndarray]:
@@ -177,3 +182,67 @@ def test_pose_sequence_groups_are_frame_invariant(room_planes):
     assert member_sets(extract_plane_groups(cloud.points + UTM_SHIFT).groups) == reference
     order = np.random.default_rng(1).permutation(cloud.points.shape[0])
     assert member_sets(extract_plane_groups(cloud.points[order]).groups, order) == reference
+
+
+def with_pose_errors(points, pose, t, r):
+    """``points`` as scans from wrong poses place them: SEQUENCE pose 1's
+    points shift by ``t`` meters along SHIFT_DIRECTION and rotate by ``r``
+    degrees about ERROR_AXIS through the pose, and pose 2's move the
+    opposite way (-t, -r). Pose 0 stays true."""
+    k = np.cross(np.eye(3), ERROR_AXIS)  # k @ v == ERROR_AXIS x v
+    moved = np.array(points, dtype=np.float64)
+    for i, sign in ((1, 1.0), (2, -1.0)):
+        angle = np.radians(sign * r)
+        rotation = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+        rows = pose == i
+        centre = np.asarray(SEQUENCE[i])
+        moved[rows] = (moved[rows] - centre) @ rotation.T + centre + sign * t * SHIFT_DIRECTION
+    return moved
+
+
+# (t in meters, r in degrees) -> (linked pairs, candidate pairs, recall) at
+# 32 beams, candidates counted on the moved cloud; precision >= 0.999
+POSE_ERROR_PINS = {(0.005, 0.05): (52, 54, 0.949), (0.01, 0.1): (53, 53, 0.949),
+                   (0.02, 0.2): (50, 52, 0.939), (0.03, 0.3): (48, 52, 0.933),
+                   (0.05, 0.5): (43, 51, 0.902)}
+POSE_ERROR_IDS = [f"{t * 100:g}cm-{r:g}deg" for t, r in POSE_ERROR_PINS]
+
+
+@pytest.fixture(scope="module")
+def sequence_32(room_planes):
+    return scan(room_planes, 32, SEQUENCE)
+
+
+@pytest.mark.parametrize("t, r", POSE_ERROR_PINS, ids=POSE_ERROR_IDS)
+def test_pose_errors_keep_most_links(sequence_32, t, r):
+    # links fall as opposite errors on two poses grow, and precision holds
+    cloud, pose = sequence_32
+    moved = GroundTruthCloud(with_pose_errors(cloud.points, pose, t, r), cloud.labels,
+                             cloud.planes)
+    groups = extract_plane_groups(moved.points).groups
+    report = evaluate(groups, moved)
+    linked, candidates, recall = POSE_ERROR_PINS[t, r]
+    assert linked_pairs(groups, moved.points, moved.labels, pose) == (linked, candidates)
+    assert report.precision >= 0.999
+    assert round(report.recall, 3) == recall
+
+
+def balm_cost(points, groups):
+    """BALM's plane cost: the sum over groups, given as arrays of member
+    indices, of the smallest eigenvalue of the members' covariance, taken
+    at ``points``."""
+    return sum(jacobi_eigenvalues(two_pass_covariance(points[members])[0])[-1]
+               for members in groups)
+
+
+@pytest.mark.parametrize("t, r", POSE_ERROR_PINS, ids=POSE_ERROR_IDS)
+def test_associations_under_pose_error_pull_toward_true_poses(sequence_32, t, r):
+    # the groups found on the moved cloud that tie two or more poses cost
+    # less at the true positions of their points than at the moved ones,
+    # so bundle adjustment on them moves the poses toward the truth
+    cloud, pose = sequence_32
+    moved = with_pose_errors(cloud.points, pose, t, r)
+    tied = [g.merged.point_indices for g in extract_plane_groups(moved).groups
+            if np.unique(pose[g.merged.point_indices]).shape[0] >= 2]
+    assert tied
+    assert balm_cost(cloud.points, tied) < balm_cost(moved, tied)
