@@ -23,7 +23,6 @@ from .config import ExtractionConfig, load_config
 from .errors import (
     CloudFormatError,
     ConfigError,
-    GenerationError,
     InputValidationError,
     VoxplaneError,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "__version__",
     "ExtractionConfig", "load_config",
     "VoxplaneError", "InputValidationError",
-    "CloudFormatError", "ConfigError", "GenerationError",
+    "CloudFormatError", "ConfigError",
     "PlaneDecision", "RejectReason", "determine_plane",
     "VoxelKey", "NodeState", "PlanePatch",
     "PlaneGroup", "StageTimings", "ExtractionResult", "extract_plane_groups",

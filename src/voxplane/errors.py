@@ -30,7 +30,3 @@ class CloudFormatError(VoxplaneError, ValueError):
 
 class ConfigError(VoxplaneError, ValueError):
     """Invalid configuration value or malformed config file."""
-
-
-class GenerationError(VoxplaneError, RuntimeError):
-    """A synthetic-scene construction sweep found no admissible setup."""

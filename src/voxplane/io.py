@@ -335,8 +335,10 @@ def read_planes(path, points: np.ndarray) -> list[PlaneGroup]:
     rules of _block_fault with indices in [0, len(points)). Root key,
     centroid, normal, eigenvalues and indices are used as stored, the
     cluster is re-accumulated from the member points, and the depth is the
-    first in the depth histogram. Anything else raises CloudFormatError
-    with its line number, and bad points raise InputValidationError.
+    first d in the depth histogram: a group of several leaves comes back
+    as one member, written back as ``depths d:1``. Anything else raises
+    CloudFormatError with its line number, and bad points raise
+    InputValidationError.
     """
     points = as_points(points)
     path = Path(path)

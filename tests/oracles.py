@@ -11,9 +11,11 @@ splits a set into quarters with one projection per eigenvector and sums each
 quarter's moments in its own loop step. ``linked_pairs`` counts the planes
 that groups tie across scan poses, from each point's lattice cell, label
 and pose. ``traced_peak`` measures a call's peak of traced memory for the
-memory bounds.
+memory bounds. ``package_imports`` reads a module's source for the
+package modules it imports, for the import-graph tests.
 """
 
+import ast
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -247,3 +249,15 @@ def traced_peak(call, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def package_imports(module) -> list[str]:
+    """The package modules ``module``'s source imports, in AST walk order:
+    a relative import by its module name, an absolute one by its dotted
+    name."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    package = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("voxplane"))]
+    package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("voxplane")]
+    return package

@@ -82,6 +82,15 @@ def test_criterion_2_flatness_vs_quarter_separation():
             assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED
             again = gen_false_positive_slab(seed=seed)
             assert np.array_equal(fp.points, again.points)
+        # the scene is fixed data, so the premise can fail: the flatness gate
+        # passes it and the quarter test rejects it across seeds and noise
+        for sigma in (0.001, 0.005, 0.01):
+            for seed in range(50):
+                fp = gen_false_positive_slab(seed=seed, noise_sigma=sigma)
+                cov, _ = covariance(accumulate(fp.points))
+                assert flatness_test(eigen_symmetric3(cov)), (sigma, seed)
+                decision = determine_plane(fp.points)
+                assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED, (sigma, seed)
 
         clean = gen_plane(Z, 0.0, (1.0, 1.0), 400.0, 0.005, seed=0)
         ccov, _ = covariance(accumulate(clean.points))

@@ -1,7 +1,5 @@
 import argparse
-import ast
 import hashlib
-import inspect
 import json
 import re
 from dataclasses import fields
@@ -24,6 +22,7 @@ from voxplane.cli import _SCENES, EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_OK, bui
 from voxplane.io import read_cloud, read_planes, write_cloud, write_colored_cloud, write_planes
 
 import pinned
+from oracles import package_imports
 
 
 def run(*argv):
@@ -157,13 +156,6 @@ def test_hostile_seed_and_sigma_exit_two(tmp_path, capsys):
             assert run("synth", scene, "--sigma", sigma, "--out", out) == EXIT_INPUT
             assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "x.vxc").exists()
-
-
-def test_fp_slab_without_admissible_protrusion_exits_two(tmp_path, capsys):
-    out = tmp_path / "fp.vxc"
-    assert run("synth", "fp-slab", "--sigma", "0.05", "--out", str(out)) == EXIT_INPUT
-    assert "no protrusion configuration" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_extract_no_merge_and_colored(tmp_path, capsys):
@@ -410,11 +402,8 @@ def test_reports_and_config_are_their_dataclasses(tmp_path, capsys):
 
 def test_io_does_not_import_evaluation():
     # the file formats know nothing of the report
-    tree = ast.parse(inspect.getsource(voxplane.io))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names}
-    assert not {name for name in imported if name and name.endswith("evaluation")}
+    imported = package_imports(voxplane.io)
+    assert not [name for name in imported if name and name.endswith("evaluation")]
 
 
 def test_eval_and_compare_reject_out_of_range_labels(tmp_path, capsys):

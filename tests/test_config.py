@@ -1,4 +1,3 @@
-import ast
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -21,6 +20,8 @@ from voxplane.merging import NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG
 from voxplane.octree import MAX_DEPTH
 from voxplane.plane_test import FLATNESS_RATIO_MAX, QUARTER_RATIO_BOUND
 from voxplane.ransac import DIST_THRESHOLD
+
+from oracles import package_imports
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -90,12 +91,7 @@ def test_min_points_must_be_an_integer(tmp_path, min_points):
 def test_config_imports_only_errors_of_the_package():
     # the config owns its rules, so the settings module stays a leaf that
     # every other module may import
-    tree = ast.parse(Path(config_module.__file__).read_text(encoding="utf-8"))
-    package = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and (node.level or (node.module or "").startswith("voxplane"))]
-    package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names if alias.name.startswith("voxplane")]
-    assert package == ["errors"]
+    assert package_imports(config_module) == ["errors"]
 
 
 @pytest.mark.parametrize("value", [True, False, "2", None, [1.0]], ids=repr)

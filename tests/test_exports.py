@@ -16,7 +16,7 @@ PUBLIC = [
     "__version__",
     "ExtractionConfig", "load_config",
     "VoxplaneError", "InputValidationError",
-    "CloudFormatError", "ConfigError", "GenerationError",
+    "CloudFormatError", "ConfigError",
     "PlaneDecision", "RejectReason", "determine_plane",
     "VoxelKey", "NodeState", "PlanePatch",
     "PlaneGroup", "StageTimings", "ExtractionResult", "extract_plane_groups",

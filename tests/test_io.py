@@ -490,6 +490,22 @@ def test_golden_planeset_reads_back():
         assert np.array_equal(r.merged.point_indices, g.merged.point_indices)
 
 
+def test_read_planes_keeps_one_member_per_group(tmp_path, corner_cloud):
+    # a group read back is one member at its shallowest depth, so the depth
+    # histogram of a group that merged several leaves is not kept: the
+    # corner's six two-leaf groups are written back as one leaf each, every
+    # other line is kept, and a second read and write changes nothing
+    golden = Path(__file__).parent / "data" / "corner_planeset.golden.txt"
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    write_planes(read_planes(golden, corner_cloud.points), first)
+    write_planes(read_planes(first, corner_cloud.points), second)
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    again = first.read_text(encoding="utf-8").splitlines()
+    assert len(again) == len(lines)
+    assert [(a, b) for a, b in zip(lines, again) if a != b] == [("depths 1:2", "depths 1:1")] * 6
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_read_planes_checks_its_points(corner_cloud):
     # a list once raised a bare TypeError, and a NaN point in no group was
     # read without a word
