@@ -12,7 +12,9 @@ quarter's moments in its own loop step. ``linked_pairs`` counts the planes
 that groups tie across scan poses, from each point's lattice cell, label
 and pose. ``traced_peak`` measures a call's peak of traced memory for the
 memory bounds. ``package_imports`` reads a module's source for the
-package modules it imports, for the import-graph tests.
+package modules it imports, for the import-graph tests. ``member_sets``
+states a grouping as sets of input indices, to compare extractions of
+shifted or reordered input.
 """
 
 import ast
@@ -261,3 +263,11 @@ def package_imports(module) -> list[str]:
     package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names if alias.name.startswith("voxplane")]
     return package
+
+
+def member_sets(groups, order=None):
+    """Each group's members as a sorted tuple of input indices, mapped
+    through ``order`` (the permutation the input was taken in), sorted."""
+    return sorted(tuple(sorted((g.merged.point_indices if order is None
+                                else order[g.merged.point_indices]).tolist()))
+                  for g in groups)

@@ -49,8 +49,12 @@ ROOM_30K_MEMBERS_SHA256 = "e19c77badfed6f71d5076b977d7137dba5ba4eece562f3b5d45f2
 
 ROOM_30K_GROUPS_SHA256 = "539ebb73e613677ef46dc3eab0a9d774c5f57b5bd5573061f316c3d38f7befd1"
 
+# a UTM-like easting, northing and height, a whole number of root voxels
+# from the origin, added to a scene's points to test georeferenced input
+UTM_SHIFT = (5e5, 4e6, 100.0)
+
 # The same digest over extract_plane_groups(gen_corner(seed=0).points +
-# (5e5, 4e6, 100)) at the default config: the corner scene at UTM-like
+# UTM_SHIFT) at the default config: the corner scene at UTM-like
 # coordinates, 27 groups with the same members as at the origin
 CORNER_UTM_GROUPS_SHA256 = "4daa1ca67ce2d1251db84b22cbdf7c888e039a63fd7ae188fcf74ef6d4855fe6"
 
@@ -76,3 +80,20 @@ RANSAC_PATCHES_SHA256 = "19d2e507523ddbbf86c1e423461a5cabcfb70248bdfa8cf8fd8c41e
 # multi-room, false-positive-slab and single-plane calls at fixed seeds and
 # settings): each cloud's points and labels, then every TruthPlane field
 GEN_SCENES_SHA256 = "6f62d2e49aff944f3f0e29b893acbf1a8082d0008f9c6aeb24cdca2bf67025f2"
+
+# precision, recall (4 decimals) and group count of extract_plane_groups at
+# the default config on scenes whose coordinates are rounded to a quantum q
+# as a LAS file stores them, np.round(points / q) * q, scored by evaluate
+# against the unrounded labels and truth planes. Scenes: gen_corner(seed=0),
+# gen_multi_room(30_000, seed=[s, 1]), gen_slab_with_object(seed=s,
+# noise_sigma=0.0002) and gen_multi_room(seed=0), the 1M-point map
+QUANTIZED_EVAL = {
+    "corner": {0.001: (1.0, 0.9999, 27), 0.01: (1.0, 0.9984, 27)},
+    "room_30k_0": {0.001: (1.0, 0.421, 243), 0.01: (0.9978, 0.3817, 227)},
+    "room_30k_1": {0.001: (0.9987, 0.4285, 240), 0.01: (0.9967, 0.3985, 231)},
+    "room_30k_2": {0.001: (0.9962, 0.416, 239), 0.01: (0.9975, 0.4051, 236)},
+    "slab_object_0": {0.001: (1.0, 0.6818, 4), 0.01: (1.0, 0.7075, 4)},
+    "slab_object_1": {0.001: (1.0, 0.6547, 4), 0.01: (1.0, 0.7182, 4)},
+    "slab_object_2": {0.001: (1.0, 0.6554, 4), 0.01: (1.0, 0.7176, 4)},
+    "room_1m": {0.001: (0.9979, 0.8183, 685), 0.01: (0.998, 0.8225, 675)},
+}

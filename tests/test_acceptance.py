@@ -73,15 +73,6 @@ def test_criterion_1_eigensolver_oracle():
 
 def test_criterion_2_flatness_vs_quarter_separation():
     def body():
-        for seed in (0, 1):
-            fp = gen_false_positive_slab(seed=seed)
-            cov, _ = covariance(accumulate(fp.points))
-            assert flatness_test(eigen_symmetric3(cov))
-            decision = determine_plane(fp.points)
-            assert not decision.is_plane
-            assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED
-            again = gen_false_positive_slab(seed=seed)
-            assert np.array_equal(fp.points, again.points)
         # the scene is fixed data, so the premise can fail: the flatness gate
         # passes it and the quarter test rejects it across seeds and noise
         for sigma in (0.001, 0.005, 0.01):
@@ -106,6 +97,8 @@ def test_criterion_3_corner_quality():
         cloud = gen_corner(seed=0)
         result = extract_plane_groups(cloud.points, CFG)
         report = evaluate(result.groups, cloud, result.timings)
+        assert report.wall_time_s is result.timings
+        assert report.ground_truth_count == 3
         assert report.precision is not None and report.precision >= 0.95
         assert report.recall is not None and report.recall >= 0.90
         for m in report.matched_planes:

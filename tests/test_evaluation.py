@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from voxplane import (
     extract_plane_groups,
     fit_truth_planes,
     gen_corner,
+    gen_multi_room,
+    gen_slab_with_object,
 )
 from voxplane.evaluation import PlaneMatch, geometry_error
 from voxplane.geometry import accumulate, covariance, eigen_symmetric3
 
+import pinned
 from oracles import plurality_scores
 
 
@@ -207,14 +211,6 @@ def test_member_indices_outside_the_cloud_are_rejected(corner_cloud):
             evaluate([PlaneGroup(members=[bad_patch], merged=bad_patch)], corner_cloud)
 
 
-def test_corner_every_group_matched(corner_cloud):
-    result = extract_plane_groups(corner_cloud.points)
-    report = evaluate(result.groups, corner_cloud, result.timings)
-    assert len(report.matched_planes) == report.extracted_count
-    assert report.wall_time_s is result.timings
-    assert report.ground_truth_count == 3
-
-
 def test_metrics_invariant_under_label_permutation(corner_cloud):
     result = extract_plane_groups(corner_cloud.points)
     base = evaluate(result.groups, corner_cloud)
@@ -292,16 +288,15 @@ def test_fit_truth_planes_exact_at_utm_coordinates():
     # The corner scene shifted to a UTM-like easting, northing and height
     # must fit the same planes as at the origin: absolute moments would
     # cancel there, giving a noise sigma of 0 and normals off by 0.08 deg.
-    shift = np.array([5e5, 4e6, 100.0])
     for seed in range(3):
         cloud = gen_corner(seed=seed)
         near = fit_truth_planes(cloud.points, cloud.labels)
-        far = fit_truth_planes(cloud.points + shift, cloud.labels)
+        far = fit_truth_planes(cloud.points + pinned.UTM_SHIFT, cloud.labels)
         for a, b in zip(near, far):
             dot = min(1.0, abs(float(a.normal @ b.normal)))
             assert np.degrees(np.arccos(dot)) <= 1e-5
             assert abs(a.noise_sigma - b.noise_sigma) <= 1e-9
-            assert np.abs(a.center - (b.center - shift)).max() <= 1e-8
+            assert np.abs(a.center - (b.center - pinned.UTM_SHIFT)).max() <= 1e-8
 
 
 def test_fit_truth_planes_checks_points_and_labels(corner_cloud):
@@ -320,3 +315,24 @@ def test_fit_truth_planes_checks_points_and_labels(corner_cloud):
                               (points[:, :2], labels, "points")):
         with pytest.raises(InputValidationError, match=message):
             fit_truth_planes(pts, lab)
+
+
+QUANTIZED_SCENES = {
+    "corner": partial(gen_corner, seed=0),
+    **{f"room_30k_{s}": partial(gen_multi_room, 30_000, seed=[s, 1]) for s in range(3)},
+    **{f"slab_object_{s}": partial(gen_slab_with_object, seed=s, noise_sigma=0.0002)
+       for s in range(3)},
+    "room_1m": partial(gen_multi_room, seed=0),
+}
+
+
+@pytest.mark.parametrize("scene", list(QUANTIZED_SCENES))
+def test_quantized_scenes_pinned(scene):
+    # A LAS file stores each coordinate as an integer times a scale, often
+    # 1 mm or 1 cm, so a level floor can come out exactly coplanar. Scored
+    # against the truth of the unrounded scene.
+    cloud = QUANTIZED_SCENES[scene]()
+    for q, pin in pinned.QUANTIZED_EVAL[scene].items():
+        groups = extract_plane_groups(np.round(cloud.points / q) * q).groups
+        report = evaluate(groups, cloud)
+        assert (round(report.precision, 4), round(report.recall, 4), len(groups)) == pin, q

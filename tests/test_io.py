@@ -363,14 +363,6 @@ def test_planeset_roundtrip(tmp_path, rng):
         assert np.array_equal(r.point_indices, m.point_indices)
 
 
-def test_planeset_deterministic_bytes(tmp_path, rng):
-    cloud, _ = _extract_groups(rng)
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_planes(extract_plane_groups(cloud.points).groups, p1)
-    write_planes(extract_plane_groups(cloud.points).groups, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 _ONE_GROUP = ("voxplane-planeset 1\ngroups 1\ngroup 0\nroot 0 0 0\ncount 2\n"
               "centroid 0.0 0.0 0.0\nnormal 0.0 0.0 1.0\neigenvalues 1.0 1.0 0.0\n"
               "depths 0:1\nindices 3 4\nend\n")

@@ -19,16 +19,14 @@ from voxplane import (
     gen_plane,
     ransac_extract_all,
 )
-from voxplane.geometry import accumulate, covariance, eigen_symmetric3
+from voxplane.geometry import accumulate
 from voxplane.octree import MAX_DEPTH, OctreeNode, build_root_map, subdivide
-from voxplane.plane_test import FLATNESS_RATIO_MAX, flatness_test
+from voxplane.plane_test import FLATNESS_RATIO_MAX
 
 import pinned
-from oracles import traced_peak, two_pass_covariance
+from oracles import member_sets, traced_peak, two_pass_covariance
 
 CFG = ExtractionConfig()
-# a UTM-like easting, northing and height: a whole number of root voxels
-UTM_SHIFT = np.array([5e5, 4e6, 100.0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def test_build_root_map_any_memory_layout(room_30k, layout):
         wide[:, ::2] = pts
         pts = wide[:, ::2]
     else:
-        pts = pts + UTM_SHIFT
+        pts = pts + pinned.UTM_SHIFT
     _assert_root_map_matches_reference(pts, CFG.root_size)
 
 
@@ -391,8 +389,8 @@ def test_corner_utm_groups_byte_identical():
     # far from the origin a last-bit change in a kernel shows first; the
     # groups must be the origin scene's, members and order alike
     points = gen_corner(seed=0).points
-    assert _groups_sha256(points + UTM_SHIFT) == pinned.CORNER_UTM_GROUPS_SHA256
-    near, far = (extract_plane_groups(p, CFG).groups for p in (points, points + UTM_SHIFT))
+    assert _groups_sha256(points + pinned.UTM_SHIFT) == pinned.CORNER_UTM_GROUPS_SHA256
+    near, far = (extract_plane_groups(p, CFG).groups for p in (points, points + pinned.UTM_SHIFT))
     assert len(far) == pinned.CORNER_EVAL["groups"]
     assert ([g.merged.point_indices.tolist() for g in far]
             == [g.merged.point_indices.tolist() for g in near])
@@ -465,16 +463,6 @@ def _planes(points):
     return [g.merged for g in extract_plane_groups(points, CFG).groups]
 
 
-def test_extract_corner_scene(corner_cloud):
-    patches = _planes(corner_cloud.points)
-    assert len(patches) >= 3
-    truth_normals = np.eye(3)
-    for p in patches:
-        angles = [math.degrees(math.acos(min(1.0, abs(float(p.normal @ n)))))
-                  for n in truth_normals]
-        assert min(angles) < 3.0
-
-
 def test_extract_empty():
     assert _planes(np.zeros((0, 3))) == []
 
@@ -512,20 +500,13 @@ def test_extract_translation_by_root_multiples(rng):
     # the whole extraction at UTM-like coordinates, also a whole number of
     # root voxels away: the same groups and, within roundoff, the same planes
     near = near.groups
-    far = extract_plane_groups(pts + UTM_SHIFT, CFG).groups
-    assert _member_sets(near) == _member_sets(far)
+    far = extract_plane_groups(pts + pinned.UTM_SHIFT, CFG).groups
+    assert member_sets(near) == member_sets(far)
     by_members = {frozenset(g.merged.point_indices.tolist()): g.merged for g in far}
     for g in near:
         f = by_members[frozenset(g.merged.point_indices.tolist())]
         assert math.degrees(math.acos(min(1.0, abs(float(g.merged.normal @ f.normal))))) <= 1e-4
-        assert np.abs(g.merged.centroid + UTM_SHIFT - f.centroid).max() <= 1e-8
-
-
-def _member_sets(groups, order=None):
-    """The groups as a set of frozensets of point indices, mapped through
-    ``order`` when the extraction ran on ``points[order]``."""
-    return {frozenset((g.merged.point_indices if order is None
-                       else order[g.merged.point_indices]).tolist()) for g in groups}
+        assert np.abs(g.merged.centroid + pinned.UTM_SHIFT - f.centroid).max() <= 1e-8
 
 
 @pytest.mark.parametrize("scene", ["room_30k", "corner_utm"])
@@ -540,24 +521,12 @@ def test_extract_permutation_gives_same_groups(scene):
     if scene == "room_30k":
         points = gen_multi_room(target_points=30_000, seed=[9, 1]).points
     else:
-        points = gen_corner(seed=0).points + UTM_SHIFT
-    ref = _member_sets(extract_plane_groups(points, CFG).groups)
+        points = gen_corner(seed=0).points + pinned.UTM_SHIFT
+    ref = member_sets(extract_plane_groups(points, CFG).groups)
     gen = np.random.default_rng(5)
     for _ in range(5):
         order = gen.permutation(points.shape[0])
-        assert _member_sets(extract_plane_groups(points[order], CFG).groups, order) == ref
-
-
-def test_extract_deterministic(rng):
-    pts = rng.uniform(0, 3, (3000, 3))
-    a = _planes(pts)
-    b = _planes(pts)
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert pa.root_key == pb.root_key
-        assert np.array_equal(pa.point_indices, pb.point_indices)
-        assert np.array_equal(pa.normal, pb.normal)
-        assert np.array_equal(pa.eigenvalues, pb.eigenvalues)
+        assert member_sets(extract_plane_groups(points[order], CFG).groups, order) == ref
 
 
 def test_extract_respects_min_points(rng):

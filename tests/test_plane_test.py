@@ -19,14 +19,13 @@ from voxplane.plane_test import (
     sparse_quarter_threshold,
 )
 
+import pinned
 from oracles import (
     plane_decision_reference,
     quarter_split_reference,
     random_rotation,
     two_pass_covariance,
 )
-
-UTM = np.array([5e5, 4e6, 100.0])
 
 
 def eig_of(points):
@@ -158,11 +157,17 @@ def test_noisy_plane_accepted(rng):
     assert decision.quarter_min_eigenvalues.shape == (4,)
 
 
-def test_false_positive_slab_rejected():
-    cloud = gen_false_positive_slab(seed=0)
-    decision = determine_plane(cloud.points)
-    assert not decision.is_plane
-    assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: the exact slab's clean quarters flush to "
+                   "zero thickness, and a zero quarter never disqualifies")
+def test_exact_false_positive_slab_rejected():
+    # C2 checks the slab at 1 to 10 mm of noise. Without noise the clean
+    # quarters' smallest eigenvalue flushes to 0, and a quantized level floor
+    # takes the same path. A fix turns this into an unexpected pass and
+    # drops the marker.
+    for seed in range(50):
+        decision = determine_plane(gen_false_positive_slab(seed, noise_sigma=0.0).points)
+        assert decision.reject_reason is RejectReason.QUARTER_RATIO_FAILED, seed
 
 
 def test_too_few_points(rng):
@@ -195,7 +200,8 @@ def test_noisy_line_never_plane(seed, at_utm):
     # a 0.5 m edge with 5 mm noise under a random rigid motion: its quarters,
     # cut across the noise, can look as thick as the whole
     gen = np.random.default_rng(seed)
-    pts = noisy_line(gen, 60, 0.5, 0.005) + gen.uniform(-10, 10, 3) + (UTM if at_utm else 0.0)
+    pts = noisy_line(gen, 60, 0.5, 0.005) + gen.uniform(-10, 10, 3)
+    pts = pts + (pinned.UTM_SHIFT if at_utm else 0.0)
     decision = determine_plane(pts)
     assert not decision.is_plane
     assert decision.reject_reason in (RejectReason.LINE_LIKE, RejectReason.FLATNESS_FAILED)
@@ -367,7 +373,7 @@ def _oracle_case(kind, seed, at_utm):
         f = gen.choice([3.0, 0.522]) * gen.uniform(0.85, 1.15)
         sigma = np.where((xy[:, 0] >= 0) & (xy[:, 1] >= 0), f, 1.0) * 0.004
         pts = np.column_stack([xy, gen.normal(0, 1, n) * sigma]) @ random_rotation(gen).T
-    return pts + gen.uniform(-10, 10, 3) + (UTM if at_utm else 0.0), min_points
+    return pts + gen.uniform(-10, 10, 3) + (pinned.UTM_SHIFT if at_utm else 0.0), min_points
 
 
 def test_oracle_cases_cover_sparse_quarters_and_ratio_bounds():

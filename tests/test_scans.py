@@ -19,12 +19,12 @@ import voxplane.octree
 import voxplane.pipeline
 from voxplane import GroundTruthCloud, evaluate, extract_plane_groups, gen_multi_room
 
-from oracles import jacobi_eigenvalues, linked_pairs, two_pass_covariance
+import pinned
+from oracles import jacobi_eigenvalues, linked_pairs, member_sets, two_pass_covariance
 
 POSES = [(2.1, 2.3, 1.6), (6.2, 5.9, 1.5), (9.7, 2.4, 1.7)]
 # 0.5 m steps in the first room
 SEQUENCE = [(2.1, 2.3, 1.6), (2.6, 2.5, 1.6), (3.1, 2.7, 1.6)]
-UTM_SHIFT = np.array([5e5, 4e6, 100.0])
 # a pose error moves a pose's points along SHIFT_DIRECTION and rotates them
 # about ERROR_AXIS through the pose
 SHIFT_DIRECTION = np.array([0.6, -0.64, 0.48])
@@ -96,14 +96,6 @@ def spied_extraction(monkeypatch, points):
     return result, nodes, sum(d.sparse_quarter_fallback for d in decisions)
 
 
-def member_sets(groups, order=None):
-    """Each group's members as a sorted tuple of input indices, mapped
-    through ``order`` (the permutation the input was taken in), sorted."""
-    return sorted(tuple(sorted((g.merged.point_indices if order is None
-                                else order[g.merged.point_indices]).tolist()))
-                  for g in groups)
-
-
 # (beams, poses) -> groups; precision is 1.0 and recall 0.795, 0.808 (16
 # beams), 0.919, 0.906 (32) and 0.945, 0.929 (64) on these scenes
 SCAN_GROUPS = {(16, 1): 23, (16, 3): 71, (32, 1): 39, (32, 3): 114, (64, 1): 49, (64, 3): 148}
@@ -120,7 +112,7 @@ def test_scan_scenes(monkeypatch, room_planes, beams, poses):
     # the sparse-quarter fallback fires on none of the scanned scenes
     assert fallbacks == 0
     reference = member_sets(result.groups)
-    assert member_sets(extract_plane_groups(cloud.points + UTM_SHIFT).groups) == reference
+    assert member_sets(extract_plane_groups(cloud.points + pinned.UTM_SHIFT).groups) == reference
     order = np.random.default_rng(1).permutation(cloud.points.shape[0])
     assert member_sets(extract_plane_groups(cloud.points[order]).groups, order) == reference
 
@@ -179,7 +171,7 @@ def test_pose_sequence_groups_are_frame_invariant(room_planes):
     spans = Counter(np.unique(pose[g.merged.point_indices]).shape[0] for g in groups)
     assert spans == {3: 50, 2: 3}
     reference = member_sets(groups)
-    assert member_sets(extract_plane_groups(cloud.points + UTM_SHIFT).groups) == reference
+    assert member_sets(extract_plane_groups(cloud.points + pinned.UTM_SHIFT).groups) == reference
     order = np.random.default_rng(1).permutation(cloud.points.shape[0])
     assert member_sets(extract_plane_groups(cloud.points[order]).groups, order) == reference
 
