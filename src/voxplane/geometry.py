@@ -10,10 +10,16 @@ re-touching raw points. Only this module knows that frame. It keeps every
 sum at the scale of the set, so a covariance is as exact at georeferenced
 coordinates (UTM northings near 4e6 m) as at the origin. The eigensolver is
 one call of the LAPACK kernel behind ``np.linalg.eigh`` plus a sign rule
-that makes its eigenvectors deterministic. Its finiteness checks and the
-sign rule's comparisons run on the entries as Python floats (``tolist``),
-which for a 3x3 costs less than the numpy calls that would do the same; the
-signs then apply as one multiply by a prebuilt sign vector.
+that makes its eigenvectors deterministic.
+
+Which arithmetic runs where: numpy runs the per-point passes (the moment
+rows and their sums) and the one LAPACK call per eigensolve. Fixed-size
+values (a mean and covariance from 12 sums, ``merge``'s re-basing, the
+eigensolver's checks and sign rule) are Python floats taken with ``tolist``,
+as numpy's per-call cost on 3 or 9 numbers exceeds the arithmetic. The bits
+are those of the numpy broadcasts they replace: Python's float + - * / are
+the same correctly rounded IEEE 754 operations that numpy applies
+elementwise, and each expression keeps the broadcast's order.
 
 Summation order: a node's moments are summed along the contiguous rows of
 one C-contiguous (12, n) array, the centred coordinates ``pts - origin``
@@ -44,7 +50,7 @@ from .errors import InputValidationError
 # directly to skip its per-call wrapper.
 _eigh_lo = _umath_linalg.eigh_lo
 # Column multipliers of the sign rule, indexed by a bit mask of the columns
-# to flip (bit k for column k).
+# to flip (bit k for LAPACK's column k).
 _SIGNS = tuple(np.array([-1.0 if flip >> k & 1 else 1.0 for k in range(3)]) for flip in range(8))
 
 
@@ -131,22 +137,27 @@ def merge(a: PointCluster, b: PointCluster) -> PointCluster:
 
     The result keeps a's origin, and b's sums are re-based onto it with
     d = b.origin - a.origin (Chan, Golub and LeVeque, 1983): sum + n d and
-    sq_sum + d s^T + s d^T + n d d^T, each term exactly symmetric. Neither
+    sq_sum + (d s^T + s d^T) + n d d^T, each term exactly symmetric. Neither
     cluster is empty.
     """
-    d = b.origin - a.origin
-    cross = d[:, None] * b.sum
-    shift = (cross + cross.T) + d[:, None] * d * b.n
-    return PointCluster(a.n + b.n, a.sum + (b.sum + b.n * d), a.sq_sum + (b.sq_sum + shift),
-                        a.origin)
+    n, s = b.n, b.sum.tolist()
+    d = [q - p for p, q in zip(a.origin.tolist(), b.origin.tolist())]
+    shift = [(di * sj + dj * si) + di * dj * n for di, si in zip(d, s) for dj, sj in zip(d, s)]
+    sums = [p + (q + n * e) for p, q, e in zip(a.sum.tolist(), s, d)]
+    sq_sums = zip(a.sq_sum.ravel().tolist(), b.sq_sum.ravel().tolist(), shift)
+    return PointCluster(a.n + n, np.array(sums),
+                        np.array([p + (q + r) for p, q, r in sq_sums]).reshape(3, 3), a.origin)
 
 
-def _central_moments(n, s: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and mean, relative to their origin, of n points' sums; n,
-    s and ss may carry one leading stack axis, (k,), (k, 3) and (k, 3, 3)."""
-    n = np.asarray(n, dtype=np.float64)[..., None]
-    mean = s / n
-    return ss / n[..., None] - mean[..., :, None] * mean[..., None, :], mean
+def _central_moments(n: int, sums: list[float]) -> tuple[np.ndarray, list[float]]:
+    """Covariance, a (3, 3) array, and mean, three floats, relative to their
+    origin, of n points' 12 moment sums in ``_accumulate_centred``'s row
+    order: cov[i][j] = ss[i][j] / n - m[i] m[j] with m = s / n."""
+    sx, sy, sz, xx, xy, xz, yx, yy, yz, zx, zy, zz = sums
+    x, y, z = mean = [sx / n, sy / n, sz / n]
+    return np.array([xx / n - x * x, xy / n - x * y, xz / n - x * z,
+                     yx / n - y * x, yy / n - y * y, yz / n - y * z,
+                     zx / n - z * x, zy / n - z * y, zz / n - z * z]).reshape(3, 3), mean
 
 
 def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +171,7 @@ def covariance(c: PointCluster) -> tuple[np.ndarray, np.ndarray]:
     is too, and averaging it with its transpose would return the same bits.
     The cluster holds at least one point; every caller makes sure of it.
     """
-    cov, mean = _central_moments(c.n, c.sum, c.sq_sum)
+    cov, mean = _central_moments(c.n, c.sum.tolist() + c.sq_sum.ravel().tolist())
     return cov, c.origin + mean
 
 
@@ -196,10 +207,12 @@ def eigen_symmetric3(m: np.ndarray) -> EigenDecomposition:
     vals, vecs = _eigh_lo(m, signature="d->dd")
     if not all(map(math.isfinite, vals.tolist())):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    # LAPACK's column j is column 2 - j here; a tie keeps the first component
+    # a tie keeps the first component; LAPACK's column j is column 2 - j here
     flip = 0
-    for bit, (x, y, z) in zip((4, 2, 1), vecs.T.tolist()):
+    for bit, (x, y, z) in zip((1, 2, 4), vecs.T.tolist()):
         lead = y if abs(y) > abs(x) else x
         if (z if abs(z) > abs(lead) else lead) < 0.0:
             flip += bit
-    return EigenDecomposition(vals[::-1], vecs[:, ::-1] * _SIGNS[flip])
+    if flip:
+        vecs *= _SIGNS[flip]
+    return EigenDecomposition(vals[::-1], vecs[:, ::-1])

@@ -40,6 +40,12 @@ class PlaneGroup:
     merged: PlanePatch
 
 
+def _dot3(u: list[float], v: list[float]) -> float:
+    """Three rounded products summed left to right on every CPU; ``np.dot``'s
+    BLAS kernel may fuse multiply-adds (x86 with FMA), so its last bit varies."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _angle_deg(cos_abs: float) -> float:
     return math.degrees(math.acos(min(1.0, max(0.0, cos_abs))))
 
@@ -53,19 +59,15 @@ def coplanar_test(pi: PlanePatch, pj: PlanePatch) -> bool:
     dot products make the test independent of normal sign conventions and
     hence symmetric in its arguments.
     """
-    normal_angle = _angle_deg(abs(float(np.dot(pi.normal, pj.normal))))
-    if normal_angle >= NORMAL_ANGLE_MAX_DEG:
+    ni, nj = pi.normal.tolist(), pj.normal.tolist()
+    if _angle_deg(abs(_dot3(ni, nj))) >= NORMAL_ANGLE_MAX_DEG:
         return False
-    d = pi.centroid - pj.centroid
-    dist = float(np.linalg.norm(d))
-    if dist <= MIN_SEPARATION:
-        # Coincident centroids with parallel normals: same plane.
-        return True
-    for u in (pi.normal, pj.normal):
-        ang = _angle_deg(abs(float(np.dot(d, u))) / dist)
-        if abs(ang - 90.0) >= SEPARATION_ANGLE_TOL_DEG:
-            return False
-    return True
+    d = [p - q for p, q in zip(pi.centroid.tolist(), pj.centroid.tolist())]
+    dist = math.sqrt(_dot3(d, d))
+    # Coincident centroids with parallel normals: same plane.
+    return dist <= MIN_SEPARATION or all(
+        abs(_angle_deg(abs(_dot3(d, u)) / dist) - 90.0) < SEPARATION_ANGLE_TOL_DEG
+        for u in (ni, nj))
 
 
 def merge_patches(a: PlanePatch, b: PlanePatch) -> PlanePatch:

@@ -49,7 +49,7 @@ class ExtractionResult:
 def _root_leaves(key: VoxelKey, idx: np.ndarray, pts: np.ndarray,
                  config: ExtractionConfig) -> list[OctreeNode]:
     leaves: list[OctreeNode] = []
-    root = OctreeNode(center=(np.asarray(key, dtype=np.float64) + 0.5) * config.root_size,
+    root = OctreeNode(center=np.array([(k + 0.5) * config.root_size for k in key]),
                       half_extent=config.root_size / 2.0, depth=0, point_indices=idx)
     subdivide(root, pts.take(idx, axis=0), config, key, leaves)
     return leaves

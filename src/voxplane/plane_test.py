@@ -20,7 +20,8 @@ Summation order: the node's (12, n) moment rows from ``geometry`` (the
 centred coordinates and their nine products) are gathered once in quarter
 order, and each tested quarter's sums are one contiguous column slice of
 them, bit-equal to those of a copy of its points (see the ``geometry``
-module docstring).
+module docstring). From the 12 sums on, each mean and covariance, the gates
+and the quarter ratios run on Python floats, with numpy's bits (``geometry``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ FLATNESS_RATIO_MAX = 0.0625
 # Each populated quarter's smallest eigenvalue must be within this factor of
 # the pooled one, in both directions.
 QUARTER_RATIO_BOUND = 3.0
+_QUARTER_BITS = np.array([2, 1], dtype=np.uint8)
 
 
 class RejectReason(enum.Enum):
@@ -89,11 +91,8 @@ def flatness_test(eig: EigenDecomposition) -> bool:
     A degenerate spectrum with largest eigenvalue <= 0 (all points
     coincident) is never flat.
     """
-    lam_max = float(eig.eigenvalues[0])
-    lam_min = float(eig.eigenvalues[2])
-    if lam_max <= 0.0:
-        return False
-    return lam_min / lam_max < FLATNESS_RATIO_MAX
+    lam_max, _, lam_min = eig.eigenvalues.tolist()
+    return lam_max > 0.0 and lam_min / lam_max < FLATNESS_RATIO_MAX
 
 
 def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
@@ -110,27 +109,11 @@ def quarter_split(cols: np.ndarray, eig: EigenDecomposition,
     """
     # both offsets from one (3, 2, N) product, summed over axis 0 in 0, 1, 2 order
     prod = (cols - center[:, None])[:, None, :] * eig.eigenvectors[:, :2, None]
-    d0, d1 = prod[0] + prod[1] + prod[2]
-    # uint8 codes, so the stable argsort is a radix sort
-    code = (d0 >= 0.0) * np.uint8(2) + (d1 >= 0.0)
+    offsets = prod[0] + prod[1] + prod[2]
+    # uint8 codes, 2 (d0 >= 0) + (d1 >= 0), so the stable argsort is a radix sort
+    code = _QUARTER_BITS @ (offsets >= 0.0)
     order = code.argsort(kind="stable")
     return order, list(itertools.accumulate(np.bincount(code, minlength=4).tolist(), initial=0))
-
-
-def _effective_min_eigenvalue(eig: EigenDecomposition) -> float:
-    """Smallest eigenvalue with exact-coplanarity roundoff flushed to zero.
-
-    Covariances of exactly coplanar points come out with a smallest
-    eigenvalue of order +/-1e-16 of the largest one; treating those as zero
-    keeps the quarter ratio test from manufacturing huge ratios out of
-    noise floor. The threshold is relative, so the decision is invariant
-    under coordinate scaling.
-    """
-    lam_max = float(eig.eigenvalues[0])
-    lam_min = float(eig.eigenvalues[2])
-    if lam_min <= 1e-12 * max(lam_max, 0.0):
-        return 0.0
-    return lam_min
 
 
 def determine_plane(points, config: ExtractionConfig | None = None) -> PlaneDecision:
@@ -155,31 +138,33 @@ def determine_plane(points, config: ExtractionConfig | None = None) -> PlaneDeci
         return PlaneDecision(False, eig, centroid, cluster,
                              reject_reason=RejectReason.TOO_FEW_POINTS)
 
-    cov, mean = _central_moments(cluster.n, cluster.sum, cluster.sq_sum)
+    cov, mean = _central_moments(cluster.n, cluster.sum.tolist() + cluster.sq_sum.ravel().tolist())
     eig = eigen_symmetric3(cov)
+    lam_max, lam_mid, _ = spectrum = eig.eigenvalues.tolist()
     reason, quarter_values, fallback = None, None, False
     if not flatness_test(eig):
         reason = RejectReason.FLATNESS_FAILED
     # flat in its second direction too: an edge, not a plane
-    elif float(eig.eigenvalues[1]) / float(eig.eigenvalues[0]) < FLATNESS_RATIO_MAX:
+    elif lam_mid / lam_max < FLATNESS_RATIO_MAX:
         reason = RejectReason.LINE_LIKE
     else:
-        order, cuts = quarter_split(rows[:3], eig, mean)
+        order, cuts = quarter_split(rows[:3], eig, np.array(mean))
         quarter_min = sparse_quarter_threshold(config.min_points)
-        spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
         # one gather, then each tested quarter's sums are a contiguous column slice
         gathered = rows.take(order, axis=1)
-        sums = np.array([gathered[:, a:b].sum(axis=1) for a, b in spans]).reshape(-1, 12)
-        covs = _central_moments([b - a for a, b in spans], sums[:, :3],
-                                sums[:, 3:].reshape(-1, 3, 3))[0]
-        quarter_l3 = [_effective_min_eigenvalue(eigen_symmetric3(c)) for c in covs]
+        covs = [_central_moments(b - a, gathered[:, a:b].sum(axis=1).tolist())[0]
+                for a, b in zip(cuts, cuts[1:]) if b - a >= quarter_min]
+        spectra = [eigen_symmetric3(c).eigenvalues.tolist() for c in covs]
+        # Smallest eigenvalues, pooled first, with exact-coplanarity roundoff (order
+        # +/-1e-16 of the largest) flushed to zero: a scale-invariant noise floor.
+        pooled, *quarter_l3 = [l3 if l3 > 1e-12 * max(l1, 0.0) else 0.0
+                               for l1, _, l3 in [spectrum, *spectra]]
         quarter_values = np.array(quarter_l3) if len(quarter_l3) == 4 else None
         # With three or more quarters skipped there is too little quarter
         # evidence either way; the flatness gate already passed, so accept
         # and mark the fallback. Zero thickness on either side means exact
         # coplanarity somewhere; that can never disqualify a plane.
         fallback = len(quarter_l3) <= 1
-        pooled = _effective_min_eigenvalue(eig)
         bound = QUARTER_RATIO_BOUND
         if not fallback and pooled != 0.0 and any(
                 q != 0.0 and not 1.0 / bound < pooled / q < bound for q in quarter_l3):

@@ -93,11 +93,11 @@ def test_accumulate_equals_per_column_sums_bitwise(n, layout, offset, seed):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 2000), k=st.integers(1, 4), offset=st.sampled_from([0.0, 4e6]),
        seed=st.integers(0, 2**31 - 1))
-def test_moment_row_slices_and_stacked_moments_bitwise(n, k, offset, seed):
+def test_moment_row_slices_and_central_moments_bitwise(n, k, offset, seed):
     # The plane test gathers a node's (12, n) moment rows once in quarter
     # order and sums a column slice per quarter: each slice must sum like a
-    # copy of its points, and the stacked central moments of k slices must
-    # equal k single calls, bit for bit.
+    # copy of its points, and the float central moments of each slice's sums
+    # must equal numpy's elementwise broadcast of the same formula, bit for bit.
     gen = np.random.default_rng(seed)
     pts = gen.uniform(-5.0, 5.0, (n, 3)) + offset
     cluster, rows = geometry._accumulate_centred(pts)
@@ -107,9 +107,10 @@ def test_moment_row_slices_and_stacked_moments_bitwise(n, k, offset, seed):
     order = code.argsort(kind="stable")
     cuts = [0, *np.bincount(code, minlength=k).cumsum().tolist()]
     gathered = rows.take(order, axis=1)
-    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    sums = np.array([gathered[:, a:b].sum(axis=1) for a, b in spans])
-    for (a, b), row in zip(spans, sums):
+    for a, b in zip(cuts, cuts[1:]):
+        if b == a:
+            continue
+        row = gathered[:, a:b].sum(axis=1)
         copy = pts[order[a:b]]
         if order[a] == 0:
             # the slice led by the node's origin: accumulate's own frame
@@ -119,11 +120,10 @@ def test_moment_row_slices_and_stacked_moments_bitwise(n, k, offset, seed):
         assert _bits(row[:3]) == _bits([rel[:, j].sum() for j in range(3)])
         assert _bits(row[3:]) == _bits([(rel[:, i] * rel[:, j]).sum()
                                         for i in range(3) for j in range(3)])
-    counts = [b - a for a, b in spans]
-    covs, means = geometry._central_moments(counts, sums[:, :3], sums[:, 3:].reshape(-1, 3, 3))
-    for m, row, cov, mean in zip(counts, sums, covs, means):
-        cov_1, mean_1 = geometry._central_moments(m, row[:3], row[3:].reshape(3, 3))
-        assert _bits(cov) == _bits(cov_1) and _bits(mean) == _bits(mean_1)
+        cov, mean = geometry._central_moments(b - a, row.tolist())
+        m = row[:3] / (b - a)
+        assert _bits(mean) == _bits(m)
+        assert _bits(cov) == _bits(row[3:].reshape(3, 3) / (b - a) - m[:, None] * m[None, :])
 
 
 def test_merge_equals_accumulate_of_union(rng):
@@ -132,7 +132,14 @@ def test_merge_equals_accumulate_of_union(rng):
     for offset in (0.0, 4e6):
         p = rng.uniform(-50, 50, (37, 3)) + offset
         q = rng.uniform(-50, 50, (23, 3)) + offset
-        m = merge(accumulate(p), accumulate(q))
+        ca, cb = accumulate(p), accumulate(q)
+        m = merge(ca, cb)
+        # bit for bit the numpy broadcast of the re-basing formula
+        d = cb.origin - ca.origin
+        cross = d[:, None] * cb.sum
+        assert _bits(m.sum) == _bits(ca.sum + (cb.sum + cb.n * d))
+        assert _bits(m.sq_sum) == _bits(ca.sq_sum + (cb.sq_sum + ((cross + cross.T)
+                                                                  + d[:, None] * d * cb.n)))
         u = accumulate(np.concatenate([p, q]))
         assert m.n == u.n
         assert _bits(m.origin) == _bits(u.origin) == _bits(p[0])

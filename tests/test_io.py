@@ -333,7 +333,7 @@ def test_text_writers_exact_bytes(tmp_path):
 # plane sets
 
 
-def _extract_groups(rng):
+def _extract_groups():
     cloud = gen_plane(Z, 0.5, (2.0, 2.0), 1200.0, 0.003, seed=9,
                       center=np.array([0.0, 0.0, 0.5]))
     return cloud, extract_plane_groups(cloud.points).groups
@@ -345,8 +345,8 @@ def test_planeset_empty_document(tmp_path):
     assert read_planes(path, np.zeros((0, 3))) == []
 
 
-def test_planeset_roundtrip(tmp_path, rng):
-    cloud, groups = _extract_groups(rng)
+def test_planeset_roundtrip(tmp_path):
+    cloud, groups = _extract_groups()
     path = tmp_path / "planes.txt"
     write_planes(groups, path)
     back = read_planes(path, cloud.points)
@@ -376,8 +376,8 @@ def test_planeset_without_indices(tmp_path):
     assert err.value.line == 10
 
 
-def test_read_planes_evaluates(tmp_path, rng):
-    cloud, groups = _extract_groups(rng)
+def test_read_planes_evaluates(tmp_path):
+    cloud, groups = _extract_groups()
     path = tmp_path / "planes.txt"
     write_planes(groups, path)
     report = evaluate(read_planes(path, cloud.points), cloud)
@@ -734,8 +734,8 @@ def test_colored_cloud_empty(tmp_path):
     assert "element vertex 0" in path.read_text()
 
 
-def test_report_json(rng):
-    cloud, groups = _extract_groups(rng)
+def test_report_json():
+    cloud, groups = _extract_groups()
     result = extract_plane_groups(cloud.points)
     report = evaluate(result.groups, cloud, result.timings)
     data = json.loads(json.dumps(asdict(report)))

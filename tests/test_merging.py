@@ -5,7 +5,8 @@ import pytest
 
 from voxplane import ExtractionConfig, PlanePatch, VoxelKey, extract_plane_groups
 from voxplane.geometry import accumulate, covariance, eigen_symmetric3
-from voxplane.merging import SEPARATION_ANGLE_TOL_DEG, coplanar_test, greedy_merge, merge_patches
+from voxplane.merging import (MIN_SEPARATION, NORMAL_ANGLE_MAX_DEG, SEPARATION_ANGLE_TOL_DEG,
+                              coplanar_test, greedy_merge, merge_patches)
 
 from oracles import two_pass_covariance
 
@@ -94,6 +95,42 @@ def test_coincident_centroids_pass(rng):
     pb, _ = make_patch([(0.5, 0, 0), (0.5, 1, 0), (0, 0.5, 0), (1, 0.5, 0)])
     assert np.array_equal(pa.centroid, pb.centroid)
     assert coplanar_test(pa, pb)
+
+
+def bare_patch(normal, centroid):
+    # coplanar_test reads a patch's normal and centroid alone
+    return PlanePatch(cluster=accumulate(np.zeros((1, 3))), centroid=np.array(centroid),
+                      normal=np.array(normal), eigenvalues=np.zeros(3),
+                      point_indices=np.arange(1), root_key=KEY, depth=1)
+
+
+def unit(elevation_deg):
+    # unit vector in the x-z plane, elevation_deg above the x axis
+    t = math.radians(elevation_deg)
+    return [math.cos(t), 0.0, math.sin(t)]
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_coplanar_test_gate_boundaries(side):
+    # Each gate 1e-6 degrees (or one ulp of MIN_SEPARATION) inside, side -1,
+    # and outside, side +1: inside joins, outside does not, in either order.
+    up = [0.0, 0.0, 1.0]
+    eps = side * 1e-6
+    tilted = unit(90.0 - NORMAL_ANGLE_MAX_DEG - eps)
+    close = MIN_SEPARATION if side < 0 else float(np.nextafter(MIN_SEPARATION, 1.0))
+    pairs = [
+        # normals NORMAL_ANGLE_MAX_DEG -+ 1e-6 apart, coincident centroids
+        (bare_patch(up, [0.0, 0.0, 0.0]), bare_patch(tilted, [0.0, 0.0, 0.0])),
+        # centroids 3 m apart along a line SEPARATION_ANGLE_TOL_DEG -+ 1e-6
+        # out of the plane, at a 4e6 m northing
+        (bare_patch(up, [0.0, 4e6, 0.0]),
+         bare_patch(up, [3.0 * x + y for x, y in zip(unit(SEPARATION_ANGLE_TOL_DEG + eps),
+                                                    [0.0, 4e6, 0.0])])),
+        # centroids MIN_SEPARATION (then one ulp more) apart along the normal
+        (bare_patch(up, [0.0, 0.0, 0.0]), bare_patch(up, [0.0, 0.0, close])),
+    ]
+    for pa, pb in pairs:
+        assert coplanar_test(pa, pb) is coplanar_test(pb, pa) is (side < 0)
 
 
 # ---------------------------------------------------------------------------

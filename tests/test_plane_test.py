@@ -334,7 +334,7 @@ def test_decision_carries_reusable_statistics(rng):
 
 
 # ---------------------------------------------------------------------------
-# the stacked quarter kernel against the one-quarter-at-a-time oracle
+# the quarter kernel (one gather, slice sums) against the one-quarter-at-a-time oracle
 
 ORACLE_KINDS = ("coplanar", "grid", "line", "noisy_line", "clumps", "ratio")
 
