@@ -32,8 +32,9 @@ class ExtractionConfig:
         root_size / 4.
     min_points: the smallest plane. A set with fewer points is never a
         plane, an octree node with fewer is discarded without a plane
-        test, and a RANSAC plane needs this many inliers. An integer of
-        at least 4, kept as an int.
+        test, a node is split only when an octant holds this many, and
+        a RANSAC plane needs this many inliers. An integer of at least
+        4, kept as an int.
     """
 
     root_size: float = 1.0

@@ -4,11 +4,12 @@ Space is cut into fixed-size root voxels on an integer lattice; only
 non-empty voxels are kept, in a hash map keyed by lattice coordinates.
 Each root voxel is then subdivided: a node whose points pass the plane
 test becomes a plane leaf, a node that is too sparse, or fails the test
-at depth ``MAX_DEPTH``, is discarded, and anything else splits into eight
-octants. A node carries its own rows of the cloud: the caller gathers
-each root's rows once, and every child's rows are a contiguous slice of
-its parent's, in octant order, and so are its point indices (see
-``subdivide``).
+at depth ``MAX_DEPTH``, is discarded, and so is a failing node whose
+octants all hold fewer than ``min_points`` points, since none of them
+could be tested; anything else splits into eight octants. A node
+carries its own rows of the cloud: the caller gathers each root's rows
+once, and every child's rows are a contiguous slice of its parent's, in
+octant order, and so are its point indices (see ``subdivide``).
 
 The tree itself is not kept. Each root voxel resolves to a flat list of
 its leaves (plane leaves and discarded nodes), depth first with octant
@@ -161,8 +162,10 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: ExtractionConfig,
     them. A plane leaf or discarded node keeps its indices as given.
 
     Terminal conditions: too few points (discard), plane test passed
-    (plane leaf, reusing the statistics computed by the test), or node
-    already at depth ``MAX_DEPTH`` (discard). Otherwise the node is
+    (plane leaf, reusing the statistics computed by the test), node
+    already at depth ``MAX_DEPTH`` (discard), or no octant holding
+    ``min_points`` points (discard: every octant would be discarded
+    untested, so no plane can come out below). Otherwise the node is
     internal: its points split into eight octants by sign against the
     node center and each non-empty octant recurses.
     """
@@ -175,21 +178,23 @@ def subdivide(node: OctreeNode, points: np.ndarray, config: ExtractionConfig,
             node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,
                                         idx, root_key, node.depth)
         elif node.depth < MAX_DEPTH:
-            node.state = NodeState.INTERNAL
+            code = (points >= node.center) @ _OCTANT_BITS
+            counts = np.bincount(code, minlength=8).tolist()
+            if max(counts) >= config.min_points:
+                node.state = NodeState.INTERNAL
     if node.state is not NodeState.INTERNAL:
         leaves.append(node)
         return node
 
     # One stable (uint8, so radix) sort by octant code keeps each octant's
     # points in their current order; the octants are then consecutive slices.
-    code = (points >= node.center) @ _OCTANT_BITS
     order = code.argsort(kind="stable")
     idx[:] = idx.take(order)
     block = points.take(order, axis=0)
     child_he = node.half_extent / 2.0
     centers = node.center + _OCTANT_SIGNS * child_he
     stop = 0
-    for k, count in enumerate(np.bincount(code, minlength=8).tolist()):
+    for k, count in enumerate(counts):
         if count:
             start, stop = stop, stop + count
             subdivide(OctreeNode(center=centers[k], half_extent=child_he,

@@ -39,6 +39,8 @@ class ExtractionResult:
     """groups: the per-voxel merge results, in sorted lattice-key order.
     leaves: each root voxel's leaves (plane leaves and discarded nodes,
         depth first, octant index ascending), in sorted lattice-key order.
+        A failing node with no octant of min_points points is not split:
+        it is one discarded leaf, its indices in their given order.
     timings: wall-clock seconds per stage."""
 
     groups: list[PlaneGroup]

@@ -14,7 +14,9 @@ and pose. ``traced_peak`` measures a call's peak of traced memory for the
 memory bounds. ``package_imports`` reads a module's source for the
 package modules it imports, for the import-graph tests. ``member_sets``
 states a grouping as sets of input indices, to compare extractions of
-shifted or reordered input.
+shifted or reordered input. ``subdivide_reference`` is the octree
+recursion that splits every failing node above ``MAX_DEPTH``, whatever
+its octants hold, against which the pruned one is checked.
 """
 
 import ast
@@ -23,6 +25,10 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+
+from voxplane.octree import (MAX_DEPTH, _OCTANT_BITS, _OCTANT_SIGNS, NodeState, OctreeNode,
+                             PlanePatch)
+from voxplane.plane_test import determine_plane
 
 
 def jacobi_eigenvalues(matrix, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
@@ -271,3 +277,41 @@ def member_sets(groups, order=None):
     return sorted(tuple(sorted((g.merged.point_indices if order is None
                                 else order[g.merged.point_indices]).tolist()))
                   for g in groups)
+
+
+def subdivide_reference(node, points, config, root_key, leaves):
+    """``octree.subdivide`` as it was before a failing node split only when
+    some octant held ``min_points`` points: every failing node above
+    ``MAX_DEPTH`` splits, and each of its octants below ``min_points``
+    becomes a discarded leaf of its own."""
+    idx = node.point_indices
+    node.state = NodeState.DISCARDED
+    if idx.shape[0] >= config.min_points:
+        decision = determine_plane(points, config)
+        if decision.is_plane:
+            node.state = NodeState.PLANE_LEAF
+            node.patch = PlanePatch.fit(decision.cluster, decision.centroid, decision.eig,
+                                        idx, root_key, node.depth)
+        elif node.depth < MAX_DEPTH:
+            node.state = NodeState.INTERNAL
+    if node.state is not NodeState.INTERNAL:
+        leaves.append(node)
+        return node
+
+    # One stable (uint8, so radix) sort by octant code keeps each octant's
+    # points in their current order; the octants are then consecutive slices.
+    code = (points >= node.center) @ _OCTANT_BITS
+    order = code.argsort(kind="stable")
+    idx[:] = idx.take(order)
+    block = points.take(order, axis=0)
+    child_he = node.half_extent / 2.0
+    centers = node.center + _OCTANT_SIGNS * child_he
+    stop = 0
+    for k, count in enumerate(np.bincount(code, minlength=8).tolist()):
+        if count:
+            start, stop = stop, stop + count
+            subdivide_reference(OctreeNode(center=centers[k], half_extent=child_he,
+                                           depth=node.depth + 1,
+                                           point_indices=idx[start:stop]),
+                                block[start:stop], config, root_key, leaves)
+    return node

@@ -33,8 +33,8 @@ CORNER_EVAL = {
 ROOM_30K_LEAVES = {
     "points": 30205,
     "roots": 514,
-    "leaves": {(0, "discarded"): 4, (0, "plane_leaf"): 242, (1, "discarded"): 1021,
-               (1, "plane_leaf"): 2, (2, "discarded"): 1267},
+    "leaves": {(0, "discarded"): 155, (0, "plane_leaf"): 242, (1, "discarded"): 576,
+               (1, "plane_leaf"): 2},
 }
 
 # sha256 over extract_plane_groups(gen_multi_room(target_points=30_000,

@@ -19,12 +19,14 @@ from voxplane import (
     gen_plane,
     ransac_extract_all,
 )
+import voxplane.octree
 from voxplane.geometry import accumulate
-from voxplane.octree import MAX_DEPTH, OctreeNode, build_root_map, subdivide
+from voxplane.merging import greedy_merge
+from voxplane.octree import _OCTANT_SIGNS, MAX_DEPTH, OctreeNode, build_root_map, subdivide
 from voxplane.plane_test import FLATNESS_RATIO_MAX
 
 import pinned
-from oracles import member_sets, traced_peak, two_pass_covariance
+from oracles import member_sets, subdivide_reference, traced_peak, two_pass_covariance
 
 CFG = ExtractionConfig()
 
@@ -272,6 +274,80 @@ def test_subdivide_too_few_points(rng):
     assert node.state is NodeState.DISCARDED
 
 
+def _spied_subdivide(monkeypatch):
+    """Route every call of ``octree.subdivide``, the recursive ones too,
+    through a spy; returns the spy and the list of nodes it was called on."""
+    calls = []
+
+    def spy(node, *args):
+        calls.append(node)
+        return subdivide(node, *args)
+
+    monkeypatch.setattr(voxplane.octree, "subdivide", spy)
+    return spy, calls
+
+
+def _ids(nodes):
+    return [id(node) for node in nodes]
+
+
+def _scatter_node(rng, depth, per_octant):
+    """A node at ``depth`` of the root voxel [0, 1)^3, at its low corner,
+    holding ``per_octant[k]`` uniform points in octant k, shuffled."""
+    he = 0.5 / 2 ** depth
+    center = np.full(3, he)
+    pts = np.concatenate([center + ((_OCTANT_SIGNS[k] - 1.0) / 2.0
+                                    + rng.uniform(0.01, 0.99, (n, 3))) * he
+                          for k, n in enumerate(per_octant)])
+    pts = pts[rng.permutation(len(pts))]
+    node = OctreeNode(center=center, half_extent=he, depth=depth,
+                      point_indices=rng.permutation(len(pts)))
+    return node, pts
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_subdivide_discards_a_node_with_no_octant_of_min_points(monkeypatch, rng, depth):
+    # 8 x 19 points of scatter fail the plane test, and no octant could be
+    # tested, so no plane can come out below: the node is one discarded
+    # leaf, its indices as given, with no call for its octants
+    node, pts = _scatter_node(rng, depth, [CFG.min_points - 1] * 8)
+    assert not determine_plane(pts, CFG).is_plane
+    given_indices = node.point_indices.copy()
+    spy, calls = _spied_subdivide(monkeypatch)
+    leaves = []
+    assert spy(node, pts, CFG, VoxelKey(0, 0, 0), leaves) is node
+    assert _ids(leaves) == _ids(calls) == [id(node)]
+    assert node.state is NodeState.DISCARDED and node.patch is None
+    assert np.array_equal(node.point_indices, given_indices)
+
+
+@pytest.mark.parametrize("min_points", [20, 30])
+def test_subdivide_splits_at_an_octant_of_exactly_min_points(monkeypatch, rng, min_points):
+    # octant 0 holds a coplanar patch and octants 1-7 ten points of scatter
+    # each; the node fails the plane test either way. With min_points points
+    # in octant 0 it splits and the patch is a plane leaf; with one fewer, no
+    # octant can be tested and the node is discarded whole.
+    cfg = ExtractionConfig(min_points=min_points)
+    for k, state in ((min_points, NodeState.INTERNAL), (min_points - 1, NodeState.DISCARDED)):
+        node, pts = _scatter_node(rng, 0, [0] + [10] * 7)
+        patch = np.column_stack([rng.uniform(0.02, 0.48, (k, 2)), np.full(k, 0.2)])
+        pts = np.concatenate([patch, pts])
+        node.point_indices = np.arange(len(pts))
+        assert not determine_plane(pts, cfg).is_plane
+        spy, calls = _spied_subdivide(monkeypatch)
+        leaves = []
+        spy(node, pts, cfg, VoxelKey(0, 0, 0), leaves)
+        assert node.state is state, k
+        if state is NodeState.DISCARDED:
+            assert _ids(leaves) == _ids(calls) == [id(node)]
+            assert np.array_equal(node.point_indices, np.arange(len(pts)))
+        else:
+            assert _ids(calls) == _ids([node] + leaves) and len(leaves) == 8
+            assert leaves[0].state is NodeState.PLANE_LEAF
+            assert np.array_equal(leaves[0].point_indices, np.arange(k))
+            assert all(leaf.state is NodeState.DISCARDED for leaf in leaves[1:])
+
+
 def test_subdivide_depth_bound_and_conservation(rng):
     # random clutter forces deep subdivision; check the depth bound and
     # that every index lands in exactly one leaf
@@ -453,6 +529,66 @@ def test_leaf_octant_paths_strictly_increase(room_30k, rng):
             paths = [_octant_path(leaf, key, CFG.root_size) for leaf in voxel]
             assert all(a < b for a, b in zip(paths, paths[1:])), key
             assert [len(p) for p in paths] == [leaf.depth for leaf in voxel]
+
+
+def _sparse_scene(gen):
+    """1-4 root voxels of the unit lattice, each with 20-200 points: up to
+    three noisy planar patches, each over part of the voxel, and up to half
+    of the points, or all of them when no patch lands, uniform clutter."""
+    keys = gen.choice(64, int(gen.integers(1, 5)), replace=False)
+    parts = []
+    for key in np.column_stack(np.unravel_index(keys, (4, 4, 4))) - 2:
+        n = int(gen.integers(20, 201))
+        planar = [np.empty((0, 3))]
+        for _ in range(int(gen.integers(0, 4))):
+            lo = gen.uniform(0.0, 0.6, 2)
+            uv = lo + gen.uniform(0.0, 1.0, (n, 2)) * gen.uniform(0.2, 1.0 - lo)
+            w = gen.uniform(0.2, 0.8) + uv @ gen.uniform(-0.2, 0.2, 2) + gen.normal(0, 0.002, n)
+            planar.append(np.column_stack([uv, w])[:, gen.permutation(3)])
+        planar = np.concatenate(planar)
+        planar = gen.permutation(planar[((planar > 0.0) & (planar < 1.0)).all(axis=1)])
+        planar = planar[:n - int(gen.integers(0, n // 2 + 1))]
+        clutter = gen.uniform(0.001, 0.999, (n - len(planar), 3))
+        parts.append(gen.permutation(np.concatenate([planar, clutter])) + key)
+    return np.concatenate(parts)
+
+
+def _patch_bytes(patch):
+    return (tuple(patch.root_key), patch.depth, patch.point_indices.tobytes(),
+            patch.centroid.tobytes(), patch.normal.tobytes(), patch.eigenvalues.tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), min_points=st.integers(4, 40), utm=st.booleans())
+def test_pruned_subdivide_matches_the_always_split_reference(seed, min_points, utm):
+    # Splitting a failing node only when an octant holds min_points points
+    # changes no plane leaf and no group: each discarded leaf stands for a
+    # run of the reference's leaves, all discarded, holding its points.
+    pts = _sparse_scene(np.random.default_rng(seed)) + (pinned.UTM_SHIFT if utm else 0.0)
+    cfg = ExtractionConfig(min_points=min_points)
+    result = extract_plane_groups(pts, cfg)
+    ref_groups = []
+    for key, idx in build_root_map(pts, cfg.root_size).items():
+        ref = []
+        root = OctreeNode(center=(np.asarray(key, dtype=np.float64) + 0.5) * cfg.root_size,
+                          half_extent=cfg.root_size / 2.0, depth=0, point_indices=idx)
+        subdivide_reference(root, pts.take(idx, axis=0), cfg, key, ref)
+        ref_groups += greedy_merge([leaf.patch for leaf in ref if leaf.patch])
+        ref = iter(ref)
+        for leaf in result.leaves[key]:
+            if leaf.patch:
+                assert _patch_bytes(leaf.patch) == _patch_bytes(next(ref).patch)
+                continue
+            replaced = []
+            while sum(r.point_indices.shape[0] for r in replaced) < leaf.point_indices.shape[0]:
+                replaced.append(next(ref))
+            assert all(r.state is NodeState.DISCARDED for r in replaced)
+            assert all(r.depth >= leaf.depth for r in replaced)
+            assert (np.sort(np.concatenate([r.point_indices for r in replaced])).tolist()
+                    == np.sort(leaf.point_indices).tolist())
+        assert next(ref, None) is None
+    assert ([[_patch_bytes(p) for p in (g.merged, *g.members)] for g in result.groups]
+            == [[_patch_bytes(p) for p in (g.merged, *g.members)] for g in ref_groups])
 
 
 # ---------------------------------------------------------------------------
