@@ -27,9 +27,9 @@ class ExtractionConfig:
     """All tunables of the extraction pipeline, each checked here
     (ConfigError naming the field otherwise).
 
-    root_size: edge length of root voxels (meters), a finite positive
-        real number, not a bool, kept as a float; octants split down to
-        root_size / 4.
+    root_size: edge length of root voxels (meters), a finite real number of
+        at least 2^-20 (``geometry``'s domain: int64 lattice keys), not a
+        bool, kept as a float; octants split down to root_size / 4.
     min_points: the smallest plane. A set with fewer points is never a
         plane, an octree node with fewer is discarded without a plane
         test, a node is split only when an octant holds this many, and
@@ -53,8 +53,8 @@ class ExtractionConfig:
             root_size = float(self.root_size)
         except OverflowError:  # an int past the float range
             root_size = math.inf
-        if not 0 < root_size < math.inf:
-            raise ConfigError("root_size must be finite and positive")
+        if not 2.0 ** -20 <= root_size < math.inf:
+            raise ConfigError("root_size must be finite and at least 2^-20")
         try:
             min_points = operator.index(self.min_points)
         except TypeError as exc:
@@ -75,9 +75,9 @@ def config_from_dict(data) -> ExtractionConfig:
 
 
 def load_config(path) -> ExtractionConfig:
-    """Read a JSON config file; missing fields keep shipped defaults."""
+    """Read a JSON config file (UTF-8, BOM allowed); missing fields keep shipped defaults."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:

@@ -8,7 +8,7 @@ class VoxplaneError(Exception):
 
 
 class InputValidationError(VoxplaneError, ValueError):
-    """Bad numeric input: wrong shape, NaN or infinite coordinates."""
+    """Bad numeric input: wrong shape or type, NaN, infinite or out-of-domain values."""
 
 
 class CloudFormatError(VoxplaneError, ValueError):

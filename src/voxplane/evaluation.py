@@ -105,8 +105,8 @@ def fit_truth_planes(points: np.ndarray, labels: np.ndarray) -> tuple[TruthPlane
     error is orders of magnitude below the reporting tolerances, and the
     fit is as exact at georeferenced coordinates (UTM northings near 4e6 m)
     as at the origin, since a cluster sums about one of its own points.
-    Raises InputValidationError unless the points are finite (N, 3) and
-    the labels one integer per point, each at least -1 (outlier).
+    Raises InputValidationError unless ``as_points`` takes the points and
+    the labels are one integer per point, each at least -1 (outlier).
     """
     points = as_points(points)
     labels = as_integers(labels, -1, 2**31, "labels", size=len(points))

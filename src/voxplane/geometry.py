@@ -1,7 +1,7 @@
 """Moment statistics of point sets, a 3x3 symmetric eigensolver, and the
 one owner of the rules on arrays from outside: ``as_points`` for points and
-``as_integers`` for member indices and labels, for the extractor, every
-writer and the scorer (the file readers keep checks that name a line).
+``as_integers`` for member indices and labels, wherever they enter (the
+file readers add checks that name a line).
 
 A point cluster stores (count, sum of points, sum of outer products) about
 its first point, enough to get the covariance of any point set and to merge
@@ -15,7 +15,7 @@ that makes its eigenvectors deterministic.
 Which arithmetic runs where: numpy runs the per-point passes (the moment
 rows and their sums) and the one LAPACK call per eigensolve. Fixed-size
 values (a mean and covariance from 12 sums, ``merge``'s re-basing, the
-eigensolver's checks and sign rule) are Python floats taken with ``tolist``,
+eigensolver's output check and sign rule) are Python floats taken with ``tolist``,
 as numpy's per-call cost on 3 or 9 numbers exceeds the arithmetic. The bits
 are those of the numpy broadcasts they replace: Python's float + - * / are
 the same correctly rounded IEEE 754 operations that numpy applies
@@ -31,6 +31,13 @@ of these rows, or of ``rows.take(idx, axis=1)``, has contiguous rows too,
 so it sums exactly like a copy of that run of points. A row that is not
 contiguous (an uncopied transpose) or ``np.add.reduceat``, which is not
 pairwise, sums in another order and changes the last bits.
+
+The domain: ``as_points`` takes coordinates within +-COORD_LIMIT = 2^40 m
+and ``ExtractionConfig`` a ``root_size`` of at least 2^-20 m, so
+|x / root_size| <= 2^60 and every int64 lattice key and key span fits.
+Two points differ by at most 2^41 m, so no centred product (<= 2^82),
+moment sum, ``merge`` shift or covariance nears the float range, and no
+stage checks for overflow again.
 
 The other functions trust what their callers checked. All functions
 are pure and all returned objects are treated as immutable.
@@ -52,12 +59,14 @@ _eigh_lo = _umath_linalg.eigh_lo
 # Column multipliers of the sign rule, indexed by a bit mask of the columns
 # to flip (bit k for LAPACK's column k).
 _SIGNS = tuple(np.array([-1.0 if flip >> k & 1 else 1.0 for k in range(3)]) for flip in range(8))
+COORD_LIMIT = 2.0 ** 40
 
 
 def as_points(points) -> np.ndarray:
-    """Coerce input to an (N, 3) float64 array of finite coordinates.
-    Raises InputValidationError on anything else: complex, datetime or
-    non-numeric values, ragged nesting, another shape, NaN or Inf."""
+    """Coerce input to an (N, 3) float64 array of coordinates within
+    +-COORD_LIMIT meters. Raises InputValidationError on anything else:
+    complex, datetime or non-numeric values, ragged nesting, another shape,
+    NaN, Inf or a coordinate past the limit, all failing one comparison."""
     try:
         pts = np.asarray(points)
         if pts.dtype.kind not in "cmM":
@@ -72,8 +81,8 @@ def as_points(points) -> np.ndarray:
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InputValidationError(f"expected points with shape (N, 3), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise InputValidationError("points contain NaN or infinite coordinates")
+    if not (-COORD_LIMIT <= pts.min() and pts.max() <= COORD_LIMIT):
+        raise InputValidationError("points contain NaN or infinite coordinates, or past +-2^40 m")
     return pts
 
 
@@ -112,7 +121,7 @@ class PointCluster:
 
 
 def accumulate(points: np.ndarray) -> PointCluster:
-    """The PointCluster of (N, 3) float64 points of finite coordinates,
+    """The PointCluster of (N, 3) float64 points in the module's domain,
     which the caller has checked (``as_points``)."""
     return _accumulate_centred(points)[0]
 
@@ -193,17 +202,13 @@ def eigen_symmetric3(m: np.ndarray) -> EigenDecomposition:
     becomes -0.0).
 
     One direct call of the gufunc behind ``np.linalg.eigh`` computes it, so
-    the bits are eigh's. Finite points can still give an overflowed
-    covariance, once they differ by more than about 1e154, so the entries
-    are checked for finiteness first (InputValidationError), all nine,
-    since only the lower triangle is read. LAPACK scales the matrix
-    internally, so the result is accurate at any magnitude, and it handles
-    repeated eigenvalues without a special case. A non-finite eigenvalue
-    means LAPACK did not converge and raises ``np.linalg.LinAlgError``, as
-    eigh would.
+    the bits are eigh's. The entries are finite and not checked again: every
+    matrix solved here comes from points in the module's domain. LAPACK
+    scales the matrix internally, so the result is accurate at any
+    magnitude, and it handles repeated eigenvalues without a special case.
+    A non-finite eigenvalue means LAPACK did not converge and raises
+    ``np.linalg.LinAlgError``, as eigh would.
     """
-    if not all(map(math.isfinite, m.reshape(9).tolist())):
-        raise InputValidationError("matrix contains NaN or infinite entries")
     vals, vecs = _eigh_lo(m, signature="d->dd")
     if not all(map(math.isfinite, vals.tolist())):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -12,7 +12,8 @@ association).
 
 One reader per format, each parsing straight into the library's types:
 ``read_cloud`` tells the cloud formats apart by content and returns
-arrays (xyz and ply rows share one row parser), and ``read_planes``
+arrays (xyz and ply rows share one row parser; text, told from binary on
+the raw bytes, is UTF-8, a leading byte-order mark allowed), and ``read_planes``
 returns ``PlaneGroup``s over the cloud, held to the writer's block rules.
 The readers reject malformed or out-of-range content with line numbers.
 """
@@ -59,7 +60,7 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
     The format comes from the content: the labeled-cloud magic, else a
     first line of ``ply``, else xyz. Malformed content is a hard error
     carrying the line number where one applies; nothing is silently
-    skipped. Non-finite coordinates are rejected.
+    skipped. Points that ``as_points`` refuses raise its error, naming the file.
     """
     path = Path(path)
     try:
@@ -70,7 +71,7 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
         pts, labels = _read_labeled(raw, path)
     else:
         try:
-            lines = raw.decode("utf-8").splitlines()
+            lines = raw.decode("utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise CloudFormatError(f"not a recognized cloud file (binary content, "
                                    f"bad magic): {exc}", path) from exc
@@ -82,9 +83,10 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
             pts, labels = _parse_rows(rows, ["x", "y", "z"], path)
     if pts.shape[0] == 0:
         logger.warning("%s: empty cloud", path)
-    if not np.isfinite(pts).all():
-        raise InputValidationError(f"{path}: cloud contains non-finite coordinates")
-    return pts, labels
+    try:
+        return as_points(pts), labels
+    except InputValidationError as exc:
+        raise InputValidationError(f"{path}: {exc}") from None
 
 
 def _parse_rows(rows: list[tuple[int, str]], columns: list[str],
@@ -132,20 +134,22 @@ def _read_labeled(raw: bytes, path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
-    """ASCII ply whose first line is ``ply``: a header with one vertex
-    element of scalar properties, then one row per vertex."""
+    """ASCII ply whose first line is ``ply``: a header with one format line,
+    one vertex element of scalar properties and any comment and obj_info
+    lines (Turk 1994), then one row per vertex."""
     vertex_count = None
     properties: list[str] = []
-    in_vertex = False
+    in_vertex = has_format = False
     data_start = None
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
-        if not tokens or tokens[0] == "comment":
+        if not tokens or tokens[0] in ("comment", "obj_info"):
             continue
         if tokens[0] == "format":
-            if tokens[1:2] != ["ascii"]:
-                raise CloudFormatError(f"unsupported ply format {' '.join(tokens[1:])!r}; "
-                                       "only ascii is handled", path, lineno)
+            if has_format or tokens[1:2] != ["ascii"]:
+                raise CloudFormatError(f"expected one 'format ascii' line, got "
+                                       f"{line.strip()!r}", path, lineno)
+            has_format = True
         elif tokens[0] == "element":
             if len(tokens) != 3 or not tokens[2].isdecimal():
                 raise CloudFormatError("expected 'element <name> <count>' with a "
@@ -176,8 +180,8 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
         else:
             raise CloudFormatError(f"unrecognized header line {line.strip()!r}",
                                    path, lineno)
-    if data_start is None or vertex_count is None:
-        raise CloudFormatError("header ended without element vertex / end_header", path)
+    if data_start is None or vertex_count is None or not has_format:
+        raise CloudFormatError("header ended without element vertex / end_header / format", path)
     for axis in ("x", "y", "z"):
         if axis not in properties:
             raise CloudFormatError(f"vertex element lacks property {axis!r}", path)
@@ -193,7 +197,7 @@ def _read_ply(lines: list[str], path) -> tuple[np.ndarray, np.ndarray | None]:
 def write_cloud(path, points, labels=None) -> None:
     """Write a cloud in the labeled binary format, which round-trips
     coordinates bit-exactly; labels are optional. The points must be an
-    (N, 3) array of finite coordinates, and the labels N integers within
+    (N, 3) array that ``as_points`` takes, and the labels N integers within
     the int32 range (InputValidationError otherwise)."""
     pts = as_points(points)
     blob = _HEADER.pack(_MAGIC, _VERSION, pts.shape[0], labels is not None)
@@ -388,8 +392,8 @@ def write_colored_cloud(points, groups: list[PlaneGroup], path) -> None:
     """ASCII ply of the points in plane groups, group i in palette color
     ``group_color(i)``: double x, y, z in shortest round-trip repr and uchar
     red, green, blue. A point in several groups takes the last one's color;
-    points in no group are omitted. The points must be an (N, 3) array of
-    finite coordinates and every member index an integer in [0, N)
+    points in no group are omitted. The points must be an (N, 3) array
+    that ``as_points`` takes and every member index an integer in [0, N)
     (InputValidationError before the file is opened otherwise)."""
     pts = as_points(points)
     assign = np.full(pts.shape[0], -1, dtype=np.int64)

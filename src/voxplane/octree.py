@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ExtractionConfig
-from .errors import InputValidationError
 from .geometry import EigenDecomposition, PointCluster
 from .plane_test import determine_plane
 
@@ -86,37 +85,29 @@ def _axis_keys(column: np.ndarray, root_size: float) -> np.ndarray:
     """int64 lattice coordinates of one (N,) coordinate column: the floor
     of column / root_size, so -0.3 lands in cell -1 and a cell boundary
     belongs to the higher cell (half-open convention). One float row is
-    allocated, floored in place and cast to a new int64 row. root_size is
-    ExtractionConfig's, so finite and positive. Raises InputValidationError
-    where |x / root_size| >= 2^63 has no int64 key; a quotient that
-    overflows to inf is rejected by that check, without a warning."""
-    with np.errstate(over="ignore"):
-        cells = np.divide(column, root_size)
-    np.floor(cells, out=cells)
-    if cells.size and not (-2.0 ** 63 < cells.min() and cells.max() < 2.0 ** 63):
-        raise InputValidationError("coordinate too large for the voxel lattice: "
-                                   "|x / root_size| must be below 2^63")
-    return cells.astype(np.int64)
+    allocated, floored in place and cast to a new int64 row. The column
+    is within +-2^40 and root_size, ExtractionConfig's, at least 2^-20, so
+    every key is within +-2^60 (the ``geometry`` domain)."""
+    cells = np.divide(column, root_size)
+    return np.floor(cells, out=cells).astype(np.int64)
 
 
 def build_root_map(points: np.ndarray, root_size: float) -> dict[VoxelKey, np.ndarray]:
     """Group point indices by root voxel.
 
-    ``points`` is the (N, 3) float64 array of finite coordinates that the
-    caller has checked, and ``root_size`` is ExtractionConfig's; neither is
+    ``points`` is the (N, 3) float64 array that the caller has checked
+    (``as_points``), and ``root_size`` is ExtractionConfig's; neither is
     checked again. Only non-empty voxels appear; the index arrays partition
     the input. Keys are in sorted lattice order so downstream iteration is
     deterministic.
 
     The keys are built one axis at a time by ``_axis_keys``. Each axis's
-    int64 row becomes its offsets from the row's minimum, in place as
-    uint64 differences modulo 2^64, then a copy in the narrowest unsigned
-    type that holds the row's span (uint8 on a room-sized scene); the
-    wide rows are dropped before the next axis. So at most one float row,
-    one int64 row and the narrow rows are alive at once. The narrow rows
-    give the order of the int64 keys with a faster ``lexsort``; the span
-    is a Python int, so a span beyond int64 (keys near +-6e18) still
-    sorts right.
+    int64 row becomes its offsets from the row's minimum, in place (a span
+    is at most 2^61), then a copy in the narrowest unsigned type that holds
+    the span (uint8 on a room-sized scene); the wide rows are dropped
+    before the next axis. So at most one float row, one int64 row and the
+    narrow rows are alive at once. The narrow rows give the order of the
+    int64 keys with a faster ``lexsort``.
     """
     lows, rows = [], []
     for column in points.T:
@@ -124,11 +115,10 @@ def build_root_map(points: np.ndarray, root_size: float) -> dict[VoxelKey, np.nd
         if not keys.size:
             return {}
         lo, hi = int(keys.min()), int(keys.max())
-        offsets = keys.view(np.uint64)
-        offsets -= np.uint64(lo % 2 ** 64)
+        keys -= lo
         lows.append(lo)
-        rows.append(offsets.astype(np.min_scalar_type(hi - lo)))
-        del keys, offsets
+        rows.append(keys.astype(np.min_scalar_type(hi - lo)))
+        del keys
     order = np.lexsort(rows[::-1])
     rows = [row.take(order) for row in rows]
     change = np.flatnonzero(np.logical_or.reduce([row[1:] != row[:-1] for row in rows])) + 1

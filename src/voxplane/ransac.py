@@ -52,7 +52,7 @@ def ransac_plane(points: np.ndarray, rng: np.random.Generator,
                  min_inliers: int) -> np.ndarray | None:
     """Indices of the inliers of the best consensus plane of a point set
     with at least ``min_inliers`` inliers, or None. ``points`` is an (N, 3)
-    float64 array of finite coordinates that the caller has checked, with
+    float64 array that the caller has checked (``as_points``), with
     N >= ``min_inliers`` >= 4 rows; neither is checked again.
 
     Samples of three (nearly) collinear points are degenerate and skipped.

@@ -274,6 +274,7 @@ def test_extract_hostile_sizes_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     for text in ('{"root_size": Infinity}',
                  '{"root_size": NaN}',
+                 '{"root_size": 1e-07}',  # below 2^-20: once exit 0
                  '{"min_points": Infinity}'):
         cfg.write_text(text)
         assert run("extract", str(cloud), "--config", str(cfg)) == EXIT_CONFIG

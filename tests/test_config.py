@@ -40,13 +40,15 @@ def test_defaults_carry_shipped_values():
 
 
 def test_invariant_violations_raise():
-    # root sizes that are not finite and positive: -1 once gave a mirrored
-    # lattice, inf put every point in voxel (0, 0, 0), and 0 and nan failed
-    # as a coordinate too large
-    for root_size in (-1.0, float("inf"), 0.0, float("nan"),
+    # root sizes that are not finite and at least 2^-20: -1 once gave a
+    # mirrored lattice, inf put every point in voxel (0, 0, 0), and 0 and
+    # nan failed as a coordinate too large; below 2^-20 a key of a point
+    # within +-2^40 m could pass 2^60
+    for root_size in (-1.0, float("inf"), 0.0, float("nan"), np.nextafter(2.0 ** -20, 0),
                       10 ** 400):  # once an OverflowError
         with pytest.raises(ConfigError):
             ExtractionConfig(root_size=root_size)
+    assert ExtractionConfig(root_size=2.0 ** -20).root_size == 2.0 ** -20
 
 
 def test_config_stores_plain_numbers():
@@ -112,6 +114,13 @@ def test_field_by_field_override(tmp_path):
     cfg = load_config(path)
     assert cfg.root_size == 1.0                 # untouched default
     assert cfg.min_points == 30
+
+
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path):
+    # as Windows editors write: once "Unexpected UTF-8 BOM"
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"min_points": 30}).encode())
+    assert load_config(path).min_points == 30
 
 
 def test_unknown_keys_rejected():

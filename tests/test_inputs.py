@@ -1,5 +1,6 @@
 """Hostile arrays against every entry point that takes one from outside:
-points through both extractors, the plane test and both cloud writers,
+points through both extractors, the plane test, the truth-plane fit and
+both cloud writers,
 member indices through both group writers and the scorer, labels through
 the cloud writer and the scorer. Every refusal is an InputValidationError
 raised before any file is opened, and valid values pass as a plain list
@@ -18,6 +19,7 @@ from voxplane import (
     determine_plane,
     evaluate,
     extract_plane_groups,
+    fit_truth_planes,
     ransac_extract_all,
 )
 from voxplane.geometry import PointCluster
@@ -32,6 +34,12 @@ POINTS = {
     "ragged": [[0.0, 1.0, 2.0], [0.0, 1.0]],
     "int-past-float": [[10 ** 400, 0, 0]],
     "nan": np.array([[0.0, np.nan, 1.0]] * 30),
+    # past the coordinate domain, +-2^40 m: each once reached a stage
+    "past-2^40": np.array([[0.0, 0.0, 0.0]] * 29 + [[2.0 ** 40 * (1 + 2 ** -52), 0.0, 0.0]]),
+    "1e19": np.array([[0.0, 1.5, 0.0]] * 29 + [[1e19, 0.0, 0.0]]),
+    "1.7e308": np.array([[0.0, 1.5, 0.0]] * 29 + [[0.0, 0.0, -1.7e308]]),
+    # moment sums overflowed with a RuntimeWarning in every extractor
+    "spread-1e160": np.random.default_rng(0).uniform(-1e160, 1e160, (30, 3)),
     "two-columns": np.zeros((30, 2)),
     "three-d": np.zeros((10, 3, 3)),
 }
@@ -93,6 +101,8 @@ POINT_ENTRIES = {
     "extract_plane_groups": lambda path, points: extract_plane_groups(points),
     "ransac_extract_all": lambda path, points: ransac_extract_all(points),
     "determine_plane": lambda path, points: determine_plane(points),
+    "fit_truth_planes":
+        lambda path, points: fit_truth_planes(points, np.zeros(len(points), dtype=np.int64)),
     "write_cloud": lambda path, points: write_cloud(path, points),
     "write_colored_cloud": lambda path, points: write_colored_cloud(points, [], path),
 }
@@ -104,6 +114,17 @@ def test_hostile_points_are_refused(tmp_path, points):
         with pytest.raises(InputValidationError, match="points"):
             entry(tmp_path / name, points)
         assert not (tmp_path / name).exists()
+
+
+def test_the_domain_edge_passes_every_point_entry(tmp_path):
+    # exactly +-2^40 m is in the domain: a plane at x = 2^40 spanning
+    # +-2^40 in y and z, whose moment sums reach 2^82 m^2
+    gen = np.random.default_rng(0)
+    points = np.column_stack([np.full(30, 2.0 ** 40),
+                              gen.choice([-2.0 ** 40, 0.0, 2.0 ** 40], (30, 2))])
+    for name, entry in POINT_ENTRIES.items():
+        entry(tmp_path / name, points)
+    assert read_cloud(tmp_path / "write_cloud")[0].tolist() == points.tolist()
 
 
 def test_a_bare_point_is_one_point(tmp_path):

@@ -96,10 +96,24 @@ def test_xyz_bad_number_reports_lineno(tmp_path):
 
 
 def test_non_finite_rejected(tmp_path):
+    # as_points' rule, NaN and past +-2^40 m alike, with the file's name
     path = tmp_path / "naughty.xyz"
-    path.write_text("0 0 0\n1 nan 2\n")
-    with pytest.raises(InputValidationError):
+    for bad in ("nan", "1099511627776.0002", "1e308", "-1.7976931348623157e308"):
+        path.write_text(f"0 0 0\n1 {bad} 2\n")
+        with pytest.raises(InputValidationError, match="naughty.xyz: points contain NaN"):
+            read_cloud(path)
+    path.write_bytes(struct.pack("<4sIQB3d", b"VXPC", 1, 1, 0, 0.0, 1e308, 0.0))
+    with pytest.raises(InputValidationError, match="naughty.xyz: points contain NaN"):
         read_cloud(path)
+
+
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path):
+    # as Windows editors write: the xyz row was once "bad number '\ufeff1'"
+    # and the ply read as xyz; a UTF-16 mark stays binary content
+    for name, text in (("bom.xyz", "1 2 3\n"), ("bom.ply", _PLY_HEAD + "1 2 3 4\n")):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_cloud(path)[0].tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_truncated_labeled_file(tmp_path, rng):
@@ -168,8 +182,12 @@ def _ply(good, bad):
      "unsupported non-empty element 'face'", 8),
     (_ply("property int label", "property list uchar int label"),
      "list properties are not supported", 7),
-    (_ply("format ascii 1.0\n", "format ascii 1.0\nobj_info scanner 7\n"),
-     "unrecognized header line 'obj_info scanner 7'", 3),
+    (_ply("format ascii 1.0\n", "format ascii 1.0\nfrobnicate 7\n"),
+     "unrecognized header line 'frobnicate 7'", 3),
+    (_ply("format ascii 1.0\n", ""), "header ended without element vertex / end_header / format",
+     None),
+    (_ply("element vertex 1\n", "element vertex 1\nformat ascii 1.0\n"),
+     "expected one 'format ascii' line, got 'format ascii 1.0'", 4),
     (_ply("element vertex 1\n", ""), "header ended without element vertex", None),
     (_ply("end_header\n", ""), "header ended without element vertex / end_header", None),
     (_ply("property double x\n", ""), "vertex element lacks property 'x'", None),
@@ -179,6 +197,7 @@ def _ply(good, bad):
      "more data rows than declared vertices", 10),
 ], ids=["binary-without-magic", "labeled-truncated-header", "labeled-version-2",
         "ply-non-empty-face-element", "ply-vertex-list-property", "ply-unknown-header-line",
+        "ply-no-format", "ply-second-format",
         "ply-no-element-vertex", "ply-no-end-header", "ply-no-x", "ply-no-y", "ply-no-z",
         "ply-extra-rows"])
 def test_read_cloud_refusals(tmp_path, content, message, line):
@@ -192,7 +211,7 @@ def test_read_cloud_refusals(tmp_path, content, message, line):
 def test_ply_header_comments_and_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "commented.ply"
     path.write_bytes(_ply("format ascii 1.0\n", "format ascii 1.0\ncomment scanner 7\n\n"
-                          "comment element face 9\n") + b"0.5 1.5 2.5 3\n")
+                          "comment element face 9\nobj_info scanner 7\n") + b"0.5 1.5 2.5 3\n")
     points, labels = read_cloud(path)
     assert points.tolist() == [[0.5, 1.5, 2.5]]
     assert labels.tolist() == [3]
@@ -223,15 +242,14 @@ def test_auto_sniffing(tmp_path, rng):
         assert np.array_equal(back, pts)
 
 
-_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                 1e308, -1e308, 1.7976931348623157e308]
+# the coordinate domain's edges; past them, test_non_finite_rejected
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.0 ** 40, -2.0 ** 40]
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pts=arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)
-                  | st.sampled_from(_EDGE_DOUBLES)),
+                  elements=st.floats(-2.0 ** 40, 2.0 ** 40) | st.sampled_from(_EDGE_DOUBLES)),
        data=st.data())
 def test_read_back_bit_exact(tmp_path, pts, data):
     labels = data.draw(arrays(np.int32, pts.shape[0],
@@ -260,7 +278,8 @@ def test_read_back_bit_exact(tmp_path, pts, data):
     np.arange(6.0),
     np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 5.0]]),
     np.array([[0.0, np.inf, 2.0]]),
-], ids=["four-columns", "flat", "nan", "inf"])
+    np.array([[0.0, 1e308, 2.0]]),
+], ids=["four-columns", "flat", "nan", "inf", "past-2^40"])
 def test_writers_reject_what_the_readers_reject(tmp_path, write, pts):
     path = tmp_path / "out"
     with pytest.raises(InputValidationError):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from voxplane import (
     ExtractionConfig,
-    InputValidationError,
     NodeState,
     VoxelKey,
     determine_plane,
@@ -17,7 +16,6 @@ from voxplane import (
     gen_corner,
     gen_multi_room,
     gen_plane,
-    ransac_extract_all,
 )
 import voxplane.octree
 from voxplane.geometry import accumulate
@@ -92,38 +90,6 @@ def test_build_root_map_partitions_input(rng):
     assert keys == sorted(keys)
 
 
-def test_lattice_overflow_rejected():
-    # 1e19, -1e19 and 2e19 would all cast to the key INT64_MIN; -2^63 is
-    # INT64_MIN itself, on the rejected side of the one |x| < 2^63 bound
-    for x in (1e19, -1e19, 2e19, -2.0 ** 63):
-        pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
-        with pytest.raises(InputValidationError):
-            build_root_map(pts, 1.0)
-        with pytest.raises(InputValidationError):
-            build_root_map(pts[:1], 1.0)
-        with pytest.raises(InputValidationError):
-            ransac_extract_all(pts, CFG, seed=0)
-    # the quotient, not the coordinate, must fit
-    with pytest.raises(InputValidationError):
-        build_root_map(np.array([[1e10, 0.0, 0.0]]), 1e-10)
-    # the largest double below 2^63 is accepted and keeps its exact key
-    x = np.nextafter(2.0 ** 63, 0)
-    pts = np.array([[x, 0.0, 0.0], [0.5, 0.5, 0.5]])
-    assert list(build_root_map(pts[:1], 1.0)) == [VoxelKey(2 ** 63 - 1024, 0, 0)]
-    out = build_root_map(pts, 1.0)
-    assert list(out) == [VoxelKey(0, 0, 0), VoxelKey(2 ** 63 - 1024, 0, 0)]
-    assert [v.tolist() for v in out.values()] == [[1], [0]]
-
-
-@pytest.mark.filterwarnings("error")
-def test_lattice_overflow_raises_without_warning():
-    # x / root_size overflows to inf, which the range check rejects: the
-    # error is the only signal, with no "overflow encountered" warning
-    for pts in (np.array([[1.7e308, 0.0, 0.0]]), np.array([[0.0, 0.0, -1.7e308]])):
-        with pytest.raises(InputValidationError, match="too large"):
-            build_root_map(pts, 0.5)
-
-
 def _root_map_reference(points, root_size):
     """build_root_map written plainly: a stable lexsort of the wide int64
     keys, x first, then one index array per run of equal keys."""
@@ -160,13 +126,16 @@ def test_build_root_map_matches_wide_key_reference(seed, bits, root_size):
     _assert_root_map_matches_reference(points, root_size)
 
 
-def test_build_root_map_span_beyond_int64():
-    # keys near +-6e18: max - min is about 1.2e19, past INT64_MAX, so a
-    # span taken in int64 would wrap and sort these points wrongly
-    pts = np.array([[6e18, 0.0, 0.0], [-6e18, 1.5, 0.0], [0.5, 0.5, -3.0],
-                    [6e18, 0.2, 0.3], [-6e18, 1.5, -6e18], [-6e18, 1.2, 0.0]])
-    assert int(pts[:, 0].max()) - int(pts[:, 0].min()) > 2 ** 63 - 1
-    _assert_root_map_matches_reference(pts, 1.0)
+def test_build_root_map_at_the_domain_edge():
+    # coordinates of +-2^40 m over the smallest root voxel, 2^-20 m, give
+    # keys of +-2^60, whose span of 2^61 the int64 offsets hold
+    edge = 2.0 ** 40
+    pts = np.array([[edge, 0.0, 0.0], [-edge, 1.5, 0.0], [0.5, 0.5, -3.0],
+                    [edge, 0.2, 0.3], [-edge, 1.5, -edge], [-edge, 1.5, 0.0]])
+    out = build_root_map(pts, 2.0 ** -20)
+    assert [key.ix for key in out] == [-2 ** 60, -2 ** 60, 2 ** 19, 2 ** 60, 2 ** 60]
+    assert [key.iz for key in out][:3] == [-2 ** 60, 0, -3 * 2 ** 20]
+    _assert_root_map_matches_reference(pts, 2.0 ** -20)
 
 
 @pytest.mark.parametrize("layout", ["fortran", "column_strided", "utm_shifted"])
